@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"trajpattern/internal/core"
+	"trajpattern/internal/datagen"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/stat"
 	"trajpattern/internal/traj"
@@ -131,6 +132,72 @@ func TestPBMinLen(t *testing.T) {
 	for i := range oracle {
 		if math.Abs(pb.Patterns[i].NM-oracle[i].NM) > 1e-9 {
 			t.Errorf("rank %d: PB %v vs oracle %v", i, pb.Patterns[i].NM, oracle[i].NM)
+		}
+	}
+}
+
+// TestPBGolden pins MinePB's whole output on a small seeded zebra
+// instance: the work counters, the top-k keys and every NM to the bit.
+func TestPBGolden(t *testing.T) {
+	s := newScorer(t, goldenZebra(t), 5)
+	res, err := MinePB(s, PBConfig{K: 8, MaxLen: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (PBStats{PrefixesExpanded: 45, PrefixesPruned: 829, NMEvaluations: 874}); res.Stats != want {
+		t.Errorf("stats %+v, want %+v", res.Stats, want)
+	}
+	// The length-5 entries also pin PB's per-trajectory (logM/m)·m: summing
+	// logM unscaled moves "13,13,13,13,13" by two ulps.
+	want := []struct {
+		key  string
+		bits uint64
+	}{
+		{"13", 0xbf8e5bce746d2db8},
+		{"13,13", 0xbfb09f4d4128e490},
+		{"13,13,13", 0xbfd3db007c8b8102},
+		{"13,13,13,13", 0xbfe3142ca04bd7b4},
+		{"13,13,13,13,13", 0xbfe9940d99bb9e9e},
+		{"12,13,13,13,13", 0xc00c4edfe710e780},
+		{"13,12,13,13,13", 0xc00c67776cdca47d},
+		{"13,12,13,13", 0xc00fc69438cbf988},
+	}
+	if len(res.Patterns) != len(want) {
+		t.Fatalf("%d patterns, want %d", len(res.Patterns), len(want))
+	}
+	for i, w := range want {
+		got := res.Patterns[i]
+		if got.Pattern.Key() != w.key || math.Float64bits(got.NM) != w.bits {
+			t.Errorf("rank %d: %s NM %#016x, want %s %#016x",
+				i, got.Pattern.Key(), math.Float64bits(got.NM), w.key, w.bits)
+		}
+	}
+}
+
+// goldenZebra is the seeded zebra instance of TestPBGolden and
+// BenchmarkMinePB.
+func goldenZebra(tb testing.TB) traj.Dataset {
+	tb.Helper()
+	ds, err := datagen.ZebraDataset(datagen.ZebraConfig{NumZebras: 12, AvgLen: 16, NumGroups: 3, Seed: 1}, 0.02, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ds
+}
+
+// BenchmarkMinePB runs PB on the golden zebra instance with a fresh
+// scorer per op, so each op pays its cell build as Figure 4's PB bar does.
+func BenchmarkMinePB(b *testing.B) {
+	ds := goldenZebra(b)
+	g := grid.NewSquare(5)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := core.NewScorer(ds, core.Config{Grid: g, Delta: g.CellWidth()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := MinePB(s, PBConfig{K: 8, MaxLen: 5}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

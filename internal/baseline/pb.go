@@ -97,29 +97,22 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 
 	top := newTopK(cfg.K)
 
-	// bestLogM returns Σ_T max-window log M(A, T) for the prefix, which
-	// both scores the prefix (NM = per-T value / len) and feeds the bound.
-	// We recompute via the scorer's NM (logM = NM·len per trajectory is
-	// not recoverable from the aggregate), so we track the per-trajectory
-	// values ourselves during expansion.
-
+	// A frame is a scored pattern; its NM is sumLogM/len(pat).
 	type frame struct {
 		pat     core.Pattern
-		logM    []float64 // per-trajectory best-window log-match of pat
 		sumLogM float64
 	}
 
-	nTraj := s.NumTrajectories()
-
-	score := func(p core.Pattern) frame {
-		f := frame{pat: p, logM: make([]float64, nTraj)}
-		for ti := 0; ti < nTraj; ti++ {
-			v := s.NMTrajectory(p, ti) * float64(len(p))
-			f.logM[ti] = v
-			f.sumLogM += v
+	// scaledSum sums, in trajectory order, each trajectory's best-window
+	// log-match taken as (logM/m)·m: its NM scaled back by the length. The
+	// conversion rounds that product before the sum, so no fused
+	// multiply-add can change the total's bits.
+	scaledSum := func(logM []float64, m int) float64 {
+		var sum float64
+		for _, v := range logM {
+			sum += float64(v / float64(m) * float64(m))
 		}
-		stats.NMEvaluations++
-		return f
+		return sum
 	}
 
 	admit := func(f frame) {
@@ -144,13 +137,19 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 		return ub >= omega-1e-12
 	}
 
-	// Depth-first expansion in deterministic seed order.
+	// Depth-first expansion in deterministic seed order. Seeds are scored
+	// from scratch; an expanded prefix is projected once and every
+	// one-cell child is scored from the projection.
 	var stack []frame
 	for idx := len(seeds) - 1; idx >= 0; idx-- {
-		f := score(core.Pattern{seeds[idx]})
+		p := core.Pattern{seeds[idx]}
+		f := frame{pat: p, sumLogM: scaledSum(s.LogMatches(p), 1)}
+		stats.NMEvaluations++
 		admit(f)
 		stack = append(stack, f)
 	}
+	var proj core.Projection
+	logM := make([]float64, s.NumTrajectories())
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -159,8 +158,12 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 			continue
 		}
 		stats.PrefixesExpanded++
+		s.Project(&proj, f.pat)
 		for idx := len(seeds) - 1; idx >= 0; idx-- {
-			child := score(f.pat.Concat(core.Pattern{seeds[idx]}))
+			proj.ExtendLogMatches(seeds[idx], logM)
+			pat := f.pat.Concat(core.Pattern{seeds[idx]})
+			child := frame{pat: pat, sumLogM: scaledSum(logM, len(pat))}
+			stats.NMEvaluations++
 			admit(child)
 			stack = append(stack, child)
 		}

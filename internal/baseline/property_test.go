@@ -62,6 +62,60 @@ func TestQuickPBExactness(t *testing.T) {
 	}
 }
 
+// Property: a projection scores prefix·c exactly as a from-scratch scan
+// does, trajectory by trajectory and bit for bit, for prefixes of length
+// 1-5 and every cell. Each dataset holds a trajectory exactly as long as
+// the prefix and one shorter, neither of which has a window for the
+// child. The projection is reused from a different prefix first, as PB
+// reuses it across expansions.
+func TestQuickProjectionMatchesScan(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := stat.NewRNG(seed)
+		m := 1 + rng.Intn(5)
+		lens := []int{m, max(1, m-1), m + 1, m + 2 + rng.Intn(10), 1 + rng.Intn(14)}
+		data := make(traj.Dataset, len(lens))
+		for i, n := range lens {
+			tr := make(traj.Trajectory, n)
+			for j := range tr {
+				tr[j] = traj.P(rng.Float64(), rng.Float64(), 0.05+rng.Float64()*0.15)
+			}
+			data[i] = tr
+		}
+		g := grid.NewSquare(3)
+		s, err := core.NewScorer(data, core.Config{Grid: g, Delta: g.CellWidth()})
+		if err != nil {
+			return false
+		}
+		randomPattern := func(n int) core.Pattern {
+			p := make(core.Pattern, n)
+			for i := range p {
+				p[i] = rng.Intn(g.NumCells())
+			}
+			return p
+		}
+		var pr core.Projection
+		s.Project(&pr, randomPattern(1+rng.Intn(5)))
+		prefix := randomPattern(m)
+		s.Project(&pr, prefix)
+		got := make([]float64, len(data))
+		for c := 0; c < g.NumCells(); c++ {
+			pr.ExtendLogMatches(c, got)
+			want := s.LogMatches(prefix.Concat(core.Pattern{c}))
+			for ti := range want {
+				if math.Float64bits(got[ti]) != math.Float64bits(want[ti]) {
+					t.Logf("prefix %v cell %d traj %d (len %d): projection %v, scan %v",
+						prefix, c, ti, lens[ti], got[ti], want[ti])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: MineMatch (beam priming + indexed join + bound skipping)
 // returns exactly the exhaustive top-k match values, including with a
 // length floor.

@@ -32,7 +32,7 @@ func (s *Scorer) Explain(p Pattern) (*Explanation, error) {
 	if err := p.Validate(s.cfg.Grid); err != nil {
 		return nil, err
 	}
-	vecs := s.vectors(p)
+	vecs := s.vectors(p, nil)
 	m := len(p)
 	ex := &Explanation{Pattern: p.Clone(), PerTraj: make([]TrajectoryContrib, len(s.data))}
 	for ti := range s.data {

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"trajpattern/internal/grid"
 	"trajpattern/internal/obs"
@@ -118,9 +119,9 @@ func (c Config) validate() error {
 // log Prob(lᵢ, σᵢ, cell, δ) over every snapshot of every trajectory, so the
 // NM of a candidate pattern reduces to windowed sums over cached vectors.
 //
-// A Scorer is safe for concurrent scoring after Prepare has been called for
-// all cells involved; the mining loop batches candidate evaluation through
-// ScoreAll which handles this automatically.
+// A Scorer is safe for concurrent use: the cache is a write-once table,
+// so readers take no lock and concurrent first uses of a cell agree on one
+// vector.
 type Scorer struct {
 	cfg  Config
 	data traj.Dataset
@@ -129,10 +130,13 @@ type Scorer struct {
 	// flat[offsets[t] : offsets[t+1]].
 	flat    []traj.Point
 	offsets []int
+	maxLen  int // longest trajectory: the most windows one scan can have
 
-	mu      sync.Mutex
-	cache   map[int][]float64 // cell index -> per-flat-position log prob
-	nmEvals int               // number of NM evaluations (for MinerStats)
+	// cells[c] is cell c's per-flat-position log-prob vector, nil until
+	// first use. A vector is installed by compare-and-swap and never
+	// replaced, so a loaded vector is immutable.
+	cells   []atomic.Pointer[[]float64]
+	nmEvals atomic.Int64 // number of NM evaluations (for MinerStats)
 
 	m  scorerMetrics
 	tl *trace.Local // batch-span recorder; nil when Config.Tracer is nil
@@ -186,12 +190,13 @@ func NewScorer(data traj.Dataset, cfg Config) (*Scorer, error) {
 		cfg:     cfg,
 		data:    data,
 		offsets: make([]int, len(data)+1),
-		cache:   make(map[int][]float64),
+		cells:   make([]atomic.Pointer[[]float64], cfg.Grid.NumCells()),
 		m:       newScorerMetrics(cfg.Metrics),
 		tl:      cfg.Tracer.Local(),
 	}
 	for i, t := range data {
 		s.offsets[i+1] = s.offsets[i] + len(t)
+		s.maxLen = max(s.maxLen, len(t))
 	}
 	s.flat = make([]traj.Point, 0, s.offsets[len(data)])
 	for _, t := range data {
@@ -229,32 +234,37 @@ func (s *Scorer) logProb(pt traj.Point, cell int) float64 {
 
 // cellLogProbs returns the per-flat-position log-prob vector for cell,
 // computing and caching it on first use. Callers must not mutate the
-// result.
+// result. Goroutines that build the same cell at once all count the build,
+// but only the first vector installed is kept and returned to every caller.
 func (s *Scorer) cellLogProbs(cell int) []float64 {
-	if !s.cfg.DisableCache {
-		s.mu.Lock()
-		if v, ok := s.cache[cell]; ok {
-			s.mu.Unlock()
-			s.m.cacheHits.Inc()
-			return v
-		}
-		s.mu.Unlock()
+	if s.cfg.DisableCache {
+		s.m.cellsBuilt.Inc()
+		return s.buildCell(cell)
+	}
+	slot := &s.cells[cell]
+	if v := slot.Load(); v != nil {
+		s.m.cacheHits.Inc()
+		return *v
 	}
 	s.m.cellsBuilt.Inc()
+	v := s.buildCell(cell)
+	if !slot.CompareAndSwap(nil, &v) {
+		return *slot.Load()
+	}
+	return v
+}
+
+// buildCell computes cell's log-prob vector over every flat position.
+func (s *Scorer) buildCell(cell int) []float64 {
 	v := make([]float64, len(s.flat))
 	for i, pt := range s.flat {
 		v[i] = s.logProb(pt, cell)
-	}
-	if !s.cfg.DisableCache {
-		s.mu.Lock()
-		s.cache[cell] = v
-		s.mu.Unlock()
 	}
 	return v
 }
 
 // Prepare precomputes the log-prob vectors for the given cells so that
-// subsequent concurrent scoring never writes the cache. It is idempotent.
+// later scoring only reads the cache. It is idempotent.
 func (s *Scorer) Prepare(cells []int) {
 	for _, c := range cells {
 		s.cellLogProbs(c)
@@ -263,73 +273,81 @@ func (s *Scorer) Prepare(cells []int) {
 
 // CacheSize returns the number of cells with materialized log-prob vectors.
 func (s *Scorer) CacheSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cache)
+	n := 0
+	for i := range s.cells {
+		if s.cells[i].Load() != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // NMEvaluations returns how many pattern NM evaluations this scorer has
 // performed, the dominant cost term of the complexity analysis (§4.4).
-func (s *Scorer) NMEvaluations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nmEvals
+func (s *Scorer) NMEvaluations() int { return int(s.nmEvals.Load()) }
+
+// scan is the scratch of one pattern's window scans: the pattern's cell
+// vectors, fetched once, and the window-sum accumulator. It is pooled per
+// call, not per trajectory.
+type scan struct {
+	vecs [][]float64
+	acc  []float64
 }
 
-// scratchPool recycles the window-sum accumulators of logMatchWindows.
-var scratchPool = sync.Pool{
-	New: func() any {
-		buf := make([]float64, 0, 256)
-		return &buf
-	},
-}
+var scanPool = sync.Pool{New: func() any { return new(scan) }}
 
-// logMatchWindows returns, for trajectory ti, the maximum window sum of
-// log Prob for pattern p (i.e. max log M(P,T')), or (floor·len(p), false)
-// if the trajectory is shorter than the pattern. The scan accumulates all
-// window sums position-by-position over contiguous slices — the innermost
-// loop of the whole miner — rather than window-by-window, which keeps the
-// memory access sequential and lets the compiler eliminate bounds checks.
-func (s *Scorer) logMatchWindows(p Pattern, ti int, vecs [][]float64) (float64, bool) {
-	start, end := s.offsets[ti], s.offsets[ti+1]
-	m := len(p)
-	if end-start < m {
-		return s.cfg.LogFloor * float64(m), false
-	}
-	nw := end - start - m + 1
-
-	bufp := scratchPool.Get().(*[]float64)
-	defer scratchPool.Put(bufp)
-	if cap(*bufp) < nw {
-		*bufp = make([]float64, nw)
+// newScan fetches p's vectors into a pooled scan sized for s's longest
+// trajectory. Release it with s.release.
+func (s *Scorer) newScan(p Pattern) *scan {
+	sc := scanPool.Get().(*scan)
+	sc.vecs = s.vectors(p, sc.vecs[:0])
+	if cap(sc.acc) < s.maxLen {
+		sc.acc = make([]float64, s.maxLen)
 		s.m.scratchGrows.Inc()
 	} else {
 		s.m.scratchHits.Inc()
 	}
-	acc := (*bufp)[:nw]
-	copy(acc, vecs[0][start:start+nw])
-	for j := 1; j < m; j++ {
-		v := vecs[j][start+j : start+j+nw]
-		for i, x := range v {
-			acc[i] += x
-		}
-	}
-	best := acc[0]
-	for _, v := range acc[1:] {
-		if v > best {
-			best = v
-		}
-	}
-	return best, true
+	return sc
 }
 
-// vectors gathers the cached log-prob vectors for each pattern position.
-func (s *Scorer) vectors(p Pattern) [][]float64 {
-	vecs := make([][]float64, len(p))
-	for j, cell := range p {
-		vecs[j] = s.cellLogProbs(cell)
+// release returns sc to the pool without keeping its vectors reachable.
+func (s *Scorer) release(sc *scan) {
+	clear(sc.vecs)
+	scanPool.Put(sc)
+}
+
+// logMatch returns, for trajectory ti, the maximum window sum of log Prob
+// for the pattern whose m position vectors sc holds (i.e. max log M(P,T')),
+// or (LogFloor·m, false) if the trajectory is shorter than the pattern.
+// The scan accumulates all window sums position by position over
+// contiguous slices, the innermost loop of the whole miner, rather than
+// window by window; each window sum takes its terms in pattern order.
+func (s *Scorer) logMatch(sc *scan, ti int) (float64, bool) {
+	start, end := s.offsets[ti], s.offsets[ti+1]
+	vecs := sc.vecs
+	m := len(vecs)
+	if end-start < m {
+		return s.cfg.LogFloor * float64(m), false
 	}
-	return vecs
+	nw := end - start - m + 1
+	if m == 1 {
+		return maxOf(vecs[0][start : start+nw]), true
+	}
+	acc := sc.acc[:nw]
+	copy(acc, vecs[0][start:])
+	for j := 1; j < m-1; j++ {
+		addTo(acc, vecs[j][start+j:])
+	}
+	return addMax(acc, vecs[m-1][start+m-1:]), true
+}
+
+// vectors appends the cached log-prob vector of each pattern position to
+// dst.
+func (s *Scorer) vectors(p Pattern, dst [][]float64) [][]float64 {
+	for _, cell := range p {
+		dst = append(dst, s.cellLogProbs(cell))
+	}
+	return dst
 }
 
 // NMTrajectory returns NM(P, T) for trajectory index ti: the maximum
@@ -340,27 +358,46 @@ func (s *Scorer) NMTrajectory(p Pattern, ti int) float64 {
 	if len(p) == 0 {
 		panic("core: NM of empty pattern")
 	}
-	logM, _ := s.logMatchWindows(p, ti, s.vectors(p))
+	sc := s.newScan(p)
+	defer s.release(sc)
+	logM, _ := s.logMatch(sc, ti)
 	return logM / float64(len(p))
 }
 
 // NM returns the normalized match of p in the whole dataset:
-// Σ_T NM(P, T) (Section 3.3). Larger (closer to zero) is better.
+// Σ_T NM(P, T) (Section 3.3), summed in trajectory order. Larger (closer
+// to zero) is better.
 func (s *Scorer) NM(p Pattern) float64 {
 	if len(p) == 0 {
 		panic("core: NM of empty pattern")
 	}
-	vecs := s.vectors(p)
+	sc := s.newScan(p)
+	defer s.release(sc)
 	var sum float64
 	for ti := range s.data {
-		logM, _ := s.logMatchWindows(p, ti, vecs)
+		logM, _ := s.logMatch(sc, ti)
 		sum += logM / float64(len(p))
 	}
-	s.mu.Lock()
-	s.nmEvals++
-	s.mu.Unlock()
+	s.nmEvals.Add(1)
 	s.m.nmEvals.Inc()
 	return sum
+}
+
+// LogMatches returns, indexed by trajectory, every trajectory's
+// best-window log-match max log M(P, T) of p, or LogFloor·len(p) where the
+// trajectory is shorter than p. It fetches p's vectors once and does not
+// count as an NM evaluation.
+func (s *Scorer) LogMatches(p Pattern) []float64 {
+	if len(p) == 0 {
+		panic("core: log-match of empty pattern")
+	}
+	sc := s.newScan(p)
+	defer s.release(sc)
+	out := make([]float64, len(s.data))
+	for ti := range out {
+		out[ti], _ = s.logMatch(sc, ti)
+	}
+	return out
 }
 
 // MatchTrajectory returns M(P, T) for trajectory ti: the maximum joint
@@ -371,7 +408,9 @@ func (s *Scorer) MatchTrajectory(p Pattern, ti int) float64 {
 	if len(p) == 0 {
 		panic("core: match of empty pattern")
 	}
-	logM, ok := s.logMatchWindows(p, ti, s.vectors(p))
+	sc := s.newScan(p)
+	defer s.release(sc)
+	logM, ok := s.logMatch(sc, ti)
 	if !ok {
 		return 0
 	}
@@ -384,10 +423,11 @@ func (s *Scorer) Match(p Pattern) float64 {
 	if len(p) == 0 {
 		panic("core: match of empty pattern")
 	}
-	vecs := s.vectors(p)
+	sc := s.newScan(p)
+	defer s.release(sc)
 	var sum float64
 	for ti := range s.data {
-		logM, ok := s.logMatchWindows(p, ti, vecs)
+		logM, ok := s.logMatch(sc, ti)
 		if ok {
 			sum += math.Exp(logM)
 		}
@@ -501,36 +541,6 @@ dispatch:
 		return nil, fmt.Errorf("core: scoring cancelled: %w", context.Cause(ctx))
 	}
 	return out, nil
-}
-
-// Append adds trajectories to the dataset in place, extending every
-// cached per-cell log-probability vector with the new snapshots instead of
-// recomputing it — the incremental path for a server that keeps receiving
-// traces. Scores evaluated after Append are identical to those of a scorer
-// built over the combined dataset. Append must not run concurrently with
-// scoring.
-func (s *Scorer) Append(trs ...traj.Trajectory) error {
-	for i, t := range trs {
-		if err := t.Validate(); err != nil {
-			return fmt.Errorf("core: appended trajectory %d: %w", i, err)
-		}
-	}
-	for _, t := range trs {
-		s.data = append(s.data, t)
-		s.offsets = append(s.offsets, s.offsets[len(s.offsets)-1]+len(t))
-		s.flat = append(s.flat, t...)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for cell, vec := range s.cache {
-		start := len(vec)
-		grown := append(vec, make([]float64, len(s.flat)-start)...)
-		for i := start; i < len(s.flat); i++ {
-			grown[i] = s.logProb(s.flat[i], cell)
-		}
-		s.cache[cell] = grown
-	}
-	return nil
 }
 
 // BestSingularLogProb returns, for each trajectory, the maximum cached

@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"trajpattern/internal/grid"
+	"trajpattern/internal/obs"
 	"trajpattern/internal/stat"
 	"trajpattern/internal/traj"
 )
@@ -308,54 +310,121 @@ func TestBestSingularLogProb(t *testing.T) {
 	}
 }
 
-func TestAppendMatchesRebuild(t *testing.T) {
-	base := randomDataset(41, 4, 10, 0.1)
-	extra := randomDataset(42, 3, 12, 0.1)
-	g := grid.NewSquare(4)
-	cfg := Config{Grid: g, Delta: g.CellWidth()}
-
-	inc, err := NewScorer(base, cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestLogMatchesMatchesNaiveScan checks the unrolled window-scan kernels
+// against a window-by-window reference that adds each window's terms in
+// pattern order: LogMatches and NM must agree with it to the bit for every
+// pattern length up to past the unroll width and every trajectory length,
+// including those shorter than the pattern.
+func TestLogMatchesMatchesNaiveScan(t *testing.T) {
+	var data traj.Dataset
+	for n := 1; n <= 13; n++ {
+		data = append(data, randomDataset(uint64(n), 1, n, 0.1)...)
 	}
-	// Touch the cache before appending so the extension path is exercised.
-	p := Pattern{3, 7, 11}
-	before := inc.NM(p)
-	if err := inc.Append(extra...); err != nil {
-		t.Fatal(err)
-	}
-	after := inc.NM(p)
-
-	combined := append(append(traj.Dataset{}, base...), extra...)
-	fresh, err := NewScorer(combined, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fresh.NM(p); math.Abs(after-want) > 1e-12 {
-		t.Errorf("incremental NM %v != rebuilt %v", after, want)
-	}
-	if after == before {
-		t.Error("append had no effect on the score")
-	}
-	// Additivity: the appended trajectories only add (negative) terms.
-	if after > before {
-		t.Errorf("NM grew after append: %v -> %v", before, after)
-	}
-	// Per-trajectory scores for the new data match the rebuilt scorer.
-	for ti := len(base); ti < len(combined); ti++ {
-		if a, b := inc.NMTrajectory(p, ti), fresh.NMTrajectory(p, ti); math.Abs(a-b) > 1e-12 {
-			t.Errorf("traj %d: %v vs %v", ti, a, b)
+	s := testScorer(t, data, 4)
+	rng := stat.NewRNG(77)
+	for trial := 0; trial < 40; trial++ {
+		p := make(Pattern, 1+trial%7)
+		for i := range p {
+			p[i] = rng.Intn(16)
+		}
+		vecs := s.vectors(p, nil)
+		got := s.LogMatches(p)
+		var nm float64
+		for ti, tr := range data {
+			want := s.Config().LogFloor * float64(len(p))
+			if len(tr) >= len(p) {
+				want = math.Inf(-1)
+				for w := 0; w+len(p) <= len(tr); w++ {
+					var sum float64
+					for j := range p {
+						sum += vecs[j][s.offsets[ti]+w+j]
+					}
+					want = math.Max(want, sum)
+				}
+			}
+			if math.Float64bits(got[ti]) != math.Float64bits(want) {
+				t.Fatalf("pattern %v traj %d (len %d): LogMatches %v, naive %v", p, ti, len(tr), got[ti], want)
+			}
+			nm += want / float64(len(p))
+		}
+		if got := s.NM(p); math.Float64bits(got) != math.Float64bits(nm) {
+			t.Fatalf("pattern %v: NM %v, naive %v", p, got, nm)
 		}
 	}
 }
 
-func TestAppendValidation(t *testing.T) {
-	s := testScorer(t, randomDataset(43, 2, 6, 0.1), 4)
-	if err := s.Append(traj.Trajectory{traj.P(0, 0, -1)}); err == nil {
-		t.Error("invalid appended trajectory accepted")
+// TestConcurrentScoringSharedScorer drives one unprepared Scorer from
+// several goroutines at once, as concurrent /v1/score batches do: ScoreAll
+// and NM over overlapping cells. Every score must equal a serial scorer's
+// to the bit, each distinct cell must be cached exactly once, and every
+// vector lookup must count as either a build or a hit.
+func TestConcurrentScoringSharedScorer(t *testing.T) {
+	data := randomDataset(21, 6, 30, 0.1)
+	g := grid.NewSquare(5)
+	reg := obs.New()
+	shared, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), Workers: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.NumTrajectories() != 2 {
-		t.Error("failed append mutated the dataset")
+	serial := testScorer(t, data, 5)
+	rng := stat.NewRNG(5)
+	patterns := make([]Pattern, 40)
+	distinct := make(map[int]bool)
+	lookups := 0
+	for i := range patterns {
+		p := make(Pattern, 1+rng.Intn(5))
+		for j := range p {
+			p[j] = rng.Intn(15) // 15 of the 25 cells: batches overlap
+			distinct[p[j]] = true
+		}
+		patterns[i] = p
+		lookups += len(p)
+	}
+	want := make([]float64, len(patterns))
+	for i, p := range patterns {
+		want[i] = serial.NM(p)
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w%2 == 0 {
+				got, err := shared.ScoreAll(context.Background(), patterns)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Errorf("ScoreAll pattern %d: %v, serial %v", i, got[i], want[i])
+					}
+				}
+				return
+			}
+			for k := range patterns {
+				i := (k + w*5) % len(patterns)
+				if got := shared.NM(patterns[i]); math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Errorf("NM pattern %d: %v, serial %v", i, got, want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if got := shared.CacheSize(); got != len(distinct) {
+		t.Errorf("CacheSize = %d, want %d distinct cells", got, len(distinct))
+	}
+	if got := shared.NMEvaluations(); got != goroutines*len(patterns) {
+		t.Errorf("NMEvaluations = %d, want %d", got, goroutines*len(patterns))
+	}
+	// Each ScoreAll also looks up every distinct cell once to prepare it.
+	total := int64(goroutines*lookups + goroutines/2*len(distinct))
+	snap := reg.Snapshot()
+	if got := snap.Counter("scorer.cells.built") + snap.Counter("scorer.cache.hits"); got != total {
+		t.Errorf("cells built + cache hits = %d, want %d lookups", got, total)
 	}
 }
 

@@ -182,7 +182,7 @@ func (s *Scorer) NMGap(p GapPattern) (float64, error) {
 	// Cache segment vectors once.
 	segVecs := make([][][]float64, len(p.Segments))
 	for i, seg := range p.Segments {
-		segVecs[i] = s.vectors(seg)
+		segVecs[i] = s.vectors(seg, nil)
 	}
 
 	var total float64

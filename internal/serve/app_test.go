@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -58,9 +59,8 @@ func TestRunSigtermDrain(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 
-	// Hold a request in flight deterministically: send the headers and
-	// half the JSON body, then stall. The handler is admitted and blocks
-	// reading the rest — in-flight by construction, no timing games.
+	// Hold a request in flight: send the headers and half the JSON body,
+	// then stall. Once admitted, the handler blocks reading the rest.
 	body := `{"patterns":[[1,2]]}`
 	half := len(body) / 2
 	conn, err := net.Dial("tcp", addr)
@@ -70,6 +70,31 @@ func TestRunSigtermDrain(t *testing.T) {
 	defer conn.Close()
 	fmt.Fprintf(conn, "POST /v1/score HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
 		len(body), body[:half])
+	// Sent bytes are not yet an admitted request, and SIGTERM before
+	// admission would refuse it as draining. /readyz is not
+	// admission-guarded, so wait there until the request is in flight.
+	admitted := false
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get("http://" + addr + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ready struct {
+			InFlight int64 `json:"inflight"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&ready)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ready.InFlight == 1 {
+			admitted = true
+			break
+		}
+	}
+	if !admitted {
+		t.Fatal("held request never became in flight")
+	}
 
 	// SIGTERM: stage one of the drain must close the listener while the
 	// held request stays alive.
