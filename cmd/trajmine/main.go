@@ -14,7 +14,6 @@
 //	trajmine -in zebra.jsonl -checkpoint run.ckpt -resume
 //	trajmine -in zebra.jsonl -k 20 -shards 4
 //	trajmine -in zebra.jsonl -shards 4 -checkpoint run.ckpt -resume
-//	trajmine -in zebra.jsonl -shards 4 -shard-procs 4 -shard-retries 3 -shard-stall 30s
 package main
 
 import (
@@ -43,13 +42,6 @@ func effectiveShards(n int) int {
 }
 
 func main() {
-	// Hidden worker mode: `trajmine -shard-worker i/n ...` mines exactly
-	// one shard to its checkpoint file and exits with a typed status.
-	// The supervisor (-shard-procs) launches these; dispatch happens
-	// before normal flag parsing so the worker owns its own flag set.
-	if len(os.Args) > 1 && os.Args[1] == "-shard-worker" {
-		os.Exit(cli.ShardWorkerMain(os.Args[2:]))
-	}
 	var (
 		in      = flag.String("in", "", "input trajectory file (required)")
 		k       = flag.Int("k", 10, "number of patterns to mine")
@@ -74,10 +66,6 @@ func main() {
 		ckpt    = flag.String("checkpoint", "", "write crash-safe miner checkpoints to this file (nm only)")
 		ckEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in iterations")
 		resume  = flag.Bool("resume", false, "restore miner state from -checkpoint before mining")
-
-		shProcs   = flag.Int("shard-procs", 0, "run shards as supervised worker processes, this many at a time (0 = in-process goroutines; needs -shards > 1)")
-		shRetries = flag.Int("shard-retries", 0, "per-shard worker attempt budget under -shard-procs (0 = default)")
-		shStall   = flag.Duration("shard-stall", 0, "kill and relaunch a worker whose checkpoint stops advancing for this long (0 = disabled)")
 
 		logFlags cli.LogFlags
 	)
@@ -155,10 +143,6 @@ func main() {
 		CheckpointPath:  *ckpt,
 		CheckpointEvery: *ckEvery,
 		Resume:          *resume,
-		ShardProcs:      *shProcs,
-		ShardRetries:    *shRetries,
-		ShardStall:      *shStall,
-		DataPath:        *in,
 	})
 	stopSignals()
 	printer.Done()

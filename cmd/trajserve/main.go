@@ -10,7 +10,6 @@
 //	trajserve -in zebra.jsonl -addr :8080
 //	trajserve -in bus.jsonl -patterns mined.json -capacity 16 -queue 32
 //	trajserve -in zebra.jsonl -mine-shards 4 -capacity 16
-//	trajserve -in zebra.jsonl -mine-shards 4 -mine-procs 4
 //	trajserve -in zebra.jsonl -trace run.trace -debug-addr localhost:6060
 //	trajserve -in zebra.jsonl -log-format json -log-level info
 //	trajserve -in zebra.jsonl -ingest-wal /var/lib/trajserve/wal -ingest-window 256
@@ -39,14 +38,6 @@ import (
 )
 
 func main() {
-	// Hidden worker mode: `trajserve -shard-worker i/n ...` mines exactly
-	// one shard to its checkpoint file and exits with a typed status. The
-	// supervised /v1/mine route (-mine-procs) launches these from its own
-	// binary; dispatch happens before normal flag parsing so the worker
-	// owns its own flag set.
-	if len(os.Args) > 1 && os.Args[1] == "-shard-worker" {
-		os.Exit(cli.ShardWorkerMain(os.Args[2:]))
-	}
 	var (
 		in       = flag.String("in", "", "input trajectory file (required)")
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
@@ -57,7 +48,6 @@ func main() {
 		queue    = flag.Int("queue", serve.DefaultMaxQueue, "admission wait-queue bound; beyond it requests are shed with 429")
 		mineWt   = flag.Int64("mine-weight", serve.DefaultMineWeight, "admission weight of one /v1/mine request (multiplied by -mine-shards, clamped to -capacity)")
 		shards   = flag.Int("mine-shards", 1, "partition /v1/mine across this many dataset shards with a merged top-k (1 = single-partition, -1 = one per CPU)")
-		procs    = flag.Int("mine-procs", 0, "run /v1/mine shards as supervised worker processes, this many at a time (0 = in-process goroutines; needs -mine-shards > 1)")
 		deadline = flag.Duration("deadline", serve.DefaultDeadline, "per-request deadline (queue wait included)")
 		ingWAL   = flag.String("ingest-wal", "", "enable durable streaming ingest (POST /v1/ingest) with the write-ahead log in this directory")
 		ingWin   = flag.Int("ingest-window", 0, "per-object sliding-window record cap for ingest (0 = default)")
@@ -97,7 +87,6 @@ func main() {
 			MaxQueue:         *queue,
 			MineWeight:       *mineWt,
 			MineShards:       *shards,
-			MineProcs:        *procs,
 			ScoreDeadline:    *deadline,
 			MineDeadline:     *deadline,
 			PredictDeadline:  *deadline,

@@ -10,15 +10,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
 	"time"
 
 	"trajpattern/internal/baseline"
 	"trajpattern/internal/core"
 	"trajpattern/internal/core/shard"
-	"trajpattern/internal/core/shard/supervisor"
 	"trajpattern/internal/datagen"
 	"trajpattern/internal/exp"
 	"trajpattern/internal/faultio"
@@ -110,29 +106,6 @@ type MineOptions struct {
 	// missing checkpoint file starts a fresh run (so a crash-looped
 	// service can always pass -resume).
 	Resume bool
-
-	// ShardProcs, when > 0, executes the shards as supervised worker
-	// processes — at most ShardProcs running concurrently — instead of
-	// in-process goroutines: a crashed, stalled, or timed-out worker is
-	// relaunched from its shard's last checkpoint. Requires Shards > 1
-	// and either DataPath or WorkerCommand. NM measure only.
-	ShardProcs int
-	// ShardRetries is the per-shard attempt budget under ShardProcs
-	// (0 = supervisor default).
-	ShardRetries int
-	// ShardStall is the per-shard progress deadline under ShardProcs: a
-	// worker whose checkpoint file stops advancing for this long is
-	// killed and relaunched. 0 disables hang detection.
-	ShardStall time.Duration
-	// DataPath is the dataset file supervised workers re-read; the
-	// trajmine -in value. Ignored unless ShardProcs > 0.
-	DataPath string
-	// WorkerCommand overrides how a worker process is built (tests);
-	// nil re-executes this binary with -shard-worker.
-	WorkerCommand func(shardIdx, shards int, ckptPrefix string) *exec.Cmd
-	// SupervisorLog receives supervision notes and worker stderr under
-	// ShardProcs; nil means os.Stderr.
-	SupervisorLog io.Writer
 }
 
 // FitGrid builds a square grid covering the dataset bounds with a 3σ̄
@@ -319,9 +292,6 @@ func mineSharded(ctx context.Context, w io.Writer, s *core.Scorer, o MineOptions
 		return nil, err
 	}
 	n := eng.Shards()
-	if o.ShardProcs > 0 && n > 1 {
-		return mineSupervised(ctx, w, s, eng, o, mcfg)
-	}
 	var resume []*core.Checkpoint
 	if o.Resume {
 		if o.CheckpointPath == "" {
@@ -341,107 +311,6 @@ func mineSharded(ctx context.Context, w io.Writer, s *core.Scorer, o MineOptions
 	res, err := eng.Mine(ctx, mcfg, resume)
 	if err != nil {
 		return nil, err
-	}
-	if res.Interrupted {
-		fmt.Fprintf(w, "interrupted (%s): reporting best-so-far results\n", res.InterruptReason)
-	}
-	fmt.Fprintf(w, "TrajPattern ×%d shards: %d iterations, %d candidates, max |Q| %d, pruned %d\n",
-		n, res.Total.Iterations, res.Total.Candidates, res.Total.MaxQ, res.Total.Pruned)
-	fmt.Fprintf(w, "merge: %d candidates, %d exact, %d bound-pruned, %d rescored\n",
-		res.Merge.Candidates, res.Merge.Exact, res.Merge.BoundPruned, res.Merge.Rescored)
-	g := s.Config().Grid
-	for i, sp := range res.Patterns {
-		fmt.Fprintf(w, "%3d. NM=%-10.4f len=%d  %s\n", i+1, sp.NM, len(sp.Pattern), sp.Pattern.Format(g))
-	}
-	return res.Patterns, nil
-}
-
-// mineSupervised runs the sharded mine with out-of-process workers: the
-// supervisor launches one `-shard-worker i/n` child per shard (at most
-// o.ShardProcs concurrently), relaunches failures from their shard
-// checkpoints, and the merged top-k is assembled from the terminal
-// checkpoint files. A shard that exhausts its budget degrades the run
-// to an interrupted merged result over the survivors — same semantics
-// as an in-process cancellation, with the failure's typed reason in the
-// report.
-func mineSupervised(ctx context.Context, w io.Writer, s *core.Scorer, eng *shard.Engine, o MineOptions, mcfg core.MinerConfig) ([]core.ScoredPattern, error) {
-	n := eng.Shards()
-	prefix := o.CheckpointPath
-	if prefix == "" {
-		dir, err := os.MkdirTemp("", "trajmine-shards-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir) //nolint:errcheck // best-effort temp cleanup
-		prefix = filepath.Join(dir, "ck")
-	}
-	mcfg.CheckpointPath = prefix
-	if !o.Resume {
-		// Workers always relaunch with -resume so a recovered shard
-		// continues from its checkpoint; without the user's -resume,
-		// stale files from an earlier run must not leak into this one.
-		for i := 0; i < n; i++ {
-			os.Remove(shard.CheckpointPath(prefix, i, n)) //nolint:errcheck // absent is fine
-		}
-	}
-
-	cmdFn := o.WorkerCommand
-	if cmdFn == nil {
-		if o.DataPath == "" {
-			return nil, fmt.Errorf("cli: supervised sharding needs the dataset path to hand to workers")
-		}
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("cli: locate worker binary: %w", err)
-		}
-		every := o.CheckpointEvery
-		if every <= 0 {
-			every = 1
-		}
-		cmdFn = func(i, n int, prefix string) *exec.Cmd {
-			return exec.Command(exe,
-				"-shard-worker", fmt.Sprintf("%d/%d", i, n),
-				"-in", o.DataPath,
-				"-k", strconv.Itoa(o.K),
-				"-gridn", strconv.Itoa(o.GridN),
-				"-minlen", strconv.Itoa(o.MinLen),
-				"-maxlen", strconv.Itoa(o.MaxLen),
-				"-maxlowq", strconv.Itoa(mcfg.MaxLowQ),
-				"-delta", strconv.FormatFloat(o.DeltaMul, 'g', -1, 64),
-				"-maxiters", strconv.Itoa(o.MaxIters),
-				"-maxwall", o.MaxWallTime.String(),
-				"-checkpoint", prefix,
-				"-checkpoint-every", strconv.Itoa(every),
-				"-resume",
-			)
-		}
-	}
-	logw := o.SupervisorLog
-	if logw == nil {
-		logw = os.Stderr
-	}
-	scfg := supervisor.Config{
-		CheckpointPrefix: prefix,
-		Command:          func(i int) *exec.Cmd { return cmdFn(i, n, prefix) },
-		Procs:            o.ShardProcs,
-		MaxAttempts:      o.ShardRetries,
-		Stall:            o.ShardStall,
-		Metrics:          mcfg.Metrics,
-		Tracer:           mcfg.Tracer,
-		Log:              logw,
-	}
-	res, run, err := supervisor.Mine(ctx, eng, mcfg, scfg)
-	if err != nil {
-		return nil, err
-	}
-	attempts := 0
-	for _, oc := range run.Outcomes {
-		attempts += oc.Attempts
-	}
-	fmt.Fprintf(w, "supervised ×%d shards (%d procs): %d worker launches, %d shard failures\n",
-		n, o.ShardProcs, attempts, len(run.Failures))
-	for _, f := range run.Failures {
-		fmt.Fprintf(w, "shard %d gave up (%s, %d attempts): %v\n", f.Shard, f.Kind, f.Attempts, f.Err)
 	}
 	if res.Interrupted {
 		fmt.Fprintf(w, "interrupted (%s): reporting best-so-far results\n", res.InterruptReason)

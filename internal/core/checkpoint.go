@@ -65,7 +65,8 @@ type Checkpoint struct {
 // FingerprintMismatchError reports a resume checkpoint taken for a
 // different mining problem (config, seeds, scoring, or dataset). It is
 // permanent: retrying the same run with the same checkpoint can never
-// succeed, so a supervisor must surface it instead of backing off.
+// succeed, so a caller either reports it or discards the checkpoint and
+// mines fresh, as trajserve's re-mine loop does.
 type FingerprintMismatchError struct {
 	// Checkpoint is the fingerprint stored in the checkpoint file.
 	Checkpoint string
@@ -161,23 +162,6 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return ck, nil
-}
-
-// Fingerprint returns the fingerprint Mine would stamp on checkpoints
-// of this configuration run against scorer s: defaults applied and the
-// seed set resolved exactly as the miner does. Callers use it to vet
-// externally produced checkpoints (shard worker files) before trusting
-// their state.
-func (c MinerConfig) Fingerprint(s *Scorer) (string, error) {
-	c = c.withDefaults()
-	seeds := c.Seeds
-	if seeds == nil {
-		seeds = s.ObservedCells(1)
-	}
-	if len(seeds) == 0 {
-		return "", fmt.Errorf("core: no seed cells")
-	}
-	return c.fingerprint(s, seeds), nil
 }
 
 // fingerprint hashes the parts of a run that define the mining problem:

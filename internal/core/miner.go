@@ -111,13 +111,6 @@ type MinerConfig struct {
 	// nil means the real OS. Tests inject a *faultio.Faults to prove
 	// crash-safety.
 	CheckpointFS faultio.FS
-	// Shards, when > 1, asks for the sharded engine: the dataset is
-	// partitioned and mined per shard, and the per-shard candidate sets
-	// are merged under the min-max bound (package core/shard; the CLIs
-	// and trajserve route through it). Mine itself ignores the field —
-	// it always runs the single-partition algorithm — so Shards <= 1 is
-	// byte-identical to the pre-sharding miner. Zero means 1.
-	Shards int
 	// FingerprintExtra, when non-empty, is hashed into the checkpoint
 	// fingerprint on top of the problem description. The sharded engine
 	// uses it to bind each per-shard checkpoint to its shard index, so a
@@ -188,9 +181,6 @@ func (c MinerConfig) validate() error {
 	}
 	if c.MaxWallTime < 0 {
 		return cfgErr("MinerConfig", "MaxWallTime", "must be >= 0, got %v", c.MaxWallTime)
-	}
-	if c.Shards < 0 {
-		return cfgErr("MinerConfig", "Shards", "must be >= 0, got %d", c.Shards)
 	}
 	if c.Resume != nil && c.Resume.Version != CheckpointVersion {
 		return fmt.Errorf("core: resume checkpoint version %d, want %d", c.Resume.Version, CheckpointVersion)

@@ -87,80 +87,3 @@ func TestLoadCheckpointsSkipsTornFile(t *testing.T) {
 		}
 	}
 }
-
-// TestMineShardMatchesInProcessShard: a shard mined through MineShard
-// (the worker-process entry point) writes the same checkpoint and
-// returns the same final state as the same shard mined inside Mine, so
-// supervised and in-process runs are freely interchangeable.
-func TestMineShardMatchesInProcessShard(t *testing.T) {
-	s := zebraScorer(t, 11, 8, 16, 8)
-	n := 2
-	eng, err := NewEngine(s, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	inPrefix := filepath.Join(dir, "in")
-	outPrefix := filepath.Join(dir, "out")
-	cfg := core.MinerConfig{K: 4, MaxLowQ: 16}
-
-	incfg := cfg
-	incfg.CheckpointPath = inPrefix
-	want, err := eng.Mine(context.Background(), incfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	outcfg := cfg
-	outcfg.CheckpointPath = outPrefix
-	states := make([]*core.Checkpoint, n)
-	for i := 0; i < n; i++ {
-		res, err := eng.MineShard(context.Background(), i, outcfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.FinalState == nil {
-			t.Fatalf("shard %d: MineShard returned no final state", i)
-		}
-		states[i] = res.FinalState
-	}
-
-	patterns, _, reason, err := eng.MergeStates(context.Background(), cfg, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reason != "" {
-		t.Fatalf("merge degraded: %s", reason)
-	}
-	wk, gk := patternKeys(want.Patterns), patternKeys(patterns)
-	if len(wk) != len(gk) {
-		t.Fatalf("MergeStates: %d patterns, want %d", len(gk), len(wk))
-	}
-	for i := range wk {
-		//trajlint:allow floatcmp -- same shard partition, same merge: NMs must be bit-equal
-		if wk[i] != gk[i] || want.Patterns[i].NM != patterns[i].NM {
-			t.Errorf("rank %d: (%s, %v) != in-process (%s, %v)",
-				i, gk[i], patterns[i].NM, wk[i], want.Patterns[i].NM)
-		}
-	}
-
-	// The per-shard checkpoints written along the way must be
-	// byte-identical: MineShard derives the exact in-process config.
-	for i := 0; i < n; i++ {
-		in, err := core.LoadCheckpoint(CheckpointPath(inPrefix, i, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := core.LoadCheckpoint(CheckpointPath(outPrefix, i, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if in.Fingerprint != out.Fingerprint {
-			t.Errorf("shard %d: fingerprint %s != in-process %s", i, out.Fingerprint, in.Fingerprint)
-		}
-		if in.Iteration != out.Iteration || len(in.Evaluated) != len(out.Evaluated) {
-			t.Errorf("shard %d: checkpoint state diverged (%d iters/%d evals vs %d/%d)",
-				i, out.Iteration, len(out.Evaluated), in.Iteration, len(in.Evaluated))
-		}
-	}
-}

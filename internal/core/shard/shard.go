@@ -190,8 +190,7 @@ func computeSkew(wallNS []int64) Skew {
 //
 // cfg.CheckpointPath is treated as a path prefix: shard i writes
 // CheckpointPath(prefix, i, n). cfg.MaxWallTime bounds each shard's
-// search individually. cfg.Shards is ignored (the Engine's own count,
-// fixed at construction, wins).
+// search individually.
 func (e *Engine) Mine(ctx context.Context, cfg core.MinerConfig, resume []*core.Checkpoint) (*Result, error) {
 	n := e.Shards()
 	if resume != nil && len(resume) != n {
@@ -199,7 +198,6 @@ func (e *Engine) Mine(ctx context.Context, cfg core.MinerConfig, resume []*core.
 	}
 	if n == 1 {
 		sc := cfg
-		sc.Shards = 0
 		if resume != nil && resume[0] != nil {
 			if sc.Resume != nil {
 				return nil, fmt.Errorf("shard: both cfg.Resume and resume[0] set")
@@ -275,7 +273,6 @@ func (e *Engine) Mine(ctx context.Context, cfg core.MinerConfig, resume []*core.
 				wallHist.ObserveDuration(time.Duration(wallNS[i]))
 			}()
 			sc := cfg
-			sc.Shards = 0
 			sc.Seeds = seeds
 			sc.OnProgress = progress
 			sc.FingerprintExtra = fingerprintExtra(i, n)
@@ -360,89 +357,6 @@ func (e *Engine) Mine(ctx context.Context, cfg core.MinerConfig, resume []*core.
 	}
 	runSpan.Attr("candidates", mstats.Candidates).Attr("patterns", len(patterns))
 	return res, nil
-}
-
-// MineShard mines exactly shard i with the same derived configuration
-// Mine builds for that shard in-process — same seeds, same fingerprint
-// slot binding, same checkpoint path — so a worker process running one
-// shard produces checkpoints and results byte-interchangeable with an
-// in-process sharded run. resume, when non-nil, resumes the shard from
-// its own checkpoint. The result always carries FinalState, which the
-// worker persists as the shard's terminal checkpoint on clean
-// completion.
-func (e *Engine) MineShard(ctx context.Context, i int, cfg core.MinerConfig, resume *core.Checkpoint) (*core.Result, error) {
-	n := e.Shards()
-	if i < 0 || i >= n {
-		return nil, fmt.Errorf("shard: index %d out of range of %d shards", i, n)
-	}
-	if cfg.Resume != nil {
-		return nil, fmt.Errorf("shard: cfg.Resume cannot address a shard; pass the shard's checkpoint via resume")
-	}
-	sc := cfg
-	sc.Shards = 0
-	sc.Resume = resume
-	sc.CaptureFinalState = true
-	scorer := e.full
-	if n > 1 {
-		seeds := cfg.Seeds
-		if seeds == nil {
-			seeds = e.full.ObservedCells(1)
-		}
-		if len(seeds) == 0 {
-			return nil, fmt.Errorf("shard: no seed cells")
-		}
-		sc.Seeds = seeds
-		sc.FingerprintExtra = fingerprintExtra(i, n)
-		scorer = e.scorers[i]
-	}
-	if cfg.CheckpointPath != "" {
-		sc.CheckpointPath = CheckpointPath(cfg.CheckpointPath, i, n)
-	}
-	return core.Mine(ctx, scorer, sc)
-}
-
-// ShardFingerprint returns the fingerprint shard i's checkpoints carry
-// under cfg — the exact value MineShard's miner stamps — so checkpoint
-// files of external provenance (worker processes, leftovers from an
-// earlier run) can be vetted before their state is merged.
-func (e *Engine) ShardFingerprint(i int, cfg core.MinerConfig) (string, error) {
-	n := e.Shards()
-	if i < 0 || i >= n {
-		return "", fmt.Errorf("shard: index %d out of range of %d shards", i, n)
-	}
-	sc := cfg
-	sc.Shards = 0
-	sc.Resume = nil
-	scorer := e.full
-	if n > 1 {
-		seeds := cfg.Seeds
-		if seeds == nil {
-			seeds = e.full.ObservedCells(1)
-		}
-		if len(seeds) == 0 {
-			return "", fmt.Errorf("shard: no seed cells")
-		}
-		sc.Seeds = seeds
-		sc.FingerprintExtra = fingerprintExtra(i, n)
-		scorer = e.scorers[i]
-	}
-	return sc.Fingerprint(scorer)
-}
-
-// MergeStates combines per-shard terminal states into the global top-k
-// without running any search: states must hold Shards() entries, where
-// entry i is shard i's final state (from Result.FinalState or a
-// checkpoint file a worker process wrote) and nil entries mean that
-// shard contributed nothing. The supervisor uses it to assemble a
-// merged answer from whatever checkpoints survived its workers.
-//
-// The returned reason is non-empty when merge-time rescoring was
-// cancelled and the result degraded to the fully-known candidates.
-func (e *Engine) MergeStates(ctx context.Context, cfg core.MinerConfig, states []*core.Checkpoint) ([]core.ScoredPattern, MergeStats, string, error) {
-	if len(states) != e.Shards() {
-		return nil, MergeStats{}, "", fmt.Errorf("shard: %d states for %d shards", len(states), e.Shards())
-	}
-	return e.merge(ctx, cfg, states, cfg.Metrics, cfg.Tracer.Local())
 }
 
 // fingerprintExtra binds a per-shard checkpoint to its shard slot: a

@@ -318,10 +318,12 @@ func (p *Pipeline) commit(batch []ingestReq) {
 	p.m.winObjects.Set(int64(p.win.Objects()))
 	p.mu.Unlock()
 
+	// Count before acking: a caller that reads ingest.accepted after its
+	// ack must see its own report counted.
+	p.m.accepted.Add(int64(len(valid)))
 	for i := range valid {
 		valid[i].ack <- nil
 	}
-	p.m.accepted.Add(int64(len(valid)))
 
 	if haveLive {
 		// Best effort: a failed prune costs disk, not correctness.

@@ -1,13 +1,10 @@
 // Package retry is the repo's one implementation of capped exponential
-// backoff with deterministic jitter. It was extracted from serve.Client
-// (which retries 429/503/transport failures against trajserve) so the
-// shard supervisor can relaunch crashed worker processes on exactly the
-// same schedule, and so tests of either caller exercise one shared,
-// well-tested policy instead of two drifting copies.
+// backoff with deterministic jitter, used by serve.Client to retry
+// 429/503/transport failures against trajserve.
 //
 // The schedule is Base·2^(attempt-1) capped at Max, scaled by a jitter
 // factor drawn uniformly from [0.5, 1.5) out of an owned stat.RNG —
-// deterministic under a fixed seed, which is what the chaos suites pin.
+// deterministic under a fixed seed, so a test can replay a schedule.
 // Wait additionally honours an external floor (an HTTP Retry-After hint,
 // say) when it exceeds the computed backoff.
 package retry

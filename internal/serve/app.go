@@ -36,8 +36,7 @@ type Options struct {
 	PatternsPath string
 
 	// Server carries the service tuning (grid, admission, deadlines).
-	// Dataset/DataPath/Metrics/Tracer/Log fields inside it are
-	// overwritten here.
+	// Dataset/Metrics/Tracer/Log fields inside it are overwritten here.
 	Server Config
 
 	// Grace bounds stage two of the drain: after the listener closes,
@@ -106,7 +105,6 @@ func Run(ctx context.Context, o Options, ready func(addr string)) error {
 
 	cfg := o.Server
 	cfg.Dataset = ds
-	cfg.DataPath = o.DataPath
 	cfg.Log = logw
 	cfg.Logger = o.Logger
 	if cfg.Metrics == nil {

@@ -16,9 +16,8 @@ import (
 )
 
 // Client default knobs. They alias the retry package's defaults — the
-// backoff implementation was extracted there (the shard supervisor
-// relaunches crashed workers on the same schedule) and these names stay
-// for compatibility.
+// backoff implementation lives there — and these names stay for
+// compatibility.
 const (
 	DefaultMaxAttempts = retry.DefaultMaxAttempts
 	DefaultBaseBackoff = retry.DefaultBase

@@ -6,15 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
 	"time"
 
 	"trajpattern/internal/core"
-	"trajpattern/internal/core/shard"
-	"trajpattern/internal/core/shard/supervisor"
 	"trajpattern/internal/geom"
 	"trajpattern/internal/obs"
 	"trajpattern/internal/predict"
@@ -174,13 +168,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	var resp MineResponse
 	var patterns []core.ScoredPattern
 	if s.engine != nil {
-		var res *shard.Result
-		var err error
-		if s.cfg.MineProcs > 0 {
-			res, err = s.mineSupervised(r.Context(), mcfg)
-		} else {
-			res, err = s.engine.Mine(r.Context(), mcfg, nil)
-		}
+		res, err := s.engine.Mine(r.Context(), mcfg, nil)
 		if err != nil {
 			s.writeMineError(w, r, err)
 			return
@@ -215,66 +203,6 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.SetPatterns(patterns)
 	}
 	writeJSON(w, resp)
-}
-
-// mineSupervised serves one sharded mine request through the worker
-// supervisor: each shard runs as a `-shard-worker` child of this very
-// binary (crashed, stalled or killed workers are relaunched from their
-// last checkpoint), checkpoints land in a per-request temp directory,
-// and the merged result is identical to the in-process engine's. The
-// request context cancels the supervisor, which SIGTERMs the workers —
-// their checkpointed progress still merges into a degraded partial, so
-// the drain story matches in-process mining.
-func (s *Server) mineSupervised(ctx context.Context, mcfg core.MinerConfig) (*shard.Result, error) {
-	n := s.engine.Shards()
-	dir, err := os.MkdirTemp("", "trajserve-mine-*")
-	if err != nil {
-		return nil, fmt.Errorf("serve: supervised mine scratch dir: %w", err)
-	}
-	defer os.RemoveAll(dir) //nolint:errcheck // best-effort temp cleanup
-	prefix := filepath.Join(dir, "ck")
-	mcfg.CheckpointPath = prefix
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("serve: locate worker binary: %w", err)
-	}
-	// The worker flags must reproduce this server's scorer fingerprint:
-	// same grid fit (FitGrid over the same file), same δ multiple, and
-	// the miner knobs from this request. -maxlowq 0 matches the miner
-	// default this handler uses.
-	scfg := supervisor.Config{
-		CheckpointPrefix: prefix,
-		Command: func(i int) *exec.Cmd {
-			return exec.Command(exe,
-				"-shard-worker", fmt.Sprintf("%d/%d", i, n),
-				"-in", s.cfg.DataPath,
-				"-k", strconv.Itoa(mcfg.K),
-				"-gridn", strconv.Itoa(s.cfg.GridN),
-				"-minlen", strconv.Itoa(mcfg.MinLen),
-				"-maxlen", strconv.Itoa(mcfg.MaxLen),
-				"-maxlowq", "0",
-				"-delta", strconv.FormatFloat(s.cfg.DeltaMul, 'g', -1, 64),
-				"-maxwall", mcfg.MaxWallTime.String(),
-				"-checkpoint", prefix,
-				"-checkpoint-every", "1",
-				"-resume",
-			)
-		},
-		Procs:   s.cfg.MineProcs,
-		Metrics: s.cfg.Metrics,
-		Tracer:  s.cfg.Tracer,
-		// The supervisor logs from its own goroutines; route it through
-		// the server's log mutex so its lines can't race logf's.
-		Log: serverLog{s},
-	}
-	res, run, err := supervisor.Mine(ctx, s.engine, mcfg, scfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range run.Failures {
-		s.logf("serve: mine shard %d gave up (%s, %d attempts): %v", f.Shard, f.Kind, f.Attempts, f.Err)
-	}
-	return res, nil
 }
 
 // serverLog adapts the server's operator log (plus its mutex) to an

@@ -266,28 +266,22 @@ func (s *Server) remineOnce(ctx context.Context) error {
 		Metrics:         s.cfg.Metrics,
 		Tracer:          s.cfg.Tracer,
 	}
-	// Resume the checkpoint only when it fingerprints to THIS mining
-	// problem — i.e. the process crashed mid-mine and replay rebuilt the
-	// identical windows. A stale fingerprint (the windows moved on) is
-	// the normal case between generations: delete and mine fresh.
+	// A checkpoint outlives only a crash mid-mine. Resume it: when replay
+	// rebuilt the identical windows the miner continues where it stopped.
+	// If the windows moved on, the miner refuses the checkpoint as another
+	// problem's; delete it and mine fresh.
 	if ck, err := core.LoadCheckpoint(mcfg.CheckpointPath); err == nil {
-		if fp, ferr := mcfg.Fingerprint(scorer); ferr == nil && fp == ck.Fingerprint {
-			mcfg.Resume = ck
-		} else {
-			os.Remove(mcfg.CheckpointPath) //nolint:errcheck // stale checkpoint; best-effort cleanup
-		}
+		mcfg.Resume = ck
 	}
 	res, err := core.Mine(ctx, scorer, mcfg)
+	var fpErr *core.FingerprintMismatchError
+	if errors.As(err, &fpErr) {
+		os.Remove(mcfg.CheckpointPath) //nolint:errcheck // mismatched checkpoint; best-effort cleanup
+		mcfg.Resume = nil
+		res, err = core.Mine(ctx, scorer, mcfg)
+	}
 	if err != nil {
-		var fpErr *core.FingerprintMismatchError
-		if errors.As(err, &fpErr) {
-			os.Remove(mcfg.CheckpointPath) //nolint:errcheck // mismatched checkpoint; best-effort cleanup
-			mcfg.Resume = nil
-			res, err = core.Mine(ctx, scorer, mcfg)
-		}
-		if err != nil {
-			return err
-		}
+		return err
 	}
 	// The mine is done; the checkpoint served its purpose. Removing it
 	// keeps the next generation from paying a load-and-reject cycle.

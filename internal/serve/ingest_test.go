@@ -1,13 +1,20 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"trajpattern/internal/cli"
+	"trajpattern/internal/core"
 	"trajpattern/internal/obs"
 	"trajpattern/internal/testutil/leakcheck"
 )
@@ -197,17 +204,7 @@ func TestMineServesLatestGeneration(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
-	// The re-mine loop runs asynchronously; wait for generation >= 1.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if gen := s.generation(); gen.Generation >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no re-mine generation completed within 10s")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGeneration(t, s)
 	resp := postJSON(t, url+"/v1/mine", MineRequest{K: 4})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mine status = %d", resp.StatusCode)
@@ -223,5 +220,113 @@ func TestMineServesLatestGeneration(t *testing.T) {
 	}
 	if reg.Snapshot().Counters["serve.ingest.generations"] == 0 {
 		t.Fatal("generation counter never incremented")
+	}
+}
+
+// waitGeneration polls until the asynchronous re-mine loop has served a
+// generation, and returns it.
+func waitGeneration(t *testing.T, s *Server) ingestGeneration {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if gen := s.generation(); gen.Generation >= 1 {
+			return gen
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no re-mine generation completed within 10s")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRemineResumesCheckpointAfterRestart: a crash mid-mine leaves
+// <wal>/remine.ckpt behind for the restarted server's first re-mine. A
+// checkpoint of the same windows resumes (no seed is scored again); one
+// taken for another problem is deleted and the windows are mined fresh.
+// Either way the generation equals a clean restart's, keys and NM bits,
+// and the file is gone once the generation is served.
+func TestRemineResumesCheckpointAfterRestart(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	dir := t.TempDir()
+	ckPath := filepath.Join(dir, "remine.ckpt")
+	mut := func(reg *obs.Registry) func(*Config) {
+		return func(cfg *Config) { cfg.Metrics, cfg.IngestMineK = reg, 4 }
+	}
+	s, url := newIngestServer(t, dir, mut(obs.New()))
+	for i := 0; i < 12; i++ {
+		for obj := 0; obj < 3; obj++ {
+			resp := ingestReport(t, url, fmt.Sprintf("obj-%d", obj),
+				float64(i), 0.08*float64(i)+0.01*float64(obj), 0.05*float64(i%6))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest status = %d", resp.StatusCode)
+			}
+			resp.Body.Close()
+		}
+	}
+	if err := s.StopIngest(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	os.Remove(ckPath) //nolint:errcheck // whatever this loop left is not under test
+
+	// restart replays dir into a new server, takes its first generation
+	// and its miner.seeds count, and stops it.
+	restart := func(t *testing.T) (*Server, ingestGeneration, int64) {
+		t.Helper()
+		reg := obs.New()
+		s, _ := newIngestServer(t, dir, mut(reg))
+		gen := waitGeneration(t, s)
+		if _, err := os.Stat(ckPath); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("remine.ckpt still present after the generation (stat err %v)", err)
+		}
+		if err := s.StopIngest(); err != nil {
+			t.Fatalf("stop: %v", err)
+		}
+		return s, gen, reg.Snapshot().Counters["miner.seeds"]
+	}
+	clean, want, seeds := restart(t)
+	if seeds == 0 || len(want.Patterns) == 0 {
+		t.Fatalf("clean restart: %d seeds, %d patterns", seeds, len(want.Patterns))
+	}
+	// plant cuts the re-mine loop's problem (its windows, grid and δ, top
+	// k) short after two iterations, leaving a mid-run checkpoint.
+	ds := clean.windowsToDataset(clean.ingestPipe.WindowSnapshot())
+	g := cli.FitGrid(ds, clean.cfg.GridN)
+	scorer, err := core.NewScorer(ds, core.Config{Grid: g, Delta: clean.cfg.DeltaMul * g.CellWidth()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant := func(t *testing.T, k int) {
+		t.Helper()
+		mcfg := core.MinerConfig{K: k, MaxIters: 2, CheckpointPath: ckPath}
+		if _, err := core.Mine(context.Background(), scorer, mcfg); err != nil {
+			t.Fatal(err)
+		}
+		if ck, err := core.LoadCheckpoint(ckPath); err != nil || ck.Iteration >= want.Iterations {
+			t.Fatalf("no mid-run checkpoint planted (err %v; clean run: %d iterations)", err, want.Iterations)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		k       int
+		resumed bool
+	}{
+		{"other-problem", clean.cfg.IngestMineK + 1, false},
+		{"same-windows", clean.cfg.IngestMineK, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plant(t, tc.k)
+			_, got, seeds := restart(t)
+			if resumed := seeds == 0; resumed != tc.resumed {
+				t.Errorf("miner.seeds = %d: resumed = %t, want %t", seeds, resumed, tc.resumed)
+			}
+			if len(got.Patterns) != len(want.Patterns) {
+				t.Fatalf("%d patterns, clean restart %d", len(got.Patterns), len(want.Patterns))
+			}
+			for i, w := range want.Patterns {
+				if p := got.Patterns[i]; p.Pattern.Key() != w.Pattern.Key() || math.Float64bits(p.NM) != math.Float64bits(w.NM) {
+					t.Errorf("rank %d: (%s, %v) != clean restart's (%s, %v)", i, p.Pattern.Key(), p.NM, w.Pattern.Key(), w.NM)
+				}
+			}
+		})
 	}
 }

@@ -84,16 +84,6 @@ type Config struct {
 	// more of the machine, so its admission weight is MineWeight times
 	// the effective shard count, clamped to Capacity.
 	MineShards int
-	// MineProcs, when positive, executes each sharded /v1/mine request's
-	// shards as supervised worker processes (this many at a time) with
-	// retry, stall detection and checkpoint recovery instead of in-process
-	// goroutines. Needs MineShards to activate the shard engine and
-	// DataPath so workers can rebuild the dataset; the request keeps the
-	// same admission weight either way.
-	MineProcs int
-	// DataPath is the trajectory file Dataset was read from, handed to
-	// shard worker processes. Required when MineProcs > 0.
-	DataPath string
 
 	// ScoreDeadline, MineDeadline and PredictDeadline bound each route's
 	// wall time, queue wait included. Zero means DefaultDeadline;
@@ -315,9 +305,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if math.IsNaN(cfg.DeltaMul) || cfg.DeltaMul <= 0 {
 		return nil, fmt.Errorf("serve: DeltaMul must be positive and not NaN, got %v", cfg.DeltaMul)
-	}
-	if cfg.MineProcs > 0 && cfg.DataPath == "" {
-		return nil, errors.New("serve: MineProcs needs DataPath so shard workers can rebuild the dataset")
 	}
 	g := cli.FitGrid(cfg.Dataset, cfg.GridN)
 	delta := cfg.DeltaMul * g.CellWidth()

@@ -65,7 +65,7 @@ func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs",
 		"trajpattern/internal/obs,trajpattern/internal/obs/slogx,trajpattern/internal/trace,"+
 			"trajpattern/internal/serve,trajpattern/internal/serve/guard,trajpattern/internal/serve/chaos,"+
-			"trajpattern/internal/core/shard,trajpattern/internal/core/shard/supervisor,trajpattern/internal/core/shard/supervisor/chaos,"+
+			"trajpattern/internal/core/shard,"+
 			"trajpattern/internal/retry,trajpattern/internal/cli,trajpattern/internal/ingest,trajpattern/internal/ingest/chaos",
 		"comma-separated package paths (or /-suffixes) held to the lock discipline")
 }
