@@ -1,0 +1,10 @@
+package core
+
+import "trajpattern/internal/traj"
+
+// CellVector returns cell's log-prob vector over every flat position,
+// building it if needed, for the external tests.
+func (s *Scorer) CellVector(cell int) []float64 { return s.cellLogProbs(cell) }
+
+// LogProb is the per-position reference the cell build must reproduce.
+func (s *Scorer) LogProb(pt traj.Point, cell int) float64 { return s.logProb(pt, cell) }

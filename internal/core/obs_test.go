@@ -88,6 +88,16 @@ func TestMinerMetricsConsistency(t *testing.T) {
 	if snap.Counter("scorer.cells.built") == 0 {
 		t.Error("no cell vectors recorded")
 	}
+	// Each batch builds its cells under scorer.time.prepare, inside the
+	// batch's own timer.
+	prep, batch := snap.Timers["scorer.time.prepare"], snap.Timers["scorer.time.batch"]
+	if prep.Count != snap.Counter("scorer.batches") || batch.Count != prep.Count {
+		t.Errorf("scorer.time.prepare observed %d times, scorer.time.batch %d, for %d batches",
+			prep.Count, batch.Count, snap.Counter("scorer.batches"))
+	}
+	if prep.TotalNS > batch.TotalNS {
+		t.Errorf("scorer.time.prepare %dns exceeds the scorer.time.batch %dns that contains it", prep.TotalNS, batch.TotalNS)
+	}
 	if snap.Timers["miner.time.total"].Count != 1 {
 		t.Errorf("miner.time.total observed %d times, want 1", snap.Timers["miner.time.total"].Count)
 	}

@@ -61,6 +61,9 @@ func TestMinerTraceConsistency(t *testing.T) {
 	if got := counts["scorer.batch"]; got != int(snap.Counter("scorer.batches")) {
 		t.Errorf("scorer.batch spans = %d, counter says %d", got, snap.Counter("scorer.batches"))
 	}
+	if got := counts["scorer.prepare"]; got != counts["scorer.batch"] {
+		t.Errorf("scorer.prepare spans = %d, want one per scorer.batch span (%d)", got, counts["scorer.batch"])
+	}
 	if counts["miner.candidate.admitted"] == 0 || counts["miner.candidate.pruned"] == 0 {
 		t.Fatalf("workload too small to exercise tracing: %v", counts)
 	}
@@ -83,6 +86,55 @@ func TestMinerTraceConsistency(t *testing.T) {
 	for _, other := range []*Result{res2, res3} {
 		if !reflect.DeepEqual(res.Patterns, other.Patterns) {
 			t.Error("tracing changed the mined patterns")
+		}
+	}
+}
+
+// TestScorerPrepareSpan checks that a batch's cell build is a
+// scorer.prepare span inside its scorer.batch span, on the same
+// goroutine's timeline, carrying the requested and built cell counts.
+func TestScorerPrepareSpan(t *testing.T) {
+	g := grid.NewSquare(3)
+	data := patternedDatasetPts(9, g, []int{0, 4}, 5, 3, 0.05, 0.02)
+	tr := trace.New()
+	s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]Pattern{{{0, 4}, {4, 8}, {0}}, {{4, 0}, {8}}}
+	for _, b := range batches {
+		if _, err := s.ScoreAll(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var spans []trace.Event
+	for _, e := range tr.Events() {
+		if e.Kind != trace.KindSpan {
+			t.Fatalf("unexpected record %+v", e)
+		}
+		spans = append(spans, e)
+	}
+	// Spans sort by start: each batch, then the prepare it encloses.
+	wantCells := []int{3, 3}
+	wantBuilt := []int{3, 0}
+	if len(spans) != 2*len(batches) {
+		t.Fatalf("got %d spans, want a scorer.batch and a scorer.prepare per batch: %+v", len(spans), spans)
+	}
+	for i := range batches {
+		batch, prep := spans[2*i], spans[2*i+1]
+		if batch.Name != "scorer.batch" || prep.Name != "scorer.prepare" {
+			t.Fatalf("batch %d: spans %q, %q, want scorer.batch enclosing scorer.prepare", i, batch.Name, prep.Name)
+		}
+		// Timestamps and durations truncate to microseconds, so a nested
+		// span's end may read up to 1µs past its parent's.
+		if prep.TID != batch.TID || prep.TS < batch.TS || prep.TS+prep.Dur > batch.TS+batch.Dur+1 {
+			t.Errorf("batch %d: prepare span %+v not inside batch span %+v", i, prep, batch)
+		}
+		if prep.Attrs["cells"] != wantCells[i] || prep.Attrs["built"] != wantBuilt[i] {
+			t.Errorf("batch %d: prepare attrs %v, want cells %d built %d", i, prep.Attrs, wantCells[i], wantBuilt[i])
+		}
+		if batch.Attrs["cells"] != wantCells[i] {
+			t.Errorf("batch %d: batch attrs %v, want cells %d", i, batch.Attrs, wantCells[i])
 		}
 	}
 }

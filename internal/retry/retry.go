@@ -5,13 +5,11 @@
 // The schedule is Base·2^(attempt-1) capped at Max, scaled by a jitter
 // factor drawn uniformly from [0.5, 1.5) out of an owned stat.RNG —
 // deterministic under a fixed seed, so a test can replay a schedule.
-// Wait additionally honours an external floor (an HTTP Retry-After hint,
-// say) when it exceeds the computed backoff.
+// The package computes delays and parses Retry-After hints; the caller
+// (serve.Client) does the waiting.
 package retry
 
 import (
-	"context"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -42,10 +40,6 @@ type Policy struct {
 	// backoff). Nil means full backoff with no jitter — deterministic,
 	// which tests want anyway.
 	RNG *stat.RNG
-	// Sleep waits between attempts, returning early with ctx's error if
-	// it ends first. Nil means a timer-based wait. Tests inject a fake
-	// to run the retry schedule without real time.
-	Sleep func(ctx context.Context, d time.Duration) error
 
 	mu sync.Mutex // guards RNG draws
 }
@@ -94,28 +88,6 @@ func (p *Policy) jitter(d time.Duration) time.Duration {
 		return d
 	}
 	return time.Duration(float64(d) * p.RNG.Uniform(0.5, 1.5))
-}
-
-// Wait sleeps the backoff before retry attempt (1-based), raised to
-// floor when the caller holds an external hint (a server's Retry-After,
-// say) longer than the computed delay. It returns early with an error
-// when ctx ends first.
-func (p *Policy) Wait(ctx context.Context, attempt int, floor time.Duration) error {
-	d := p.Delay(attempt)
-	if floor > d {
-		d = floor
-	}
-	if p != nil && p.Sleep != nil {
-		return p.Sleep(ctx, d)
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("retry: backoff wait: %w", context.Cause(ctx))
-	}
 }
 
 // ParseRetryAfter reads an HTTP Retry-After header value in either RFC

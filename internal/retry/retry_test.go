@@ -1,8 +1,6 @@
 package retry
 
 import (
-	"context"
-	"errors"
 	"net/http"
 	"testing"
 	"time"
@@ -61,47 +59,6 @@ func TestDelayJitterIsDeterministicAndBounded(t *testing.T) {
 		if da < base/2 || da >= base+base/2 {
 			t.Fatalf("draw %d: jittered delay %v outside [0.5s, 1.5s)", i, da)
 		}
-	}
-}
-
-func TestWaitHonoursFloorAndSleep(t *testing.T) {
-	var slept []time.Duration
-	p := &Policy{
-		Base: 50 * time.Millisecond,
-		Max:  2 * time.Second,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-	}
-	// Floor below the backoff: backoff wins.
-	if err := p.Wait(context.Background(), 2, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	// Floor above the backoff: floor wins.
-	if err := p.Wait(context.Background(), 1, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if len(slept) != 2 || slept[0] != 100*time.Millisecond || slept[1] != time.Second {
-		t.Errorf("slept = %v, want [100ms 1s]", slept)
-	}
-}
-
-func TestWaitReturnsSleepError(t *testing.T) {
-	boom := errors.New("boom")
-	p := &Policy{Sleep: func(context.Context, time.Duration) error { return boom }}
-	if err := p.Wait(context.Background(), 1, 0); !errors.Is(err, boom) {
-		t.Errorf("Wait = %v, want boom", err)
-	}
-}
-
-func TestWaitCancelled(t *testing.T) {
-	p := &Policy{Base: time.Hour, Max: time.Hour}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := p.Wait(ctx, 1, 0)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 
