@@ -138,8 +138,8 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 	}
 
 	// Depth-first expansion in deterministic seed order. Seeds are scored
-	// from scratch; an expanded prefix is projected once and every
-	// one-cell child is scored from the projection.
+	// from scratch; an expanded prefix's one-cell children are scored in
+	// one walk, so they share the prefix's window sums.
 	var stack []frame
 	for idx := len(seeds) - 1; idx >= 0; idx-- {
 		p := core.Pattern{seeds[idx]}
@@ -148,8 +148,9 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 		admit(f)
 		stack = append(stack, f)
 	}
-	var proj core.Projection
-	logM := make([]float64, s.NumTrajectories())
+	nt := s.NumTrajectories()
+	children := make([]core.Pattern, len(seeds))
+	var logM []float64
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -158,11 +159,13 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 			continue
 		}
 		stats.PrefixesExpanded++
-		s.Project(&proj, f.pat)
+		for idx, c := range seeds {
+			children[idx] = f.pat.Concat(core.Pattern{c})
+		}
+		logM = s.LogMatchesAll(children, logM)
 		for idx := len(seeds) - 1; idx >= 0; idx-- {
-			proj.ExtendLogMatches(seeds[idx], logM)
-			pat := f.pat.Concat(core.Pattern{seeds[idx]})
-			child := frame{pat: pat, sumLogM: scaledSum(logM, len(pat))}
+			pat := children[idx]
+			child := frame{pat: pat, sumLogM: scaledSum(logM[idx*nt:][:nt], len(pat))}
 			stats.NMEvaluations++
 			admit(child)
 			stack = append(stack, child)

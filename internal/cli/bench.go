@@ -113,7 +113,7 @@ type BenchResult struct {
 // substring, not prefix, so per-shard copies ("shard.03.scorer.scratch.…")
 // stay excluded too. "shard.pool." covers the work-stealing pool's
 // utilization counters (steals vary with which worker drains which deque).
-var nondeterministicFragments = []string{"scorer.scratch.", "scorer.worker.", "shard.pool."}
+var nondeterministicFragments = []string{"scorer.scratch.", "shard.pool."}
 
 // workCounters extracts the deterministic gate counters from a snapshot.
 func workCounters(s obs.Snapshot) map[string]int64 {
