@@ -50,7 +50,6 @@ func main() {
 		checkPath  = flag.String("check", "", "baseline bench.json to compare against; exit non-zero on regression")
 		tol        = flag.Float64("tol", cli.DefaultBenchTolerance, "allowed drift percentage for -check")
 		checkTime  = flag.Bool("checktime", false, "also gate -check on wall time (same-machine baselines only)")
-		scaling    = flag.Bool("scaling", false, "measure the sharded miner's scaling curve (1/2/4 shards) and gate it against the baseline's floor under -check")
 		trcPath    = flag.String("trace", "", "write a span/event journal (JSONL) here and a Chrome trace to <file>.json")
 		prog       = flag.Bool("progress", false, "print a live one-line progress status to stderr")
 		dbgAddr    = flag.String("debug-addr", "", "serve pprof, expvar, /metrics and /trace/status on this address")
@@ -107,7 +106,6 @@ func main() {
 		CheckPath:   *checkPath,
 		TolPct:      *tol,
 		CheckTime:   *checkTime,
-		Scaling:     *scaling,
 		Tracer:      tracer,
 		Progress:    printer.Update,
 		Holder:      holder,

@@ -12,8 +12,6 @@
 //	trajmine -in zebra.jsonl -debug-addr localhost:6060
 //	trajmine -in zebra.jsonl -checkpoint run.ckpt -maxwall 30s
 //	trajmine -in zebra.jsonl -checkpoint run.ckpt -resume
-//	trajmine -in zebra.jsonl -k 20 -shards 4
-//	trajmine -in zebra.jsonl -shards 4 -checkpoint run.ckpt -resume
 package main
 
 import (
@@ -22,7 +20,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
 
 	"trajpattern/internal/cli"
 	"trajpattern/internal/obs"
@@ -30,16 +27,6 @@ import (
 	"trajpattern/internal/trace"
 	"trajpattern/internal/traj"
 )
-
-// effectiveShards maps the -shards flag to MineOptions.Shards: 0 means
-// one shard per CPU, anything else passes through (1 keeps the
-// single-partition miner).
-func effectiveShards(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
 
 func main() {
 	var (
@@ -50,7 +37,6 @@ func main() {
 		maxLen  = flag.Int("maxlen", 8, "maximum pattern length")
 		deltaMu = flag.Float64("delta", 1, "indifferent threshold δ as a multiple of the cell size")
 		measure = flag.String("measure", "nm", "measure: nm (TrajPattern), pb (projection baseline) or match ([14])")
-		shards  = flag.Int("shards", 1, "partition the dataset across this many shards and merge the per-shard top-k (0 = one per CPU; nm only)")
 		groups  = flag.Bool("groups", true, "cluster the result into pattern groups")
 		viz     = flag.Bool("viz", false, "render ASCII heatmap of the data and the best pattern")
 		save    = flag.String("savepats", "", "persist scored patterns to this JSON file")
@@ -129,7 +115,6 @@ func main() {
 		MaxLen:          *maxLen,
 		DeltaMul:        *deltaMu,
 		Measure:         *measure,
-		Shards:          effectiveShards(*shards),
 		Groups:          *groups,
 		Viz:             *viz,
 		SavePath:        *save,

@@ -9,7 +9,6 @@
 //
 //	trajserve -in zebra.jsonl -addr :8080
 //	trajserve -in bus.jsonl -patterns mined.json -capacity 16 -queue 32
-//	trajserve -in zebra.jsonl -mine-shards 4 -capacity 16
 //	trajserve -in zebra.jsonl -trace run.trace -debug-addr localhost:6060
 //	trajserve -in zebra.jsonl -log-format json -log-level info
 //	trajserve -in zebra.jsonl -ingest-wal /var/lib/trajserve/wal -ingest-window 256
@@ -46,8 +45,7 @@ func main() {
 		deltaMul = flag.Float64("delta", 1, "indifferent threshold δ as a multiple of the cell size")
 		capacity = flag.Int64("capacity", serve.DefaultCapacity, "admission capacity in weight units (mine costs -mine-weight)")
 		queue    = flag.Int("queue", serve.DefaultMaxQueue, "admission wait-queue bound; beyond it requests are shed with 429")
-		mineWt   = flag.Int64("mine-weight", serve.DefaultMineWeight, "admission weight of one /v1/mine request (multiplied by -mine-shards, clamped to -capacity)")
-		shards   = flag.Int("mine-shards", 1, "partition /v1/mine across this many dataset shards with a merged top-k (1 = single-partition, -1 = one per CPU)")
+		mineWt   = flag.Int64("mine-weight", serve.DefaultMineWeight, "admission weight of one /v1/mine request (clamped to -capacity)")
 		deadline = flag.Duration("deadline", serve.DefaultDeadline, "per-request deadline (queue wait included)")
 		ingWAL   = flag.String("ingest-wal", "", "enable durable streaming ingest (POST /v1/ingest) with the write-ahead log in this directory")
 		ingWin   = flag.Int("ingest-window", 0, "per-object sliding-window record cap for ingest (0 = default)")
@@ -86,7 +84,6 @@ func main() {
 			Capacity:         *capacity,
 			MaxQueue:         *queue,
 			MineWeight:       *mineWt,
-			MineShards:       *shards,
 			ScoreDeadline:    *deadline,
 			MineDeadline:     *deadline,
 			PredictDeadline:  *deadline,

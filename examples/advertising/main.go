@@ -68,7 +68,7 @@ func main() {
 		log.Fatal(err)
 	}
 	res, err := trajpattern.Mine(context.Background(), scorer, trajpattern.MinerConfig{
-		K: 40, MinLen: 3, MaxLen: 5, MaxLowQ: 160,
+		K: 40, MinLen: 3, MaxLen: 5,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -74,7 +74,7 @@ func main() {
 		log.Fatal(err)
 	}
 	res, err := trajpattern.Mine(context.Background(), scorer, trajpattern.MinerConfig{
-		K: 12, MinLen: 3, MaxLen: 8, MaxLowQ: 48,
+		K: 12, MinLen: 3, MaxLen: 8,
 	})
 	if err != nil {
 		log.Fatal(err)

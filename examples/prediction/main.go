@@ -62,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	res, err := trajpattern.Mine(context.Background(), scorer, trajpattern.MinerConfig{
-		K: 8, MinLen: 3, MaxLen: 6, MaxLowQ: 32,
+		K: 8, MinLen: 3, MaxLen: 6,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -59,7 +59,7 @@ func main() {
 	// Mine the top-5 patterns of length at least 2 by normalized match
 	// (without a length floor the best patterns are single strong
 	// positions — the §5 min-length variant asks for sequences).
-	res, err := trajpattern.Mine(context.Background(), scorer, trajpattern.MinerConfig{K: 5, MinLen: 2, MaxLen: 6, MaxLowQ: 20})
+	res, err := trajpattern.Mine(context.Background(), scorer, trajpattern.MinerConfig{K: 5, MinLen: 2, MaxLen: 6})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func main() {
 
 	// Top-k by normalized match (the paper's TrajPattern algorithm).
 	nmRes, err := trajpattern.Mine(context.Background(), mkScorer(), trajpattern.MinerConfig{
-		K: k, MinLen: minLen, MaxLen: maxLen, MaxLowQ: 4 * k,
+		K: k, MinLen: minLen, MaxLen: maxLen,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -73,10 +73,9 @@ func Train(ctx context.Context, classes map[string]traj.Dataset, cfg Config) (*C
 			return nil, fmt.Errorf("classify: class %q: %w", name, err)
 		}
 		res, err := core.Mine(ctx, s, core.MinerConfig{
-			K:       cfg.K,
-			MinLen:  cfg.MinLen,
-			MaxLen:  cfg.MaxLen,
-			MaxLowQ: 4 * cfg.K,
+			K:      cfg.K,
+			MinLen: cfg.MinLen,
+			MaxLen: cfg.MaxLen,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("classify: class %q: %w", name, err)

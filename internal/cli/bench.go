@@ -50,11 +50,6 @@ type BenchOptions struct {
 	// TolPct is the allowed drift percentage for CheckPath comparisons.
 	// Zero means DefaultBenchTolerance.
 	TolPct float64
-	// Scaling additionally runs the sharded miner's scaling curve (see
-	// RunScaling) and records it as the result's "scaling" block; with
-	// CheckPath set, the block is gated against the baseline's via
-	// CheckScaling (efficiency floor + work counters).
-	Scaling bool
 	// CheckTime additionally gates on wall-clock time (one-sided: slower
 	// than baseline by more than TolPct fails). Off by default because
 	// wall time is only comparable on the machine that produced the
@@ -101,19 +96,12 @@ type BenchResult struct {
 	Scale       float64                      `json:"scale"`
 	Seed        uint64                       `json:"seed"`
 	Experiments map[string]*ExperimentResult `json:"experiments"`
-	// Scaling holds the sharded miner's scaling curve when the run was
-	// asked to measure one (BenchOptions.Scaling); absent otherwise, so
-	// pre-sharding baselines keep loading unchanged.
-	Scaling *ScalingResult `json:"scaling,omitempty"`
 }
 
 // nondeterministicFragments mark counter namespaces whose values depend
 // on goroutine scheduling or pool reuse; they are reported in Metrics but
-// excluded from the Work map the regression gate compares. Matched by
-// substring, not prefix, so per-shard copies ("shard.03.scorer.scratch.…")
-// stay excluded too. "shard.pool." covers the work-stealing pool's
-// utilization counters (steals vary with which worker drains which deque).
-var nondeterministicFragments = []string{"scorer.scratch.", "shard.pool."}
+// excluded from the Work map the regression gate compares.
+var nondeterministicFragments = []string{"scorer.scratch."}
 
 // workCounters extracts the deterministic gate counters from a snapshot.
 func workCounters(s obs.Snapshot) map[string]int64 {
@@ -217,16 +205,6 @@ func RunBench(ctx context.Context, w io.Writer, o BenchOptions) (*BenchResult, e
 		result.Experiments[id] = er
 	}
 
-	if o.Scaling && ctx.Err() == nil {
-		sres, err := RunScaling(ctx, w, ScalingOptions{Scale: o.Scale, Seed: o.Seed, Tracer: o.Tracer})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trajbench: scaling: %v\n", err)
-			failures = append(failures, fmt.Sprintf("scaling: %v", err))
-		} else {
-			result.Scaling = sres
-		}
-	}
-
 	if o.JSONPath != "" {
 		if err := writeBenchJSON(o.JSONPath, result); err != nil {
 			return result, err
@@ -244,9 +222,6 @@ func RunBench(ctx context.Context, w io.Writer, o BenchOptions) (*BenchResult, e
 			tol = DefaultBenchTolerance
 		}
 		regressions := CheckRegression(baseline, result, tol, o.CheckTime)
-		if o.Scaling {
-			regressions = append(regressions, CheckScaling(baseline.Scaling, result.Scaling, tol)...)
-		}
 		if len(regressions) > 0 {
 			for _, r := range regressions {
 				fmt.Fprintf(os.Stderr, "trajbench: regression: %s\n", r)

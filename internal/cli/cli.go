@@ -14,7 +14,6 @@ import (
 
 	"trajpattern/internal/baseline"
 	"trajpattern/internal/core"
-	"trajpattern/internal/core/shard"
 	"trajpattern/internal/datagen"
 	"trajpattern/internal/exp"
 	"trajpattern/internal/faultio"
@@ -71,7 +70,6 @@ type MineOptions struct {
 	MaxLen   int
 	DeltaMul float64 // δ as a multiple of the grid cell size
 	Measure  string  // "nm", "pb" or "match"
-	Shards   int     // >1 partitions the dataset and mines through the sharded engine; <=1 keeps the single-partition miner (nm only)
 	Groups   bool    // cluster the result into pattern groups
 	Viz      bool    // render ASCII maps
 	SavePath string  // when set, persist the scored patterns as JSON
@@ -154,29 +152,16 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 	if o.Measure != "nm" && (o.CheckpointPath != "" || o.Resume || o.MaxWallTime != 0) {
 		return nil, fmt.Errorf("cli: checkpoint/resume/deadline options support the nm measure only, not %q", o.Measure)
 	}
-	if o.Measure != "nm" && o.Shards > 1 {
-		return nil, fmt.Errorf("cli: sharded mining supports the nm measure only, not %q", o.Measure)
-	}
 
 	var patterns []core.Pattern
 	var scored []core.ScoredPattern
 	switch o.Measure {
 	case "nm":
 		mcfg := core.MinerConfig{
-			K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen, MaxLowQ: 4 * o.K,
+			K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen,
 			MaxIters: o.MaxIters, MaxWallTime: o.MaxWallTime,
 			CheckpointPath: o.CheckpointPath, CheckpointEvery: o.CheckpointEvery,
 			Metrics: reg, Tracer: o.Tracer, OnProgress: o.OnProgress,
-		}
-		if o.Shards > 1 {
-			scored, err = mineSharded(ctx, w, s, o, mcfg)
-			if err != nil {
-				return nil, err
-			}
-			for _, sp := range scored {
-				patterns = append(patterns, sp.Pattern)
-			}
-			break
 		}
 		if o.Resume {
 			if o.CheckpointPath == "" {
@@ -278,52 +263,6 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 		}
 	}
 	return patterns, nil
-}
-
-// mineSharded runs the NM miner through the sharded engine: the dataset
-// is partitioned into o.Shards contiguous slices, mined concurrently, and
-// merged into the global top-k under the min-max bound. With -resume the
-// per-shard checkpoints under o.CheckpointPath are loaded (missing files
-// start those shards fresh); the engine writes per-shard checkpoints
-// under the same prefix.
-func mineSharded(ctx context.Context, w io.Writer, s *core.Scorer, o MineOptions, mcfg core.MinerConfig) ([]core.ScoredPattern, error) {
-	eng, err := shard.NewEngine(s, o.Shards)
-	if err != nil {
-		return nil, err
-	}
-	n := eng.Shards()
-	var resume []*core.Checkpoint
-	if o.Resume {
-		if o.CheckpointPath == "" {
-			return nil, fmt.Errorf("cli: resume requires a checkpoint path")
-		}
-		cks, found, skipped := shard.LoadCheckpoints(o.CheckpointPath, n)
-		for _, sk := range skipped {
-			fmt.Fprintf(w, "shard %d checkpoint %s unreadable (%v); restarting that shard fresh\n", sk.Shard, sk.Path, sk.Err)
-		}
-		if found == 0 {
-			fmt.Fprintf(w, "no shard checkpoints under %s; starting fresh\n", o.CheckpointPath)
-		} else {
-			fmt.Fprintf(w, "resuming %d of %d shards from %s\n", found, n, o.CheckpointPath)
-			resume = cks
-		}
-	}
-	res, err := eng.Mine(ctx, mcfg, resume)
-	if err != nil {
-		return nil, err
-	}
-	if res.Interrupted {
-		fmt.Fprintf(w, "interrupted (%s): reporting best-so-far results\n", res.InterruptReason)
-	}
-	fmt.Fprintf(w, "TrajPattern ×%d shards: %d iterations, %d candidates, max |Q| %d, pruned %d\n",
-		n, res.Total.Iterations, res.Total.Candidates, res.Total.MaxQ, res.Total.Pruned)
-	fmt.Fprintf(w, "merge: %d candidates, %d exact, %d bound-pruned, %d rescored\n",
-		res.Merge.Candidates, res.Merge.Exact, res.Merge.BoundPruned, res.Merge.Rescored)
-	g := s.Config().Grid
-	for i, sp := range res.Patterns {
-		fmt.Fprintf(w, "%3d. NM=%-10.4f len=%d  %s\n", i+1, sp.NM, len(sp.Pattern), sp.Pattern.Format(g))
-	}
-	return res.Patterns, nil
 }
 
 // WriteMetricsReport writes a provenance-stamped obs report (commit, Go

@@ -180,12 +180,6 @@ func (c MinerConfig) fingerprint(s *Scorer, seeds []int) string {
 	fmt.Fprintf(h, ";grid=%dx%d bounds=%v delta=%v mode=%v floor=%v cache=%t;",
 		sc.Grid.NX(), sc.Grid.NY(), sc.Grid.Bounds(), sc.Delta, sc.Mode, sc.LogFloor, !sc.DisableCache)
 	fmt.Fprintf(h, "data=%d/%d", len(s.data), len(s.flat))
-	// FingerprintExtra binds sharded checkpoints to their shard slot;
-	// hashing it only when set keeps every pre-sharding fingerprint —
-	// and thus every existing checkpoint — valid.
-	if c.FingerprintExtra != "" {
-		fmt.Fprintf(h, ";extra=%s", c.FingerprintExtra)
-	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -75,7 +75,6 @@ func TestMinerConfigTypedErrors(t *testing.T) {
 		{"negative k", MinerConfig{K: -3}, "K"},
 		{"negative maxlen", MinerConfig{K: 1, MaxLen: -1}, "MaxLen"},
 		{"negative maxiters", MinerConfig{K: 1, MaxIters: -1}, "MaxIters"},
-		{"negative maxlowq", MinerConfig{K: 1, MaxLowQ: -1}, "MaxLowQ"},
 		{"negative wall time", MinerConfig{K: 1, MaxWallTime: -time.Second}, "MaxWallTime"},
 		{"minlen over maxlen", MinerConfig{K: 1, MinLen: 9, MaxLen: 4}, "MinLen"},
 	}

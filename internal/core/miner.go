@@ -53,12 +53,12 @@ type MinerConfig struct {
 	// as extension partners, keeping the best by NM. The paper retains
 	// all of them (O(kG), which with its O(k²G) candidate volume per
 	// iteration is impractical at the paper's own k = 1000); a cap of a
-	// few multiples of K preserves the useful partners. Zero means
-	// unlimited (the paper's literal rule).
+	// few multiples of K preserves the useful partners. Zero means 4·K;
+	// negative means unlimited (the paper's literal rule).
 	MaxLowQ int
 	// DisablePrune keeps all low patterns in Q instead of removing those
-	// failing the 1-extension property — the A1 ablation. MaxLowQ still
-	// applies if non-zero.
+	// failing the 1-extension property — the A1 ablation. The MaxLowQ
+	// cap still applies unless MaxLowQ is negative.
 	DisablePrune bool
 	// Seeds is the set of singular-pattern cells to start from. Nil means
 	// Scorer.ObservedCells(1): every cell holding data plus one ring,
@@ -111,13 +111,6 @@ type MinerConfig struct {
 	// nil means the real OS. Tests inject a *faultio.Faults to prove
 	// crash-safety.
 	CheckpointFS faultio.FS
-	// FingerprintExtra, when non-empty, is hashed into the checkpoint
-	// fingerprint on top of the problem description. The sharded engine
-	// uses it to bind each per-shard checkpoint to its shard index, so a
-	// shard can never resume a sibling's state just because their
-	// sub-datasets have the same shape. Empty leaves the fingerprint
-	// exactly as before — existing checkpoints stay resumable.
-	FingerprintExtra string
 	// CaptureFinalState, when set, makes Mine attach its terminal
 	// boundary state (Q, the full NM memo, and the stability witnesses)
 	// to Result.FinalState in checkpoint form. The sharded merge reads
@@ -157,6 +150,9 @@ func (c MinerConfig) withDefaults() MinerConfig {
 	if c.MaxHigh == 0 {
 		c.MaxHigh = 4 * c.K
 	}
+	if c.MaxLowQ == 0 {
+		c.MaxLowQ = 4 * c.K
+	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 1
 	}
@@ -175,9 +171,6 @@ func (c MinerConfig) validate() error {
 	}
 	if c.MaxIters < 0 {
 		return cfgErr("MinerConfig", "MaxIters", "must be >= 0, got %d", c.MaxIters)
-	}
-	if c.MaxLowQ < 0 {
-		return cfgErr("MinerConfig", "MaxLowQ", "must be >= 0, got %d", c.MaxLowQ)
 	}
 	if c.MaxWallTime < 0 {
 		return cfgErr("MinerConfig", "MaxWallTime", "must be >= 0, got %v", c.MaxWallTime)

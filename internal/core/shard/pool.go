@@ -43,7 +43,7 @@ func newPoolMetrics(r *obs.Registry) poolMetrics {
 //
 // Shard mining jobs are coarse and their durations skew with the data
 // partition, so stealing is what keeps late workers from idling while one
-// deque still holds queued shards (the `-shards 16` on 4 cores case).
+// deque still holds queued shards (16 shards on 4 cores, say).
 // Tasks only ever write to their own result slot, so the stealing order —
 // the one scheduling-dependent choice here — cannot affect any output.
 func runTasks(workers int, tasks []func(), pm poolMetrics) {

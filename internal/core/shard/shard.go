@@ -8,9 +8,8 @@
 // The package threads the single-partition runtime contracts through the
 // new layer: context cancellation degrades to a best-so-far answer
 // (Result.Interrupted), per-shard obs counters land under "shard.NN.*",
-// trace spans cover the run, each shard's search, and the merge, and
-// per-shard checkpoints extend the core fingerprint with the shard slot so
-// a sharded run resumes shard-by-shard with byte-identical results.
+// and trace spans cover the run, each shard's search, and the merge. The
+// engine neither writes nor resumes checkpoints.
 package shard
 
 import (
@@ -18,7 +17,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"trajpattern/internal/core"
 	"trajpattern/internal/obs"
@@ -42,8 +40,7 @@ type Engine struct {
 // clamped to the number of trajectories so every shard holds data.
 //
 // With one shard the engine delegates to core.Mine on the original scorer
-// unchanged — same counters, same checkpoints, byte-identical results —
-// so `Shards: 1` is always safe to route through the engine.
+// unchanged — same counters, byte-identical results.
 //
 // The per-shard scorers split the full scorer's worker budget (at least
 // one each) and share its metrics registry and tracer: scorer-level
@@ -129,52 +126,6 @@ type Result struct {
 	Total core.MinerStats
 	// Merge reports the candidate-merging work.
 	Merge MergeStats
-	// ShardWallNS holds each shard's search wall time in nanoseconds,
-	// indexed by shard. Timing-class telemetry: never part of any
-	// deterministic comparison, but the raw input to Skew.
-	ShardWallNS []int64
-	// Skew is the post-merge wall-time imbalance summary: parallel
-	// efficiency is bounded by the slowest shard, so when a scaling gate
-	// fails, Skew names the shard that dragged the curve down.
-	Skew Skew
-}
-
-// Skew summarizes the wall-time imbalance of one sharded run.
-type Skew struct {
-	// SlowestShard and FastestShard are shard indices (by wall time).
-	SlowestShard int `json:"slowest_shard"`
-	FastestShard int `json:"fastest_shard"`
-	// MaxWallNS and MinWallNS are those shards' wall times.
-	MaxWallNS int64 `json:"max_wall_ns"`
-	MinWallNS int64 `json:"min_wall_ns"`
-	// Ratio is MaxWallNS/MinWallNS: 1.0 is perfectly balanced, and the
-	// run's parallel efficiency cannot exceed mean/max wall. Zero when
-	// unmeasurable (no shards or zero-duration walls).
-	Ratio float64 `json:"ratio"`
-}
-
-// computeSkew reduces per-shard wall times to the imbalance summary.
-func computeSkew(wallNS []int64) Skew {
-	var s Skew
-	if len(wallNS) == 0 {
-		return s
-	}
-	s.MinWallNS = wallNS[0]
-	s.MaxWallNS = wallNS[0]
-	for i, w := range wallNS {
-		if w > s.MaxWallNS {
-			s.MaxWallNS = w
-			s.SlowestShard = i
-		}
-		if w < s.MinWallNS {
-			s.MinWallNS = w
-			s.FastestShard = i
-		}
-	}
-	if s.MinWallNS > 0 {
-		s.Ratio = float64(s.MaxWallNS) / float64(s.MinWallNS)
-	}
-	return s
 }
 
 // Mine runs the sharded search: every shard mines its partition with the
@@ -183,33 +134,19 @@ func computeSkew(wallNS []int64) Skew {
 // below is always available), then the per-shard candidate sets are
 // merged into the global top-k.
 //
-// resume, when non-nil, must hold exactly Shards() entries: entry i
-// resumes shard i from its checkpoint (nil entries start fresh). Use
-// LoadCheckpoints to read them back. cfg.Resume must be nil — it cannot
-// name a shard.
-//
-// cfg.CheckpointPath is treated as a path prefix: shard i writes
-// CheckpointPath(prefix, i, n). cfg.MaxWallTime bounds each shard's
-// search individually.
+// The engine neither writes nor resumes checkpoints: resume must be nil,
+// and cfg must leave CheckpointPath and Resume unset. cfg.MaxWallTime
+// bounds each shard's search individually.
 func (e *Engine) Mine(ctx context.Context, cfg core.MinerConfig, resume []*core.Checkpoint) (*Result, error) {
-	n := e.Shards()
-	if resume != nil && len(resume) != n {
-		return nil, fmt.Errorf("shard: resume holds %d checkpoints, engine has %d shards", len(resume), n)
+	if resume != nil || cfg.Resume != nil || cfg.CheckpointPath != "" {
+		return nil, fmt.Errorf("shard: the engine neither writes nor resumes checkpoints")
 	}
+	n := e.Shards()
 	if n == 1 {
-		sc := cfg
-		if resume != nil && resume[0] != nil {
-			if sc.Resume != nil {
-				return nil, fmt.Errorf("shard: both cfg.Resume and resume[0] set")
-			}
-			sc.Resume = resume[0]
-		}
-		start := time.Now() //trajlint:allow determinism -- shard wall telemetry only; never part of the mined result
-		res, err := core.Mine(ctx, e.full, sc)
+		res, err := core.Mine(ctx, e.full, cfg)
 		if err != nil {
 			return nil, err
 		}
-		wall := int64(time.Since(start)) //trajlint:allow determinism -- shard wall telemetry only; never part of the mined result
 		return &Result{
 			Patterns:        res.Patterns,
 			Interrupted:     res.Interrupted,
@@ -217,12 +154,7 @@ func (e *Engine) Mine(ctx context.Context, cfg core.MinerConfig, resume []*core.
 			Shards:          1,
 			PerShard:        []core.MinerStats{res.Stats},
 			Total:           res.Stats,
-			ShardWallNS:     []int64{wall},
-			Skew:            computeSkew([]int64{wall}),
 		}, nil
-	}
-	if cfg.Resume != nil {
-		return nil, fmt.Errorf("shard: cfg.Resume cannot address a shard; pass per-shard checkpoints via the resume argument")
 	}
 
 	seeds := cfg.Seeds
@@ -261,28 +193,14 @@ func (e *Engine) Mine(ctx context.Context, cfg core.MinerConfig, resume []*core.
 	results := make([]*core.Result, n)
 	errs := make([]error, n)
 	regs := make([]*obs.Registry, n)
-	wallNS := make([]int64, n)
-	wallHist := parent.Histogram("shard.wall")
 	tasks := make([]func(), n)
 	for i := 0; i < n; i++ {
 		i := i
 		tasks[i] = func() {
-			shardStart := time.Now() //trajlint:allow determinism -- per-shard wall telemetry only; never part of the mined result
-			defer func() {
-				wallNS[i] = int64(time.Since(shardStart)) //trajlint:allow determinism -- per-shard wall telemetry only; never part of the mined result
-				wallHist.ObserveDuration(time.Duration(wallNS[i]))
-			}()
 			sc := cfg
 			sc.Seeds = seeds
 			sc.OnProgress = progress
-			sc.FingerprintExtra = fingerprintExtra(i, n)
 			sc.CaptureFinalState = true
-			if resume != nil {
-				sc.Resume = resume[i]
-			}
-			if cfg.CheckpointPath != "" {
-				sc.CheckpointPath = CheckpointPath(cfg.CheckpointPath, i, n)
-			}
 			if parent != nil {
 				regs[i] = obs.New()
 				sc.Metrics = regs[i]
@@ -306,15 +224,6 @@ func (e *Engine) Mine(ctx context.Context, cfg core.MinerConfig, resume []*core.
 	runTasks(e.workers, tasks, newPoolMetrics(parent))
 
 	res := &Result{Shards: n, PerShard: make([]core.MinerStats, n)}
-	res.ShardWallNS = wallNS
-	res.Skew = computeSkew(wallNS)
-	// Skew gauges are timing-class (never bench-compared) but scrapable:
-	// an operator watching /metrics sees which shard is dragging without
-	// waiting for a scaling-gate failure. The ratio is stored in
-	// milliunits because gauges are integral.
-	parent.Gauge("shard.skew.slowest").Set(int64(res.Skew.SlowestShard))
-	parent.Gauge("shard.skew.ratio_milli").Set(int64(res.Skew.Ratio * 1000))
-	runSpan.Attr("skew_slowest", res.Skew.SlowestShard).Attr("skew_ratio", res.Skew.Ratio)
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("shard %d/%d: %w", i, n, errs[i])
@@ -357,14 +266,6 @@ func (e *Engine) Mine(ctx context.Context, cfg core.MinerConfig, resume []*core.
 	}
 	runSpan.Attr("candidates", mstats.Candidates).Attr("patterns", len(patterns))
 	return res, nil
-}
-
-// fingerprintExtra binds a per-shard checkpoint to its shard slot: a
-// checkpoint taken for shard i of n refuses to resume any other slot or
-// any other shard count, even when the sub-datasets happen to have
-// identical shapes.
-func fingerprintExtra(i, n int) string {
-	return fmt.Sprintf("shard=%d/%d", i, n)
 }
 
 // qKeys returns the candidate keys a finished shard carried in Q, or nil

@@ -169,77 +169,6 @@ func TestShardMineCancelledContextDegrades(t *testing.T) {
 	}
 }
 
-// TestShardCheckpointResumeMatchesUninterrupted interrupts a sharded run
-// at an iteration bound, resumes every shard from its checkpoint, and
-// requires the resumed run's answer to equal the uninterrupted run's
-// exactly (same patterns, bit-equal NMs).
-func TestShardCheckpointResumeMatchesUninterrupted(t *testing.T) {
-	defer leakcheck.Check(t)()
-	s := zebraScorer(t, 7, 10, 20, 10)
-	n := 4
-	eng, err := NewEngine(s, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.MinerConfig{K: 8, MaxLowQ: 32}
-	full, err := eng.Mine(context.Background(), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prefix := filepath.Join(t.TempDir(), "ck")
-	short := cfg
-	short.MaxIters = 2
-	short.CheckpointPath = prefix
-	if _, err := eng.Mine(context.Background(), short, nil); err != nil {
-		t.Fatal(err)
-	}
-	cks, found, skipped := LoadCheckpoints(prefix, n)
-	if len(skipped) != 0 {
-		t.Fatalf("skipped = %v, want none", skipped)
-	}
-	if found != n {
-		t.Fatalf("found %d checkpoints, want %d", found, n)
-	}
-	resumed, err := eng.Mine(context.Background(), cfg, cks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fk, rk := patternKeys(full.Patterns), patternKeys(resumed.Patterns)
-	if len(fk) != len(rk) {
-		t.Fatalf("resumed run: %d patterns, want %d", len(rk), len(fk))
-	}
-	for i := range fk {
-		//trajlint:allow floatcmp -- resume is replay: NMs must be bit-equal, not merely close
-		if fk[i] != rk[i] || full.Patterns[i].NM != resumed.Patterns[i].NM {
-			t.Errorf("rank %d: resumed (%s, %v) != uninterrupted (%s, %v)",
-				i, rk[i], resumed.Patterns[i].NM, fk[i], full.Patterns[i].NM)
-		}
-	}
-}
-
-// TestShardCheckpointRefusesWrongSlot: a checkpoint taken for one shard
-// slot must not resume another, even though the partitions have the same
-// shape — the fingerprint carries the slot.
-func TestShardCheckpointRefusesWrongSlot(t *testing.T) {
-	s := zebraScorer(t, 9, 8, 16, 8)
-	n := 2
-	eng, err := NewEngine(s, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix := filepath.Join(t.TempDir(), "ck")
-	cfg := core.MinerConfig{K: 4, MaxIters: 2, CheckpointPath: prefix}
-	if _, err := eng.Mine(context.Background(), cfg, nil); err != nil {
-		t.Fatal(err)
-	}
-	cks, _, _ := LoadCheckpoints(prefix, n)
-	cks[0], cks[1] = cks[1], cks[0]
-	if _, err := eng.Mine(context.Background(), core.MinerConfig{K: 4}, cks); err == nil {
-		t.Fatal("swapped per-shard checkpoints accepted")
-	}
-}
-
 // TestShardMetricsFlushPrefixed: per-shard miner counters land under
 // "shard.NN.miner.*", merge counters under "shard.merge.*", and no
 // unprefixed miner counters leak from the shard searches.
@@ -346,17 +275,23 @@ func TestShardPoolSteals(t *testing.T) {
 	}
 }
 
-// TestShardMineRejectsBadResume covers the engine's argument contract.
+// TestShardMineRejectsBadResume covers the engine's argument contract: it
+// neither writes nor resumes checkpoints, whatever its shard count.
 func TestShardMineRejectsBadResume(t *testing.T) {
 	s := zebraScorer(t, 8, 6, 12, 8)
-	eng, err := NewEngine(s, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Mine(context.Background(), core.MinerConfig{K: 2}, make([]*core.Checkpoint, 3)); err == nil {
-		t.Fatal("mismatched resume length accepted")
-	}
-	if _, err := eng.Mine(context.Background(), core.MinerConfig{K: 2, Resume: &core.Checkpoint{Version: core.CheckpointVersion}}, nil); err == nil {
-		t.Fatal("cfg.Resume accepted on a multi-shard engine")
+	for _, shards := range []int{1, 2} {
+		eng, err := NewEngine(s, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Mine(context.Background(), core.MinerConfig{K: 2}, make([]*core.Checkpoint, shards)); err == nil {
+			t.Errorf("shards=%d: resume argument accepted", shards)
+		}
+		if _, err := eng.Mine(context.Background(), core.MinerConfig{K: 2, Resume: &core.Checkpoint{Version: core.CheckpointVersion}}, nil); err == nil {
+			t.Errorf("shards=%d: cfg.Resume accepted", shards)
+		}
+		if _, err := eng.Mine(context.Background(), core.MinerConfig{K: 2, CheckpointPath: filepath.Join(t.TempDir(), "ck")}, nil); err == nil {
+			t.Errorf("shards=%d: cfg.CheckpointPath accepted", shards)
+		}
 	}
 }

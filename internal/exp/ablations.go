@@ -29,7 +29,7 @@ func RunA1(ctx context.Context, o SweepOptions) (*Table, error) {
 			return core.MinerStats{}, 0, nil, err
 		}
 		elapsed := stopwatch()
-		res, err := core.Mine(ctx, s, core.MinerConfig{K: o.K, MaxLen: o.MaxLen, MaxLowQ: 4 * o.K, DisablePrune: disable})
+		res, err := core.Mine(ctx, s, core.MinerConfig{K: o.K, MaxLen: o.MaxLen, DisablePrune: disable})
 		if err != nil {
 			return core.MinerStats{}, 0, nil, err
 		}
@@ -86,7 +86,7 @@ func RunA2(ctx context.Context, o SweepOptions) (*Table, error) {
 			return 0, 0, err
 		}
 		elapsed := stopwatch()
-		res, err := core.Mine(ctx, s, core.MinerConfig{K: o.K, MaxLen: o.MaxLen, MaxLowQ: 4 * o.K})
+		res, err := core.Mine(ctx, s, core.MinerConfig{K: o.K, MaxLen: o.MaxLen})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -132,7 +132,7 @@ func RunA3(ctx context.Context, o SweepOptions) (*Table, error) {
 			return 0, err
 		}
 		elapsed := stopwatch()
-		if _, err := core.Mine(ctx, s, core.MinerConfig{K: o.K, MaxLen: o.MaxLen, MaxLowQ: 4 * o.K}); err != nil {
+		if _, err := core.Mine(ctx, s, core.MinerConfig{K: o.K, MaxLen: o.MaxLen}); err != nil {
 			return 0, err
 		}
 		return elapsed(), nil

@@ -32,7 +32,7 @@ func RunA4(ctx context.Context, o SweepOptions) (*Table, error) {
 		{"K", o.K},
 		{"2K", 2 * o.K},
 		{"4K", 4 * o.K},
-		{"unlimited (paper)", 0},
+		{"unlimited (paper)", -1},
 	}
 	table := &Table{
 		Title:   "A4: MaxLowQ cap sensitivity",
@@ -87,7 +87,7 @@ func RunA5(ctx context.Context, o SweepOptions) (*Table, error) {
 			return nil, err
 		}
 		wild, plain, err := core.MineWithWildcards(ctx, s, core.MinerConfig{
-			K: o.K, MinLen: 2, MaxLen: o.MaxLen, MaxLowQ: 4 * o.K,
+			K: o.K, MinLen: 2, MaxLen: o.MaxLen,
 		}, d)
 		if err != nil {
 			return nil, err

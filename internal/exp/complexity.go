@@ -40,7 +40,7 @@ func RunA6(ctx context.Context, o SweepOptions) (*Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := core.Mine(ctx, s, core.MinerConfig{K: k, MaxLen: o.MaxLen, MaxLowQ: 4 * k})
+		res, err := core.Mine(ctx, s, core.MinerConfig{K: k, MaxLen: o.MaxLen})
 		if err != nil {
 			return 0, err
 		}

@@ -56,7 +56,7 @@ func RunE1(ctx context.Context, o E1Options) (*E1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nmRes, err := core.Mine(ctx, sNM, core.MinerConfig{K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen, MaxLowQ: 4 * o.K})
+	nmRes, err := core.Mine(ctx, sNM, core.MinerConfig{K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen})
 	if err != nil {
 		return nil, err
 	}

@@ -69,7 +69,7 @@ func RunE7(ctx context.Context, o E7Options) (*Series, error) {
 			return nil, err
 		}
 		res, err := core.Mine(ctx, s, core.MinerConfig{
-			K: sw.K, MaxLen: sw.MaxLen, MaxLowQ: 4 * sw.K,
+			K: sw.K, MaxLen: sw.MaxLen,
 			Metrics: sw.Metrics, Tracer: sw.Tracer, OnProgress: sw.Progress,
 		})
 		if err != nil {

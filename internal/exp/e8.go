@@ -71,7 +71,7 @@ func RunE8(ctx context.Context, o E8Options) (*E8Result, error) {
 		return nil, err
 	}
 	nmRes, err := core.Mine(ctx, sNM, core.MinerConfig{
-		K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen, MaxLowQ: 4 * o.K,
+		K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen,
 	})
 	if err != nil {
 		return nil, err

@@ -96,7 +96,7 @@ func timeMiners(ctx context.Context, ds traj.Dataset, g *grid.Grid, k, maxLen in
 	}
 	elapsed := stopwatch()
 	if _, err := core.Mine(ctx, sTP, core.MinerConfig{
-		K: k, MaxLen: maxLen, MaxLowQ: 4 * k,
+		K: k, MaxLen: maxLen,
 		Metrics: o.Metrics, Tracer: o.Tracer, OnProgress: o.Progress,
 	}); err != nil {
 		return 0, 0, err

@@ -103,16 +103,12 @@ type MineRequest struct {
 // the wall-time budget (or the caller's deadline) fired before the
 // algorithm's own termination test, so Patterns is the best-so-far top-k
 // rather than the converged answer — served as 200, not an error.
-// Shards is the number of dataset partitions the run was mined over;
-// values above 1 mean the server's sharded engine handled the request
-// (Iterations and Candidates then aggregate over all shards).
 type MineResponse struct {
 	Patterns        []ScoredPatternJSON `json:"patterns"`
 	Degraded        bool                `json:"degraded"`
 	InterruptReason string              `json:"interrupt_reason,omitempty"`
 	Iterations      int                 `json:"iterations"`
 	Candidates      int                 `json:"candidates"`
-	Shards          int                 `json:"shards,omitempty"`
 	// Generation, when positive, marks an answer served from the
 	// streaming-ingest re-mining loop rather than mined on demand.
 	Generation int `json:"generation,omitempty"`
@@ -157,50 +153,30 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 			wall = asked
 		}
 	}
-	mcfg := core.MinerConfig{
+	res, err := core.Mine(r.Context(), s.scorer, core.MinerConfig{
 		K:           req.K,
 		MinLen:      req.MinLen,
 		MaxLen:      req.MaxLen,
 		MaxWallTime: wall,
 		Metrics:     s.cfg.Metrics,
 		Tracer:      s.cfg.Tracer,
+	})
+	if err != nil {
+		s.writeMineError(w, r, err)
+		return
 	}
-	var resp MineResponse
-	var patterns []core.ScoredPattern
-	if s.engine != nil {
-		res, err := s.engine.Mine(r.Context(), mcfg, nil)
-		if err != nil {
-			s.writeMineError(w, r, err)
-			return
-		}
-		patterns = res.Patterns
-		resp = MineResponse{
-			Degraded:        res.Interrupted,
-			InterruptReason: res.InterruptReason,
-			Iterations:      res.Total.Iterations,
-			Candidates:      res.Total.Candidates,
-			Shards:          res.Shards,
-		}
-	} else {
-		res, err := core.Mine(r.Context(), s.scorer, mcfg)
-		if err != nil {
-			s.writeMineError(w, r, err)
-			return
-		}
-		patterns = res.Patterns
-		resp = MineResponse{
-			Degraded:        res.Interrupted,
-			InterruptReason: res.InterruptReason,
-			Iterations:      res.Stats.Iterations,
-			Candidates:      res.Stats.Candidates,
-		}
+	resp := MineResponse{
+		Patterns:        make([]ScoredPatternJSON, len(res.Patterns)),
+		Degraded:        res.Interrupted,
+		InterruptReason: res.InterruptReason,
+		Iterations:      res.Stats.Iterations,
+		Candidates:      res.Stats.Candidates,
 	}
-	resp.Patterns = make([]ScoredPatternJSON, len(patterns))
-	for i, sp := range patterns {
+	for i, sp := range res.Patterns {
 		resp.Patterns[i] = ScoredPatternJSON{Cells: sp.Pattern, NM: sp.NM}
 	}
-	if len(patterns) > 0 {
-		s.SetPatterns(patterns)
+	if len(res.Patterns) > 0 {
+		s.SetPatterns(res.Patterns)
 	}
 	writeJSON(w, resp)
 }

@@ -33,7 +33,6 @@ import (
 
 	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
-	"trajpattern/internal/core/shard"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/ingest"
 	"trajpattern/internal/obs"
@@ -75,15 +74,9 @@ type Config struct {
 	// Zero means DefaultRetryAfter.
 	RetryAfter time.Duration
 	// MineWeight is the admission weight of one /v1/mine request.
-	// Zero means DefaultMineWeight.
+	// Zero means DefaultMineWeight. It is clamped to a positive
+	// Capacity, so a mine request can always be admitted.
 	MineWeight int64
-	// MineShards partitions the dataset across this many shards for
-	// /v1/mine, merging the per-shard answers into the same top-k the
-	// single-partition miner returns. 0 or 1 keeps the single-partition
-	// miner; negative means one shard per CPU. A sharded mine occupies
-	// more of the machine, so its admission weight is MineWeight times
-	// the effective shard count, clamped to Capacity.
-	MineShards int
 
 	// ScoreDeadline, MineDeadline and PredictDeadline bound each route's
 	// wall time, queue wait included. Zero means DefaultDeadline;
@@ -171,6 +164,9 @@ func (c Config) withDefaults() Config {
 	if c.MineWeight <= 0 {
 		c.MineWeight = DefaultMineWeight
 	}
+	if c.Capacity > 0 && c.MineWeight > c.Capacity {
+		c.MineWeight = c.Capacity
+	}
 	if c.ScoreDeadline == 0 {
 		c.ScoreDeadline = DefaultDeadline
 	}
@@ -220,7 +216,6 @@ const DefaultIngestMineK = 8
 type Server struct {
 	cfg       Config
 	scorer    *core.Scorer
-	engine    *shard.Engine // non-nil when MineShards routes /v1/mine through the sharded miner
 	grid      *grid.Grid
 	delta     float64
 	sigma     float64
@@ -321,32 +316,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if sigma <= 0 {
 		sigma = delta // exact zero sigma would break the predictor's confirmation probability
 	}
-	// A sharded /v1/mine runs one search per shard concurrently, so it
-	// claims proportionally more admission weight — clamped to Capacity so
-	// a generous shard count can still be admitted at all.
-	var engine *shard.Engine
-	mineWeight := cfg.MineWeight
-	if cfg.MineShards < 0 || cfg.MineShards > 1 {
-		want := cfg.MineShards
-		if want < 0 {
-			want = 0 // NewEngine maps 0 to one shard per CPU
-		}
-		eng, err := shard.NewEngine(scorer, want)
-		if err != nil {
-			return nil, fmt.Errorf("serve: build shard engine: %w", err)
-		}
-		if eng.Shards() > 1 {
-			engine = eng
-			mineWeight *= int64(eng.Shards())
-			if cfg.Capacity > 0 && mineWeight > cfg.Capacity {
-				mineWeight = cfg.Capacity
-			}
-		}
-	}
 	s := &Server{
 		cfg:       cfg,
 		scorer:    scorer,
-		engine:    engine,
 		grid:      g,
 		delta:     delta,
 		sigma:     sigma,
@@ -364,7 +336,7 @@ func NewServer(cfg Config) (*Server, error) {
 		Wait:     cfg.Metrics.Histogram("serve.queue.wait"),
 	})
 	s.mux.Handle("POST "+routeScore, s.guarded(routeScore, cfg.ScoreDeadline, 1, s.handleScore))
-	s.mux.Handle("POST "+routeMine, s.guarded(routeMine, cfg.MineDeadline, mineWeight, s.handleMine))
+	s.mux.Handle("POST "+routeMine, s.guarded(routeMine, cfg.MineDeadline, cfg.MineWeight, s.handleMine))
 	s.mux.Handle("POST "+routePredict, s.guarded(routePredict, cfg.PredictDeadline, 1, s.handlePredict))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)

@@ -5,13 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"trajpattern/internal/cli"
+	"trajpattern/internal/core"
+	"trajpattern/internal/datagen"
 	"trajpattern/internal/obs"
 	"trajpattern/internal/traj"
 )
@@ -483,85 +489,91 @@ func TestClientBackoffCapsAndJitters(t *testing.T) {
 	}
 }
 
-func TestMineShardedMatchesSinglePartition(t *testing.T) {
-	_, single := newTestServer(t, nil)
-	ref := postJSON(t, single.URL+"/v1/mine", MineRequest{K: 4, MaxLen: 4})
-	if ref.StatusCode != http.StatusOK {
-		t.Fatalf("single-partition mine status = %d", ref.StatusCode)
+// TestMineRoutesSearchAlike pins that every mining route searches an
+// instance the same way: the CLI, /v1/mine and a bare core.Mine given only
+// K and MaxLen resolve the miner's defaults in one place, so they return
+// the same top-k, the same NM bits and the same amount of work.
+func TestMineRoutesSearchAlike(t *testing.T) {
+	const gridN, k, maxLen = 8, 6, 4
+	ds, err := datagen.ZebraDataset(datagen.ZebraConfig{NumZebras: 24, AvgLen: 16, Seed: 3}, 0.01, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := decode[MineResponse](t, ref)
+	ctx := context.Background()
 
-	s, ts := newTestServer(t, func(c *Config) { c.MineShards = 3 })
-	if s.engine == nil {
-		t.Fatal("MineShards=3 did not build a shard engine")
+	g := cli.FitGrid(ds, gridN)
+	sc, err := core.NewScorer(ds, core.Config{Grid: g, Delta: g.CellWidth()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp := postJSON(t, ts.URL+"/v1/mine", MineRequest{K: 4, MaxLen: 4})
+	want, err := core.Mine(ctx, sc, core.MinerConfig{K: k, MaxLen: maxLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "pats.json")
+	var out bytes.Buffer
+	if _, err := cli.Mine(ctx, &out, ds, cli.MineOptions{
+		K: k, GridN: gridN, MaxLen: maxLen, DeltaMul: 1, Measure: "nm", SavePath: path,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cliPats, err := core.LoadPatterns(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cliIters, cliCands int
+	report := out.String()
+	if i := strings.Index(report, "TrajPattern:"); i < 0 {
+		t.Fatalf("no miner summary in the CLI report:\n%s", report)
+	} else if _, err := fmt.Sscanf(report[i:], "TrajPattern: %d iterations, %d candidates", &cliIters, &cliCands); err != nil {
+		t.Fatalf("parse the CLI's miner summary: %v", err)
+	}
+
+	_, ts := newTestServer(t, func(c *Config) { c.Dataset = ds; c.GridN = gridN })
+	resp := postJSON(t, ts.URL+"/v1/mine", MineRequest{K: k, MaxLen: maxLen})
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("sharded mine status = %d: %s", resp.StatusCode, body)
+		t.Fatalf("/v1/mine status = %d: %s", resp.StatusCode, body)
 	}
-	got := decode[MineResponse](t, resp)
-	if got.Shards != 3 {
-		t.Errorf("response shards = %d, want 3", got.Shards)
+	mined := decode[MineResponse](t, resp)
+	var httpPats []core.ScoredPattern
+	for _, p := range mined.Patterns {
+		httpPats = append(httpPats, core.ScoredPattern{Pattern: p.Cells, NM: p.NM})
 	}
-	if got.Degraded {
-		t.Errorf("sharded mine degraded: %s", got.InterruptReason)
-	}
-	if len(got.Patterns) != len(want.Patterns) {
-		t.Fatalf("sharded returned %d patterns, single %d", len(got.Patterns), len(want.Patterns))
-	}
-	for i := range got.Patterns {
-		gk, wk := got.Patterns[i].Cells, want.Patterns[i].Cells
-		if len(gk) != len(wk) {
-			t.Fatalf("rank %d: %v vs %v", i, gk, wk)
+
+	for _, route := range []struct {
+		name         string
+		iters, cands int
+		pats         []core.ScoredPattern
+	}{
+		{"cli.Mine", cliIters, cliCands, cliPats},
+		{"/v1/mine", mined.Iterations, mined.Candidates, httpPats},
+	} {
+		if route.iters != want.Stats.Iterations || route.cands != want.Stats.Candidates {
+			t.Errorf("%s: %d iterations, %d candidates; core.Mine %d, %d",
+				route.name, route.iters, route.cands, want.Stats.Iterations, want.Stats.Candidates)
 		}
-		for j := range gk {
-			if gk[j] != wk[j] {
-				t.Fatalf("rank %d: %v vs %v", i, gk, wk)
+		if len(route.pats) != len(want.Patterns) {
+			t.Fatalf("%s: %d patterns, core.Mine %d", route.name, len(route.pats), len(want.Patterns))
+		}
+		for i, sp := range route.pats {
+			w := want.Patterns[i]
+			if sp.Pattern.Key() != w.Pattern.Key() || math.Float64bits(sp.NM) != math.Float64bits(w.NM) {
+				t.Errorf("%s rank %d: (%s, %v), core.Mine (%s, %v)",
+					route.name, i, sp.Pattern.Key(), sp.NM, w.Pattern.Key(), w.NM)
 			}
 		}
 	}
-	if len(s.Patterns()) == 0 {
-		t.Error("sharded mine did not install patterns for predict")
-	}
 }
 
-func TestMineShardedWeightClampedToCapacity(t *testing.T) {
-	// 3 shards × default weight 4 = 12 > capacity 8: without the clamp the
-	// request could never be admitted at all.
-	_, ts := newTestServer(t, func(c *Config) { c.MineShards = 3 })
+// TestMineWeightClampedToCapacity: the default mine weight 4 exceeds a
+// capacity of 2, so without the clamp every /v1/mine would be shed.
+func TestMineWeightClampedToCapacity(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.Capacity = 2 })
 	resp := postJSON(t, ts.URL+"/v1/mine", MineRequest{K: 3, MaxLen: 3})
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("clamped sharded mine status = %d: %s", resp.StatusCode, body)
-	}
-}
-
-func TestMineShardedRejectsBadConfig(t *testing.T) {
-	// The shard engine wraps per-shard errors; *core.ConfigError must still
-	// unwrap into a 400.
-	_, ts := newTestServer(t, func(c *Config) { c.MineShards = 2 })
-	resp := postJSON(t, ts.URL+"/v1/mine", MineRequest{K: -1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("k=-1 status = %d, want 400", resp.StatusCode)
-	}
-	eb := decode[errorBody](t, resp)
-	if eb.Error.Code != "bad_config" {
-		t.Errorf("code = %q, want bad_config", eb.Error.Code)
-	}
-}
-
-func TestMineShardsPerCPU(t *testing.T) {
-	// Negative MineShards means one shard per CPU; whatever the machine,
-	// the route must answer with the same top-k semantics.
-	_, ts := newTestServer(t, func(c *Config) { c.MineShards = -1 })
-	resp := postJSON(t, ts.URL+"/v1/mine", MineRequest{K: 3, MaxLen: 3})
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("per-CPU sharded mine status = %d: %s", resp.StatusCode, body)
-	}
-	mined := decode[MineResponse](t, resp)
-	if len(mined.Patterns) == 0 {
-		t.Fatal("per-CPU sharded mine returned no patterns")
+		t.Fatalf("mine on a capacity-2 server: status = %d: %s", resp.StatusCode, body)
 	}
 }

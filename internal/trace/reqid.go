@@ -4,8 +4,8 @@ import "context"
 
 // requestIDKey is the private context key carrying a request-correlation
 // ID from the HTTP edge down into the miner, so spans recorded deep in
-// the search (miner.run, shard.run) can carry the same ID the client saw
-// in its X-Request-ID response header.
+// the search (miner.run) can carry the same ID the client saw in its
+// X-Request-ID response header.
 type requestIDKey struct{}
 
 // WithRequestID returns a context carrying the correlation ID. An empty
