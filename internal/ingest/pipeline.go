@@ -78,7 +78,8 @@ type Config struct {
 	// Metrics, when non-nil, receives ingest RED instrumentation.
 	Metrics *obs.Registry
 	// OnApply, when non-nil, runs on the commit goroutine after each
-	// batch lands in the windows, with the number of records applied.
+	// batch lands in the windows and before its reports are acknowledged,
+	// with the number of records applied.
 	// It must not block; the serve layer uses it to nudge the re-mining
 	// loop through a select/default send.
 	OnApply func(applied int)
@@ -318,9 +319,12 @@ func (p *Pipeline) commit(batch []ingestReq) {
 	p.m.winObjects.Set(int64(p.win.Objects()))
 	p.mu.Unlock()
 
-	// Count before acking: a caller that reads ingest.accepted after its
-	// ack must see its own report counted.
+	// Count and notify before acking: a caller that reads ingest.accepted
+	// or its OnApply tally after its ack must see its own report in both.
 	p.m.accepted.Add(int64(len(valid)))
+	if p.onApply != nil {
+		p.onApply(len(recs))
+	}
 	for i := range valid {
 		valid[i].ack <- nil
 	}
@@ -328,9 +332,6 @@ func (p *Pipeline) commit(batch []ingestReq) {
 	if haveLive {
 		// Best effort: a failed prune costs disk, not correctness.
 		p.wal.Prune(minLive)
-	}
-	if p.onApply != nil {
-		p.onApply(len(recs))
 	}
 }
 
