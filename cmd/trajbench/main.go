@@ -60,16 +60,15 @@ func main() {
 	)
 	logFlags.Register(flag.CommandLine)
 	flag.Parse()
-	logger, lerr := logFlags.Logger(os.Stderr)
-	if lerr != nil {
-		fmt.Fprintf(os.Stderr, "trajbench: %v\n", lerr)
+	logger, err := logFlags.Logger(os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "trajbench: %v\n", err)
 		os.Exit(2)
 	}
-	lc := cli.Lifecycle{W: os.Stderr, Logger: logger}
 
 	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		lc.Error(fmt.Sprintf("trajbench: %v", err), "start profiles failed", slogx.Err(err))
+		logger.Error("start profiles failed", slogx.Err(err))
 		os.Exit(1)
 	}
 
@@ -79,13 +78,13 @@ func main() {
 	}
 	holder := &cli.MetricsHolder{}
 	if *dbgAddr != "" {
-		url, stop, derr := cli.StartDebugServer(*dbgAddr, holder, tracer)
+		url, stop, derr := cli.StartDebugServer(*dbgAddr, holder, tracer, logger)
 		if derr != nil {
-			lc.Error(fmt.Sprintf("trajbench: %v", derr), "debug server failed", slogx.Err(derr))
+			logger.Error("debug server failed", slogx.Err(derr))
 			os.Exit(1)
 		}
 		defer stop() //nolint:errcheck // process is exiting anyway
-		lc.Notice(fmt.Sprintf("trajbench: debug server at %s", url), "debug server up", slog.String("url", url))
+		logger.Info("debug server up", slog.String("url", url))
 	}
 	var printer *cli.ProgressPrinter
 	if *prog {
@@ -94,7 +93,7 @@ func main() {
 
 	// First SIGINT/SIGTERM stops between experiments and still flushes
 	// completed results and the trace journal; a second aborts.
-	ctx, stopSignals := cli.SignalContextLogged(context.Background(), lc, "trajbench")
+	ctx, stopSignals := cli.SignalContext(context.Background(), logger, "trajbench")
 	defer stopSignals()
 
 	_, err = cli.RunBench(ctx, os.Stdout, cli.BenchOptions{
@@ -113,23 +112,21 @@ func main() {
 	stopSignals()
 	printer.Done()
 	if terr := cli.SaveTrace(*trcPath, tracer); terr != nil {
-		lc.Error(fmt.Sprintf("trajbench: %v", terr), "save trace failed", slogx.Err(terr))
+		logger.Error("save trace failed", slogx.Err(terr))
 		if err == nil {
 			err = terr
 		}
 	} else if tracer != nil {
-		lc.Notice(fmt.Sprintf("trajbench: wrote %d trace records to %s (+ %s.json)",
-			tracer.Len(), *trcPath, *trcPath),
-			"trace written", slog.Int("records", tracer.Len()), slog.String("path", *trcPath))
+		logger.Info("trace written", slog.Int("records", tracer.Len()), slog.String("path", *trcPath))
 	}
 	if perr := stopProfiles(); perr != nil {
-		lc.Error(fmt.Sprintf("trajbench: %v", perr), "stop profiles failed", slogx.Err(perr))
+		logger.Error("stop profiles failed", slogx.Err(perr))
 		if err == nil {
 			err = perr
 		}
 	}
 	if err != nil {
-		lc.Error(fmt.Sprintf("%v", err), "fatal", slogx.Err(err))
+		logger.Error("fatal", slogx.Err(err))
 		os.Exit(1)
 	}
 }

@@ -46,42 +46,31 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	logger, lerr := logFlags.Logger(os.Stderr)
-	if lerr != nil {
-		fmt.Fprintf(os.Stderr, "trajgen: %v\n", lerr)
+	logger, err := logFlags.Logger(os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "trajgen: %v\n", err)
 		os.Exit(2)
 	}
-	lc := cli.Lifecycle{W: os.Stderr, Logger: logger}
 	// A SIGINT/SIGTERM before the (atomic) write leaves any existing output
 	// file untouched; a partial dataset is never written.
-	ctx, stopSignals := cli.SignalContextLogged(context.Background(), lc, "trajgen")
+	ctx, stopSignals := cli.SignalContext(context.Background(), logger, "trajgen")
 	defer stopSignals()
 	ds, err := cli.Generate(cli.GenOptions{
 		Kind: *kind, N: *n, Len: *ln, U: *u, C: *c, Scale: *scale, Seed: *seed,
 	})
 	if err != nil {
-		lc.Error(fmt.Sprintf("trajgen: %v", err), "generate failed", slogx.Err(err))
+		logger.Error("generate failed", slogx.Err(err))
 		os.Exit(1)
 	}
 	if ctx.Err() != nil {
-		lc.Error(fmt.Sprintf("trajgen: interrupted (%v); not writing %s", context.Cause(ctx), *out),
-			"interrupted — output not written",
+		logger.Error("interrupted — output not written",
 			slog.String("cause", fmt.Sprint(context.Cause(ctx))), slog.String("path", *out))
 		os.Exit(1)
 	}
 	if err := traj.WriteFile(*out, ds); err != nil {
-		lc.Error(fmt.Sprintf("trajgen: %v", err), "write failed", slogx.Err(err))
+		logger.Error("write failed", slogx.Err(err))
 		os.Exit(1)
 	}
-	// The result line goes to stdout in plain mode (it is the command's
-	// output, not a status note), and becomes a structured record like the
-	// other lifecycle events otherwise.
-	done := cli.Lifecycle{W: os.Stdout, Logger: logger}
-	done.Notice(fmt.Sprintf("wrote %d trajectories (avg length %.1f, mean σ %.4g) to %s",
-		ds.NumTrajectories(), ds.AvgLength(), ds.MeanSigma(), *out),
-		"dataset written",
-		slog.Int("trajectories", ds.NumTrajectories()),
-		slog.Float64("avg_len", ds.AvgLength()),
-		slog.Float64("mean_sigma", ds.MeanSigma()),
-		slog.String("path", *out))
+	fmt.Printf("wrote %d trajectories (avg length %.1f, mean σ %.4g) to %s\n",
+		ds.NumTrajectories(), ds.AvgLength(), ds.MeanSigma(), *out)
 }

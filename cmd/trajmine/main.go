@@ -62,20 +62,19 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	logger, lerr := logFlags.Logger(os.Stderr)
-	if lerr != nil {
-		fmt.Fprintf(os.Stderr, "trajmine: %v\n", lerr)
+	logger, err := logFlags.Logger(os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "trajmine: %v\n", err)
 		os.Exit(2)
 	}
-	lc := cli.Lifecycle{W: os.Stderr, Logger: logger}
 	ds, err := traj.ReadFile(*in)
 	if err != nil {
-		lc.Error(fmt.Sprintf("trajmine: %v", err), "read dataset failed", slogx.Err(err))
+		logger.Error("read dataset failed", slogx.Err(err))
 		os.Exit(1)
 	}
 	stopProfiles, err := cli.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		lc.Error(fmt.Sprintf("trajmine: %v", err), "start profiles failed", slogx.Err(err))
+		logger.Error("start profiles failed", slogx.Err(err))
 		os.Exit(1)
 	}
 
@@ -90,13 +89,13 @@ func main() {
 	if *dbgAddr != "" {
 		holder := &cli.MetricsHolder{}
 		holder.Set(reg)
-		url, stop, derr := cli.StartDebugServer(*dbgAddr, holder, tracer)
+		url, stop, derr := cli.StartDebugServer(*dbgAddr, holder, tracer, logger)
 		if derr != nil {
-			lc.Error(fmt.Sprintf("trajmine: %v", derr), "debug server failed", slogx.Err(derr))
+			logger.Error("debug server failed", slogx.Err(derr))
 			os.Exit(1)
 		}
 		defer stop() //nolint:errcheck // process is exiting anyway
-		lc.Notice(fmt.Sprintf("trajmine: debug server at %s", url), "debug server up", slog.String("url", url))
+		logger.Info("debug server up", slog.String("url", url))
 	}
 	var printer *cli.ProgressPrinter
 	if *prog {
@@ -105,7 +104,7 @@ func main() {
 
 	// First SIGINT/SIGTERM drains the run gracefully (best-so-far report,
 	// partial saves, trace journal); a second aborts.
-	ctx, stopSignals := cli.SignalContextLogged(context.Background(), lc, "trajmine")
+	ctx, stopSignals := cli.SignalContext(context.Background(), logger, "trajmine")
 	defer stopSignals()
 
 	_, err = cli.Mine(ctx, os.Stdout, ds, cli.MineOptions{
@@ -132,23 +131,21 @@ func main() {
 	stopSignals()
 	printer.Done()
 	if terr := cli.SaveTrace(*trcPath, tracer); terr != nil {
-		lc.Error(fmt.Sprintf("trajmine: %v", terr), "save trace failed", slogx.Err(terr))
+		logger.Error("save trace failed", slogx.Err(terr))
 		if err == nil {
 			err = terr
 		}
 	} else if tracer != nil {
-		lc.Notice(fmt.Sprintf("trajmine: wrote %d trace records to %s (+ %s.json)",
-			tracer.Len(), *trcPath, *trcPath),
-			"trace written", slog.Int("records", tracer.Len()), slog.String("path", *trcPath))
+		logger.Info("trace written", slog.Int("records", tracer.Len()), slog.String("path", *trcPath))
 	}
 	if perr := stopProfiles(); perr != nil {
-		lc.Error(fmt.Sprintf("trajmine: %v", perr), "stop profiles failed", slogx.Err(perr))
+		logger.Error("stop profiles failed", slogx.Err(perr))
 		if err == nil {
 			err = perr
 		}
 	}
 	if err != nil {
-		lc.Error(fmt.Sprintf("trajmine: %v", err), "fatal", slogx.Err(err))
+		logger.Error("fatal", slogx.Err(err))
 		os.Exit(1)
 	}
 }

@@ -32,15 +32,14 @@ func main() {
 	)
 	logFlags.Register(flag.CommandLine)
 	flag.Parse()
-	logger, lerr := logFlags.Logger(os.Stderr)
-	if lerr != nil {
-		fmt.Fprintf(os.Stderr, "trajpredict: %v\n", lerr)
+	logger, err := logFlags.Logger(os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "trajpredict: %v\n", err)
 		os.Exit(2)
 	}
-	lc := cli.Lifecycle{W: os.Stderr, Logger: logger}
 
 	// First SIGINT/SIGTERM cancels the experiment; a second aborts.
-	ctx, stopSignals := cli.SignalContextLogged(context.Background(), lc, "trajpredict")
+	ctx, stopSignals := cli.SignalContext(context.Background(), logger, "trajpredict")
 	defer stopSignals()
 
 	res, err := exp.RunE2(ctx, exp.E2Options{
@@ -49,7 +48,7 @@ func main() {
 		MinLen: *minLen,
 	})
 	if err != nil {
-		lc.Error(fmt.Sprintf("trajpredict: %v", err), "fatal", slogx.Err(err))
+		logger.Error("fatal", slogx.Err(err))
 		os.Exit(1)
 	}
 	fmt.Println(res.Table.String())

@@ -69,9 +69,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trajserve: %v\n", err)
 		os.Exit(2)
 	}
-	lc := cli.Lifecycle{W: os.Stderr, Logger: logger}
 
-	ctx, stop := cli.SignalContextLogged(context.Background(), lc, "trajserve")
+	ctx, stop := cli.SignalContext(context.Background(), logger, "trajserve")
 	defer stop()
 
 	err = serve.Run(ctx, serve.Options{
@@ -84,24 +83,20 @@ func main() {
 			Capacity:         *capacity,
 			MaxQueue:         *queue,
 			MineWeight:       *mineWt,
-			ScoreDeadline:    *deadline,
-			MineDeadline:     *deadline,
-			PredictDeadline:  *deadline,
+			Deadline:         *deadline,
 			MaxMineWallTime:  *maxWall,
 			IngestWALDir:     *ingWAL,
 			IngestWindow:     *ingWin,
 			IngestFsyncEvery: *ingFsync,
-			IngestDeadline:   *deadline,
+			Logger:           logger,
 		},
 		Grace:      *grace,
 		TracePath:  *trcPath,
 		MetricsOut: *metOut,
 		DebugAddr:  *dbgAddr,
-		Log:        os.Stderr,
-		Logger:     logger,
 	}, nil)
 	if err != nil {
-		lc.Error(fmt.Sprintf("trajserve: %v", err), "fatal", slogx.Err(err))
+		logger.Error("fatal", slogx.Err(err))
 		os.Exit(1)
 	}
 }

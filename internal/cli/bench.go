@@ -121,11 +121,13 @@ next:
 	return out
 }
 
-// RunBench executes the selected experiments, printing each table to w,
-// and returns the machine-readable result. Per BenchOptions it also prints
-// obs snapshots, writes bench.json, and compares against a baseline,
-// returning a non-nil error if any experiment or the regression check
-// failed — the error the trajbench command turns into a non-zero exit.
+// RunBench executes the selected experiments, printing each table (or
+// the experiment's failure) to w, and returns the machine-readable
+// result. Per BenchOptions it also prints obs snapshots, writes
+// bench.json, and compares against a baseline, printing each regression
+// to w and returning a non-nil error if any experiment or the
+// regression check failed — the error the trajbench command turns into
+// a non-zero exit.
 //
 // Cancelling ctx stops the run at the next experiment boundary; an
 // experiment cut short mid-run is discarded (its timings would be
@@ -182,7 +184,7 @@ func RunBench(ctx context.Context, w io.Writer, o BenchOptions) (*BenchResult, e
 			break
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "trajbench: %s: %v\n", id, err)
+			fmt.Fprintf(w, "%s failed: %v\n\n", id, err)
 			failures = append(failures, fmt.Sprintf("%s: %v", id, err))
 			continue
 		}
@@ -224,7 +226,7 @@ func RunBench(ctx context.Context, w io.Writer, o BenchOptions) (*BenchResult, e
 		regressions := CheckRegression(baseline, result, tol, o.CheckTime)
 		if len(regressions) > 0 {
 			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "trajbench: regression: %s\n", r)
+				fmt.Fprintf(w, "regression: %s\n", r)
 			}
 			failures = append(failures, fmt.Sprintf(
 				"%d regression(s) beyond %.4g%% against %s", len(regressions), tol, o.CheckPath))

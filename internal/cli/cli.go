@@ -6,10 +6,8 @@ package cli
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"trajpattern/internal/baseline"
@@ -167,17 +165,17 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 			if o.CheckpointPath == "" {
 				return nil, fmt.Errorf("cli: resume requires a checkpoint path")
 			}
-			ck, err := core.LoadCheckpoint(o.CheckpointPath)
-			switch {
-			case errors.Is(err, os.ErrNotExist):
-				fmt.Fprintf(w, "no checkpoint at %s; starting fresh\n", o.CheckpointPath)
-			case err != nil:
+			ck, err := core.LoadResume(o.CheckpointPath)
+			if err != nil {
 				return nil, err
-			default:
+			}
+			if ck == nil {
+				fmt.Fprintf(w, "no checkpoint at %s; starting fresh\n", o.CheckpointPath)
+			} else {
 				fmt.Fprintf(w, "resuming from %s (iteration %d, |Q| %d)\n",
 					o.CheckpointPath, ck.Iteration, len(ck.Q))
-				mcfg.Resume = ck
 			}
+			mcfg.Resume = ck
 		}
 		res, err := core.Mine(ctx, s, mcfg)
 		if err != nil {

@@ -3,6 +3,10 @@ package cli
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -147,5 +151,50 @@ func TestMineSavePatterns(t *testing.T) {
 	}
 	if len(loaded) != 3 {
 		t.Errorf("loaded %d patterns", len(loaded))
+	}
+}
+
+// TestMineResume covers -resume through core.LoadResume: a missing
+// checkpoint starts fresh, a saved one resumes, and a checkpoint of
+// another problem or a corrupt file fails the run.
+func TestMineResume(t *testing.T) {
+	ds, err := Generate(GenOptions{Kind: "zebra", N: 6, Len: 20, U: 0.02, C: 2, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	mine := func(k, maxIters int) (string, error) {
+		var buf bytes.Buffer
+		_, err := Mine(context.Background(), &buf, ds, MineOptions{
+			K: k, GridN: 8, MaxLen: 3, DeltaMul: 1, Measure: "nm",
+			MaxIters: maxIters, CheckpointPath: ckpt, Resume: true,
+		})
+		return buf.String(), err
+	}
+	if out, err := mine(3, 2); err != nil || !strings.Contains(out, "starting fresh") {
+		t.Fatalf("resume without a checkpoint: %v\n%s", err, out)
+	}
+	if out, err := mine(3, 0); err != nil || !strings.Contains(out, "resuming from") {
+		t.Fatalf("resume from a checkpoint: %v\n%s", err, out)
+	}
+	var fpErr *core.FingerprintMismatchError
+	if _, err := mine(4, 0); !errors.As(err, &fpErr) {
+		t.Errorf("resume of another problem's checkpoint: err = %v, want a fingerprint mismatch", err)
+	}
+	if err := os.WriteFile(ckpt, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mine(3, 0); err == nil {
+		t.Error("resume from a corrupt checkpoint succeeded")
+	}
+}
+
+func TestLogFlagsFormats(t *testing.T) {
+	for format, ok := range map[string]bool{"text": true, "json": true, " JSON ": true, "plain": false, "": false} {
+		f := LogFlags{Format: format, Level: "info"}
+		logger, err := f.Logger(io.Discard)
+		if (err == nil) != ok || (logger != nil) != ok {
+			t.Errorf("-log-format %q: logger %v, err %v; want accepted = %t", format, logger, err, ok)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"trajpattern/internal/obs"
+	"trajpattern/internal/obs/slogx"
 	"trajpattern/internal/trace"
 )
 
@@ -56,8 +58,9 @@ func (h *MetricsHolder) Snapshot() obs.Snapshot { return h.Registry().Snapshot()
 //
 // It returns the server's base URL (useful with ":0") and a stop function.
 // The caller owns the lifetime: the server does not outlive the process,
-// it exists to observe long runs while they happen.
-func StartDebugServer(addr string, metrics *MetricsHolder, tr *trace.Tracer) (baseURL string, stop func() error, err error) {
+// it exists to observe long runs while they happen. The server's own
+// errors go to logger (nil discards them).
+func StartDebugServer(addr string, metrics *MetricsHolder, tr *trace.Tracer, logger *slogx.Logger) (baseURL string, stop func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("cli: debug server: %w", err)
@@ -106,7 +109,11 @@ func StartDebugServer(addr string, metrics *MetricsHolder, tr *trace.Tracer) (ba
 		fmt.Fprintln(w, "  /debug/vars       expvar")
 	})
 
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: 5 * time.Second,
+		ErrorLog:          logger.StdLogger(slog.LevelError),
+	}
 	go srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
 	return "http://" + ln.Addr().String(), srv.Close, nil
 }

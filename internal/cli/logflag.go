@@ -4,16 +4,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"strings"
 
 	"trajpattern/internal/obs/slogx"
 )
 
-// LogFlags is the -log-format / -log-level pair every CLI exposes. The
-// default "plain" format keeps the legacy one-line status output; "text"
-// and "json" switch the lifecycle events to structured log/slog records
-// (internal/obs/slogx).
+// LogFlags is the -log-format / -log-level pair every CLI exposes. Both
+// formats write log/slog records (internal/obs/slogx): the operator log
+// is where a command reports lifecycle events and failures.
 type LogFlags struct {
 	Format string
 	Level  string
@@ -22,57 +20,15 @@ type LogFlags struct {
 // Register installs the shared logging flags on fs (the cmds pass
 // flag.CommandLine).
 func (f *LogFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.Format, "log-format", "plain",
-		"lifecycle log format: plain (legacy status lines), text or json (structured records)")
-	fs.StringVar(&f.Level, "log-level", "info",
-		"minimum structured log level: debug, info, warn or error (plain ignores it)")
+	fs.StringVar(&f.Format, "log-format", "text", "operator log format: text or json")
+	fs.StringVar(&f.Level, "log-level", "info", "minimum log level: debug, info, warn or error")
 }
 
-// Logger builds the structured logger the flags select, writing to w.
-// "plain" (or empty) returns nil: a nil *slogx.Logger is a no-op, which
-// is exactly how the callers keep their legacy plain status lines.
+// Logger builds the logger the flags select, writing to w.
 func (f *LogFlags) Logger(w io.Writer) (*slogx.Logger, error) {
-	switch strings.ToLower(strings.TrimSpace(f.Format)) {
-	case "", "plain":
-		return nil, nil
-	case "text", "json":
-		return slogx.New(slogx.Options{Format: f.Format, Level: f.Level, W: w}), nil
-	default:
-		return nil, fmt.Errorf("cli: unknown -log-format %q (want plain, text or json)", f.Format)
+	format := strings.ToLower(strings.TrimSpace(f.Format))
+	if format != "text" && format != "json" {
+		return nil, fmt.Errorf("cli: unknown -log-format %q (want text or json)", f.Format)
 	}
-}
-
-// Lifecycle routes a CLI's operator-facing lifecycle events: structured
-// records when Logger is set, the legacy plain lines on W otherwise. The
-// plain string is emitted verbatim (plus newline) so existing output
-// stays byte-identical in plain mode. The zero value discards
-// everything; all methods are safe on it.
-type Lifecycle struct {
-	W      io.Writer     // plain-line destination (nil = discard)
-	Logger *slogx.Logger // nil = plain mode
-}
-
-func (l Lifecycle) writer() io.Writer {
-	if l.W == nil {
-		return io.Discard
-	}
-	return l.W
-}
-
-// Notice emits one informational lifecycle event.
-func (l Lifecycle) Notice(plain, msg string, attrs ...slog.Attr) {
-	if l.Logger != nil {
-		l.Logger.Info(msg, attrs...)
-		return
-	}
-	fmt.Fprintln(l.writer(), plain)
-}
-
-// Error emits one error-level lifecycle event.
-func (l Lifecycle) Error(plain, msg string, attrs ...slog.Attr) {
-	if l.Logger != nil {
-		l.Logger.Error(msg, attrs...)
-		return
-	}
-	fmt.Fprintln(l.writer(), plain)
+	return slogx.New(slogx.Options{Format: format, Level: f.Level, W: w}), nil
 }

@@ -3,12 +3,13 @@ package cli
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"os/signal"
 	"sync"
 	"syscall"
+
+	"trajpattern/internal/obs/slogx"
 )
 
 // exitFn is swapped by tests so the second-signal abort path can be
@@ -22,17 +23,10 @@ var exitFn = os.Exit
 // trace journals. A second signal aborts the process immediately with
 // the conventional exit code 130.
 //
-// w receives the operator-facing notices (pass os.Stderr); name labels
-// them. The returned stop function releases the signal handler and must
-// be deferred so a finished command stops intercepting ^C.
-func SignalContext(parent context.Context, w io.Writer, name string) (context.Context, func()) {
-	return SignalContextLogged(parent, Lifecycle{W: w}, name)
-}
-
-// SignalContextLogged is SignalContext with the drain notices routed
-// through lc: structured records when lc.Logger is set (-log-format=text
-// or json), the legacy plain lines on lc.W otherwise.
-func SignalContextLogged(parent context.Context, lc Lifecycle, name string) (context.Context, func()) {
+// logger receives the drain and abort records (nil discards them); name
+// labels them. The returned stop function releases the signal handler
+// and must be deferred so a finished command stops intercepting ^C.
+func SignalContext(parent context.Context, logger *slogx.Logger, name string) (context.Context, func()) {
 	ctx, cancel := context.WithCancelCause(parent)
 	ch := make(chan os.Signal, 2)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
@@ -40,8 +34,7 @@ func SignalContextLogged(parent context.Context, lc Lifecycle, name string) (con
 	go func() {
 		select {
 		case sig := <-ch:
-			lc.Notice(fmt.Sprintf("%s: %v — draining and flushing partial results (signal again to abort)", name, sig),
-				"signal received — draining",
+			logger.Info("signal received — draining",
 				slog.String("cmd", name), slog.String("signal", sig.String()))
 			cancel(fmt.Errorf("%v received", sig))
 		case <-done:
@@ -49,8 +42,7 @@ func SignalContextLogged(parent context.Context, lc Lifecycle, name string) (con
 		}
 		select {
 		case sig := <-ch:
-			lc.Error(fmt.Sprintf("%s: %v — aborting", name, sig),
-				"second signal — aborting",
+			logger.Error("second signal — aborting",
 				slog.String("cmd", name), slog.String("signal", sig.String()))
 			exitFn(130)
 		case <-done:

@@ -10,7 +10,14 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"trajpattern/internal/obs/slogx"
 )
+
+// bufLogger returns a JSON logger writing to buf.
+func bufLogger(buf *bytes.Buffer) *slogx.Logger {
+	return slogx.New(slogx.Options{Format: "json", W: buf, OmitTime: true})
+}
 
 // raise sends sig to this process and fails the test on error.
 func raise(t *testing.T, sig syscall.Signal) {
@@ -22,7 +29,7 @@ func raise(t *testing.T, sig syscall.Signal) {
 
 func TestSignalContextFirstSignalCancels(t *testing.T) {
 	var buf bytes.Buffer
-	ctx, stop := SignalContext(context.Background(), &buf, "testtool")
+	ctx, stop := SignalContext(context.Background(), bufLogger(&buf), "testtool")
 	defer stop()
 
 	raise(t, syscall.SIGTERM)
@@ -48,7 +55,7 @@ func TestSignalContextSecondSignalAborts(t *testing.T) {
 	defer func() { exitFn = os.Exit }()
 
 	var buf bytes.Buffer
-	ctx, stop := SignalContext(context.Background(), &buf, "testtool")
+	ctx, stop := SignalContext(context.Background(), bufLogger(&buf), "testtool")
 	defer stop()
 
 	raise(t, syscall.SIGTERM)
@@ -68,8 +75,7 @@ func TestSignalContextSecondSignalAborts(t *testing.T) {
 }
 
 func TestSignalContextStopReleasesHandler(t *testing.T) {
-	var buf bytes.Buffer
-	ctx, stop := SignalContext(context.Background(), &buf, "testtool")
+	ctx, stop := SignalContext(context.Background(), nil, "testtool")
 	stop()
 	stop() // idempotent
 	// After stop the context is released (cancelled with a nil cause →

@@ -246,7 +246,7 @@ func TestDebugServer(t *testing.T) {
 	tr := trace.New()
 	tr.Local().Event("miner.candidate.admitted", trace.Attrs{"pattern": "1"})
 
-	url, stop, err := StartDebugServer("127.0.0.1:0", holder, tr)
+	url, stop, err := StartDebugServer("127.0.0.1:0", holder, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestDebugServer(t *testing.T) {
 // no registry or tracer is attached (trajbench before its first
 // experiment, or a run without -trace).
 func TestDebugServerNilSources(t *testing.T) {
-	url, stop, err := StartDebugServer("127.0.0.1:0", nil, nil)
+	url, stop, err := StartDebugServer("127.0.0.1:0", nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

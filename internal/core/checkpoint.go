@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
@@ -149,8 +150,8 @@ func SaveCheckpoint(fs faultio.FS, path string, ck *Checkpoint) error {
 }
 
 // LoadCheckpoint reads and verifies the checkpoint at path. A missing
-// file surfaces as an error satisfying errors.Is(err, os.ErrNotExist),
-// which CLIs treat as "start fresh".
+// file surfaces as an error satisfying errors.Is(err, os.ErrNotExist);
+// LoadResume reads that as a fresh start.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -162,6 +163,20 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return ck, nil
+}
+
+// LoadResume loads the checkpoint a run resumes from: the one load path
+// of trajmine -resume and trajserve's re-mine loop. A missing file is a
+// fresh start and returns (nil, nil); any other failure, such as an
+// unreadable, torn or corrupt file, is an error. A checkpoint for
+// another problem loads fine here; Mine refuses it with a
+// *FingerprintMismatchError.
+func LoadResume(path string) (*Checkpoint, error) {
+	ck, err := LoadCheckpoint(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	return ck, err
 }
 
 // fingerprint hashes the parts of a run that define the mining problem:
@@ -177,8 +192,11 @@ func (c MinerConfig) fingerprint(s *Scorer, seeds []int) string {
 		fmt.Fprintf(h, "%d,", sd)
 	}
 	sc := s.cfg
+	// The floor is a constant, but its "floor=-700" text stays in the
+	// hash so checkpoints written while it was a Config field still
+	// resume.
 	fmt.Fprintf(h, ";grid=%dx%d bounds=%v delta=%v mode=%v floor=%v cache=%t;",
-		sc.Grid.NX(), sc.Grid.NY(), sc.Grid.Bounds(), sc.Delta, sc.Mode, sc.LogFloor, !sc.DisableCache)
+		sc.Grid.NX(), sc.Grid.NY(), sc.Grid.Bounds(), sc.Delta, sc.Mode, float64(DefaultLogFloor), !sc.DisableCache)
 	fmt.Fprintf(h, "data=%d/%d", len(s.data), len(s.flat))
 	return fmt.Sprintf("%016x", h.Sum64())
 }

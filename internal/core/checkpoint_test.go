@@ -99,9 +99,29 @@ func TestReadCheckpointRejectsCorruption(t *testing.T) {
 }
 
 func TestLoadCheckpointMissing(t *testing.T) {
-	_, err := LoadCheckpoint(filepath.Join(t.TempDir(), "none.ckpt"))
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "none.ckpt")
+	_, err := LoadCheckpoint(missing)
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing checkpoint error = %v, want os.ErrNotExist", err)
+	}
+	// LoadResume reads a missing file as a fresh start and loads or
+	// rejects an existing one as LoadCheckpoint does.
+	if ck, err := LoadResume(missing); ck != nil || err != nil {
+		t.Errorf("LoadResume(missing) = %+v, %v, want a fresh start (nil, nil)", ck, err)
+	}
+	path := filepath.Join(dir, "run.ckpt")
+	if err := SaveCheckpoint(nil, path, sampleCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	if ck, err := LoadResume(path); err != nil || !reflect.DeepEqual(ck, sampleCheckpoint()) {
+		t.Errorf("LoadResume(saved) = %+v, %v", ck, err)
+	}
+	if err := os.WriteFile(path, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ck, err := LoadResume(path); err == nil {
+		t.Errorf("LoadResume accepted a corrupt checkpoint: %+v", ck)
 	}
 }
 

@@ -45,8 +45,6 @@ func TestScorerConfigValidation(t *testing.T) {
 		{"negative delta", Config{Grid: g, Delta: -1}, "Delta"},
 		{"NaN delta", Config{Grid: g, Delta: math.NaN()}, "Delta"},
 		{"Inf delta", Config{Grid: g, Delta: math.Inf(1)}, "Delta"},
-		{"positive log floor", Config{Grid: g, Delta: 0.1, LogFloor: 1}, "LogFloor"},
-		{"NaN log floor", Config{Grid: g, Delta: 0.1, LogFloor: math.NaN()}, "LogFloor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

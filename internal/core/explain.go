@@ -40,7 +40,7 @@ func (s *Scorer) Explain(p Pattern) (*Explanation, error) {
 		contrib := TrajectoryContrib{Trajectory: ti, Window: -1}
 		if end-start < m {
 			contrib.TooShort = true
-			contrib.NM = s.cfg.LogFloor
+			contrib.NM = DefaultLogFloor
 		} else {
 			best := math.Inf(-1)
 			for w := start; w+m <= end; w++ {

@@ -60,8 +60,6 @@ type Config struct {
 	Delta float64
 	// Mode selects box or disk probability. Default ProbBox.
 	Mode ProbMode
-	// LogFloor clamps log Prob from below. Zero means DefaultLogFloor.
-	LogFloor float64
 	// Workers bounds the parallelism of batch NM evaluation. Zero means
 	// GOMAXPROCS.
 	Workers int
@@ -83,10 +81,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	//trajlint:allow floatcmp -- zero means "unset" for this config field; exact sentinel test, not a numeric comparison
-	if c.LogFloor == 0 {
-		c.LogFloor = DefaultLogFloor
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -110,9 +104,6 @@ func (c Config) validate() error {
 	}
 	if c.Delta <= 0 {
 		return cfgErr("ScorerConfig", "Delta", "must be > 0, got %v", c.Delta)
-	}
-	if math.IsNaN(c.LogFloor) || c.LogFloor > 0 {
-		return cfgErr("ScorerConfig", "LogFloor", "must be <= 0 and not NaN, got %v", c.LogFloor)
 	}
 	return nil
 }
@@ -231,12 +222,12 @@ func (s *Scorer) logProb(pt traj.Point, cell int) float64 {
 	return s.clampLog(prob)
 }
 
-// clampLog returns log prob clamped from below to the configured floor; a
+// clampLog returns log prob clamped from below to DefaultLogFloor; a
 // NaN logarithm also becomes the floor.
 func (s *Scorer) clampLog(prob float64) float64 {
 	lp := math.Log(prob)
-	if lp < s.cfg.LogFloor || math.IsNaN(lp) {
-		return s.cfg.LogFloor
+	if lp < DefaultLogFloor || math.IsNaN(lp) {
+		return DefaultLogFloor
 	}
 	return lp
 }
@@ -463,9 +454,9 @@ func (s *Scorer) NM(p Pattern) float64 {
 }
 
 // LogMatches returns, indexed by trajectory, every trajectory's
-// best-window log-match max log M(P, T) of p, or LogFloor·len(p) where the
-// trajectory is shorter than p. It fetches p's vectors once and does not
-// count as an NM evaluation.
+// best-window log-match max log M(P, T) of p, or DefaultLogFloor·len(p)
+// where the trajectory is shorter than p. It fetches p's vectors once
+// and does not count as an NM evaluation.
 func (s *Scorer) LogMatches(p Pattern) []float64 {
 	return s.LogMatchesAll([]Pattern{p}, nil)
 }

@@ -51,9 +51,6 @@ func TestNewScorerValidation(t *testing.T) {
 	if _, err := NewScorer(good, Config{Grid: g, Delta: 0}); err == nil {
 		t.Error("zero delta accepted")
 	}
-	if _, err := NewScorer(good, Config{Grid: g, Delta: 0.1, LogFloor: 1}); err == nil {
-		t.Error("positive log floor accepted")
-	}
 	if _, err := NewScorer(nil, Config{Grid: g, Delta: 0.1}); err == nil {
 		t.Error("empty dataset accepted")
 	}
@@ -108,8 +105,8 @@ func TestNMShortTrajectoryUsesFloor(t *testing.T) {
 	s := testScorer(t, data, 4)
 	p := Pattern{0, 1, 2} // length 3 > trajectory
 	got := s.NM(p)
-	if got != s.Config().LogFloor {
-		t.Errorf("short-trajectory NM = %v, want floor %v", got, s.Config().LogFloor)
+	if got != DefaultLogFloor {
+		t.Errorf("short-trajectory NM = %v, want floor %v", got, DefaultLogFloor)
 	}
 }
 
@@ -226,7 +223,7 @@ func naiveLogMatches(s *Scorer, p Pattern) []float64 {
 	out := make([]float64, len(s.data))
 	for ti := range s.data {
 		start, n := s.offsets[ti], s.offsets[ti+1]-s.offsets[ti]
-		out[ti] = s.cfg.LogFloor * float64(len(p))
+		out[ti] = DefaultLogFloor * float64(len(p))
 		if n >= len(p) {
 			out[ti] = math.Inf(-1)
 			for w := 0; w+len(p) <= n; w++ {
@@ -471,7 +468,7 @@ func TestLogMatchesMatchesNaiveScan(t *testing.T) {
 		got := s.LogMatches(p)
 		var nm float64
 		for ti, tr := range data {
-			want := s.Config().LogFloor * float64(len(p))
+			want := DefaultLogFloor * float64(len(p))
 			if len(tr) >= len(p) {
 				want = math.Inf(-1)
 				for w := 0; w+len(p) <= len(tr); w++ {
@@ -591,7 +588,7 @@ func TestNMEmptyPatternPanics(t *testing.T) {
 func TestQuickNMBounds(t *testing.T) {
 	data := randomDataset(9, 3, 10, 0.1)
 	s := testScorer(t, data, 4)
-	floor := s.Config().LogFloor * float64(len(data))
+	floor := DefaultLogFloor * float64(len(data))
 	f := func(raw []uint8) bool {
 		if len(raw) == 0 || len(raw) > 8 {
 			return true

@@ -100,7 +100,7 @@ func (s *Scorer) NMWild(p WildPattern) (float64, error) {
 	for ti := range s.data {
 		start, end := s.offsets[ti], s.offsets[ti+1]
 		if end-start < m {
-			total += s.cfg.LogFloor
+			total += DefaultLogFloor
 			continue
 		}
 		best := math.Inf(-1)
@@ -190,7 +190,7 @@ func (s *Scorer) NMGap(p GapPattern) (float64, error) {
 		start, end := s.offsets[ti], s.offsets[ti+1]
 		L := end - start
 		if L < p.minSpan() {
-			total += s.cfg.LogFloor
+			total += DefaultLogFloor
 			continue
 		}
 		// segScore[i][w] = log-match of segment i anchored at window
@@ -238,7 +238,7 @@ func (s *Scorer) NMGap(p GapPattern) (float64, error) {
 			}
 		}
 		if math.IsInf(best, -1) {
-			total += s.cfg.LogFloor
+			total += DefaultLogFloor
 			continue
 		}
 		total += best / float64(spec)

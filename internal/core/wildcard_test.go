@@ -166,7 +166,7 @@ func TestNMGapShortTrajectoryFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != s.Config().LogFloor {
+	if got != DefaultLogFloor {
 		t.Errorf("short trajectory gap NM = %v, want floor", got)
 	}
 }

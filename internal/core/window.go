@@ -178,8 +178,8 @@ func (w *walk) ready() {
 }
 
 // trajectory sets logM[k], for every pattern k, to trajectory ti's
-// best-window log-match max log M(P, T), or LogFloor·m where the
-// trajectory is shorter than the pattern's m positions.
+// best-window log-match max log M(P, T), or DefaultLogFloor·m where
+// the trajectory is shorter than the pattern's m positions.
 func (w *walk) trajectory(ti int) {
 	s := w.s
 	start := s.offsets[ti]
@@ -196,7 +196,7 @@ func (w *walk) trajectory(ti int) {
 		m := len(vecs)
 		top = min(top, max(w.lcp[k], 1), w.keep)
 		if n < m {
-			w.logM[k] = s.cfg.LogFloor * float64(m)
+			w.logM[k] = DefaultLogFloor * float64(m)
 			continue
 		}
 		nw := n - m + 1

@@ -18,6 +18,7 @@ import (
 
 	"trajpattern/internal/datagen"
 	"trajpattern/internal/ingest"
+	"trajpattern/internal/obs/slogx"
 	"trajpattern/internal/serve"
 )
 
@@ -56,16 +57,16 @@ func childMain() int {
 		return 2
 	}
 	err = serve.Run(context.Background(), serve.Options{
-		Addr:    "127.0.0.1:0",
-		Dataset: ds,
+		Addr: "127.0.0.1:0",
 		Server: serve.Config{
+			Dataset:         ds,
 			GridN:           8,
 			IngestWALDir:    os.Getenv(envWAL),
 			IngestWindow:    window,
 			IngestSyncCount: 8,
 			IngestMineK:     4,
+			Logger:          slogx.New(slogx.Options{Format: "json", W: os.Stderr}),
 		},
-		Log: os.Stderr,
 	}, func(addr string) { fmt.Printf("ADDR=%s\n", addr) })
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos child: %v\n", err)

@@ -3,7 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,6 +11,7 @@ import (
 
 	"trajpattern/internal/faultio"
 	"trajpattern/internal/obs"
+	"trajpattern/internal/obs/slogx"
 )
 
 // DefaultSegmentBytes is the rotation threshold for WAL segments when
@@ -32,9 +33,9 @@ type WALConfig struct {
 	// Metrics, when non-nil, receives WAL instrumentation under
 	// "ingest.wal.*" and "ingest.replay.*".
 	Metrics *obs.Registry
-	// Log receives replay warnings (the torn-tail skip). Nil means
-	// discard.
-	Log io.Writer
+	// Log receives the torn-tail skip and a failed tail repair. Nil
+	// discards them.
+	Log *slogx.Logger
 }
 
 // segmentMeta describes one sealed (no longer written) segment.
@@ -92,7 +93,7 @@ type WAL struct {
 	dir    string
 	maxSeg int64
 	fs     faultio.AppendFS
-	logw   io.Writer
+	log    *slogx.Logger
 
 	mu       sync.Mutex
 	file     faultio.File
@@ -137,10 +138,6 @@ func OpenWAL(cfg WALConfig) (*WAL, []Record, error) {
 	if fs == nil {
 		fs = faultio.OS{}
 	}
-	logw := cfg.Log
-	if logw == nil {
-		logw = io.Discard
-	}
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
@@ -151,7 +148,7 @@ func OpenWAL(cfg WALConfig) (*WAL, []Record, error) {
 		dir:    cfg.Dir,
 		maxSeg: cfg.SegmentBytes,
 		fs:     fs,
-		logw:   logw,
+		log:    cfg.Log,
 		m:      newWALMetrics(cfg.Metrics),
 	}
 
@@ -181,8 +178,8 @@ func OpenWAL(cfg WALConfig) (*WAL, []Record, error) {
 			if torn {
 				w.tornSkip++
 				w.m.replayTorn.Inc()
-				fmt.Fprintf(logw, "ingest: WAL %s: torn tail record skipped, truncating to %d committed bytes\n",
-					segmentName(idx), committed)
+				w.log.Warn("WAL torn tail record skipped",
+					slog.String("segment", segmentName(idx)), slog.Int64("committed_bytes", committed))
 				if err := fs.Truncate(path, committed); err != nil {
 					return nil, nil, fmt.Errorf("ingest: truncate torn tail of %s: %w", path, err)
 				}
@@ -340,7 +337,8 @@ func (w *WAL) Append(recs []Record) error {
 		path := filepath.Join(w.dir, segmentName(w.index))
 		w.file.Close()
 		if terr := w.fs.Truncate(path, w.size); terr != nil {
-			fmt.Fprintf(w.logw, "ingest: WAL append failed AND truncate failed (%v): torn tail left for replay to skip\n", terr)
+			w.log.Error("WAL append failed and truncate failed; torn tail left for replay to skip",
+				slog.String("segment", segmentName(w.index)), slogx.Err(terr))
 		}
 		return fmt.Errorf("ingest: WAL append: %w", err)
 	}

@@ -12,6 +12,8 @@ import (
 
 	"trajpattern/internal/faultio"
 	"trajpattern/internal/obs"
+	"trajpattern/internal/obs/slogx"
+	"trajpattern/internal/testutil/jsonlog"
 )
 
 // testRecords builds n distinct records (sequence numbers unassigned).
@@ -207,8 +209,9 @@ func TestWALReplaySkipsExactlyOneTornTailRecord(t *testing.T) {
 	}
 
 	reg := obs.New()
-	var log strings.Builder
-	w2, replayed, err := OpenWAL(WALConfig{Dir: dir, Metrics: reg, Log: &log})
+	var log bytes.Buffer
+	logger := slogx.New(slogx.Options{Format: "json", W: &log, OmitTime: true})
+	w2, replayed, err := OpenWAL(WALConfig{Dir: dir, Metrics: reg, Log: logger})
 	if err != nil {
 		t.Fatalf("replay with torn tail: %v", err)
 	}
@@ -221,8 +224,9 @@ func TestWALReplaySkipsExactlyOneTornTailRecord(t *testing.T) {
 	if reg.Snapshot().Counters["ingest.replay.torn_skipped"] != 1 {
 		t.Fatal("torn skip not metered")
 	}
-	if !strings.Contains(log.String(), "torn tail") {
-		t.Fatalf("torn skip not logged: %q", log.String())
+	logged := jsonlog.Records(t, log.String())
+	if len(logged) != 1 || logged[0]["level"] != "WARN" || !strings.Contains(logged[0]["msg"].(string), "torn tail") {
+		t.Fatalf("torn skip not logged as one warning record: %q", log.String())
 	}
 	// Replay truncated the tear away; the file is clean for appending.
 	if info, err := os.Stat(seg); err != nil || info.Size() != committedLen {

@@ -1,19 +1,19 @@
-// Package slogx is the repo's structured-logging setup: a thin, nil-safe
-// wrapper over log/slog with the two handler formats the CLIs expose
-// behind -log-format ("text" and "json") and canonical attribute
-// constructors for the fields the serving path correlates on
-// (request_id, route, status).
+// Package slogx is the repo's operator log: a thin, nil-safe wrapper
+// over log/slog with the two handler formats the CLIs expose behind
+// -log-format ("text" and "json") and canonical attribute constructors
+// for the fields the serving path correlates on (request_id, route,
+// status).
 //
 // Like the obs handle types, a nil *Logger is a valid "disabled" logger:
-// every method is a no-op on a nil receiver, so call sites log
-// unconditionally and pay one branch when structured logging is off
-// (-log-format=plain keeps the legacy fmt.Fprintf status lines and hands
-// the code a nil *Logger).
+// every method is a no-op on a nil receiver, so library callers that
+// want no log (tests, the benchmark) pass nil and call sites log
+// unconditionally.
 package slogx
 
 import (
 	"context"
 	"io"
+	"log"
 	"log/slog"
 	"os"
 	"strings"
@@ -23,9 +23,7 @@ import (
 // Options configures New. The zero value is usable: JSON format at info
 // level to os.Stderr.
 type Options struct {
-	// Format selects the handler: "json" (default) or "text". "plain" and
-	// "" both mean "no structured logger" to flag-parsing callers; New
-	// itself treats only the handler formats.
+	// Format selects the handler: "json" (default) or "text".
 	Format string
 	// Level is the minimum level: "debug", "info" (default), "warn",
 	// "error". Unknown strings fall back to info.
@@ -60,8 +58,7 @@ type Logger struct {
 
 // New builds a Logger for the given options. Format "text" selects the
 // slog text handler; anything else (including the default "") selects
-// JSON. Callers that support -log-format=plain should map that to a nil
-// *Logger themselves rather than calling New.
+// JSON.
 func New(opts Options) *Logger {
 	w := opts.W
 	if w == nil {
@@ -95,6 +92,16 @@ func (l *Logger) With(attrs ...slog.Attr) *Logger {
 		args[i] = a
 	}
 	return &Logger{s: l.s.With(args...)}
+}
+
+// StdLogger returns a standard library logger that turns each line it
+// is given into one record at level, for APIs such as
+// http.Server.ErrorLog. On a nil Logger it discards.
+func (l *Logger) StdLogger(level slog.Level) *log.Logger {
+	if l == nil {
+		return log.New(io.Discard, "", 0)
+	}
+	return slog.NewLogLogger(l.s.Handler(), level)
 }
 
 // Enabled reports whether records at level would be emitted (false on a
@@ -152,6 +159,9 @@ func Status(code int) slog.Attr { return slog.Int("status", code) }
 
 // Duration is the wall-clock duration of the logged operation.
 func Duration(d time.Duration) slog.Attr { return slog.Duration("duration", d) }
+
+// Stack is the goroutine stack captured where a panic was recovered.
+func Stack(stack string) slog.Attr { return slog.String("stack", stack) }
 
 // Err is the canonical error attribute ("error" key, Error() value); nil
 // maps to an empty string so call sites need no branch.

@@ -13,6 +13,7 @@ func TestNilLoggerIsNoOp(t *testing.T) {
 	l.Info("i", RequestID("r"))
 	l.Warn("w")
 	l.Error("e", Err(nil))
+	l.StdLogger(slog.LevelError).Print("s")
 	if l.With(Route("/x")) != nil {
 		t.Fatal("With on nil must return nil")
 	}
@@ -44,6 +45,19 @@ func TestJSONRecordsCarryCanonicalAttrs(t *testing.T) {
 		if rec[k] != want {
 			t.Errorf("attr %q = %v, want %v (record %v)", k, rec[k], want, rec)
 		}
+	}
+}
+
+func TestStdLoggerWritesRecords(t *testing.T) {
+	var b strings.Builder
+	New(Options{Format: "json", W: &b, OmitTime: true}).StdLogger(slog.LevelError).
+		Print("http: TLS handshake error")
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(b.String()), &rec); err != nil {
+		t.Fatalf("not one JSON record: %v\n%s", err, b.String())
+	}
+	if rec["level"] != "ERROR" || rec["msg"] != "http: TLS handshake error" {
+		t.Fatalf("record = %v", rec)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -26,17 +25,17 @@ const DefaultGrace = 10 * time.Second
 type Options struct {
 	// Addr is the listen address ("127.0.0.1:8080"; ":0" picks a port).
 	Addr string
-	// DataPath is the trajectory file to serve (required unless Dataset
-	// is set directly).
+	// DataPath is the trajectory file to serve (required unless
+	// Server.Dataset is set).
 	DataPath string
-	// Dataset, when non-nil, is used instead of reading DataPath (tests).
-	Dataset traj.Dataset
 	// PatternsPath, when non-empty, preloads mined patterns so
 	// /v1/predict works before the first /v1/mine.
 	PatternsPath string
 
-	// Server carries the service tuning (grid, admission, deadlines).
-	// Dataset/Metrics/Tracer/Log fields inside it are overwritten here.
+	// Server carries the service tuning (grid, admission, deadline) and
+	// the operator log, which Run also writes its lifecycle records to.
+	// A nil Dataset is read from DataPath; a nil Metrics registry is
+	// created.
 	Server Config
 
 	// Grace bounds stage two of the drain: after the listener closes,
@@ -52,13 +51,6 @@ type Options struct {
 	// MetricsOut, when non-empty, writes the provenance-stamped metrics
 	// report there at exit.
 	MetricsOut string
-
-	// Log receives operator notices. Nil means discard.
-	Log io.Writer
-	// Logger, when non-nil, replaces the plain Log status lines with
-	// structured records and turns on structured request logging (the
-	// -log-format=text/json modes; nil is -log-format=plain).
-	Logger *slogx.Logger
 }
 
 // Run builds the server, listens, and serves until ctx is cancelled,
@@ -77,36 +69,18 @@ type Options struct {
 // A drained exit returns nil; ready (optional) receives the bound
 // address once the listener accepts work.
 func Run(ctx context.Context, o Options, ready func(addr string)) error {
-	logw := o.Log
-	if logw == nil {
-		logw = io.Discard
-	}
-	// notice routes one lifecycle event: a structured record when a
-	// Logger is configured, else the legacy plain status line.
-	notice := func(plain string, msg string, attrs ...slog.Attr) {
-		if o.Logger != nil {
-			o.Logger.Info(msg, attrs...)
-			return
-		}
-		fmt.Fprintln(logw, plain)
-	}
-
-	ds := o.Dataset
-	if ds == nil {
+	cfg := o.Server
+	logger := cfg.Logger
+	if cfg.Dataset == nil {
 		if o.DataPath == "" {
-			return errors.New("serve: no dataset: set DataPath or Dataset")
+			return errors.New("serve: no dataset: set DataPath or Server.Dataset")
 		}
 		var err error
-		ds, err = traj.ReadFile(o.DataPath)
+		cfg.Dataset, err = traj.ReadFile(o.DataPath)
 		if err != nil {
 			return err
 		}
 	}
-
-	cfg := o.Server
-	cfg.Dataset = ds
-	cfg.Log = logw
-	cfg.Logger = o.Logger
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.New()
 	}
@@ -124,20 +98,18 @@ func Run(ctx context.Context, o Options, ready func(addr string)) error {
 			return fmt.Errorf("serve: preload patterns: %w", err)
 		}
 		srv.SetPatterns(pats)
-		notice(fmt.Sprintf("trajserve: preloaded %d patterns from %s", len(pats), o.PatternsPath),
-			"patterns preloaded", slog.Int("patterns", len(pats)), slog.String("path", o.PatternsPath))
+		logger.Info("patterns preloaded", slog.Int("patterns", len(pats)), slog.String("path", o.PatternsPath))
 	}
 
 	if o.DebugAddr != "" {
 		holder := &cli.MetricsHolder{}
 		holder.Set(cfg.Metrics)
-		url, stopDebug, err := cli.StartDebugServer(o.DebugAddr, holder, cfg.Tracer)
+		url, stopDebug, err := cli.StartDebugServer(o.DebugAddr, holder, cfg.Tracer, logger)
 		if err != nil {
 			return err
 		}
 		defer stopDebug() //nolint:errcheck // best-effort teardown
-		notice(fmt.Sprintf("trajserve: debug server at %s", url),
-			"debug server up", slog.String("url", url))
+		logger.Info("debug server up", slog.String("url", url))
 	}
 
 	ln, err := net.Listen("tcp", o.Addr)
@@ -155,14 +127,13 @@ func Run(ctx context.Context, o Options, ready func(addr string)) error {
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		BaseContext:       func(net.Listener) context.Context { return reqCtx },
+		ErrorLog:          logger.StdLogger(slog.LevelError),
 	}
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	notice(fmt.Sprintf("trajserve: listening on %s (%d trajectories, grid %dx%d)",
-		ln.Addr(), len(ds), srv.grid.NX(), srv.grid.NY()),
-		"listening", slog.String("addr", ln.Addr().String()),
-		slog.Int("trajectories", len(ds)),
+	logger.Info("listening", slog.String("addr", ln.Addr().String()),
+		slog.Int("trajectories", len(cfg.Dataset)),
 		slog.Int("grid_nx", srv.grid.NX()), slog.Int("grid_ny", srv.grid.NY()))
 
 	// Streaming ingest starts after the listener is up but before the
@@ -176,9 +147,7 @@ func Run(ctx context.Context, o Options, ready func(addr string)) error {
 			return err
 		}
 		st := srv.ingestPipe.Stats()
-		notice(fmt.Sprintf("trajserve: ingest ready (replayed %d records, %d objects, wal %s)",
-			st.Replayed, st.Objects, cfg.IngestWALDir),
-			"ingest ready", slog.Int("replayed", st.Replayed),
+		logger.Info("ingest ready", slog.Int("replayed", st.Replayed),
 			slog.Int("objects", st.Objects), slog.String("wal", cfg.IngestWALDir))
 	}
 	if ready != nil {
@@ -189,7 +158,7 @@ func Run(ctx context.Context, o Options, ready func(addr string)) error {
 	case err := <-serveErr:
 		// The listener died on its own — a bind/accept fault, not a drain.
 		if serr := srv.StopIngest(); serr != nil {
-			notice(fmt.Sprintf("trajserve: ingest close: %v", serr), "ingest close failed", slogx.Err(serr))
+			logger.Info("ingest close failed", slogx.Err(serr))
 		}
 		return fmt.Errorf("serve: listener failed: %w", err)
 	case <-ctx.Done():
@@ -197,8 +166,7 @@ func Run(ctx context.Context, o Options, ready func(addr string)) error {
 
 	// Stage one: stop admitting. Queued waiters fail with 503 now and
 	// readyz flips, then the listener closes.
-	notice("trajserve: draining — refusing new work, finishing in-flight requests",
-		"draining", slog.String("stage", "stop-admitting"))
+	logger.Info("draining", slog.String("stage", "stop-admitting"))
 	srv.Admission().StartDrain()
 
 	grace := o.Grace
@@ -211,11 +179,10 @@ func Run(ctx context.Context, o Options, ready func(addr string)) error {
 		// Stage two, forced: grace expired with requests still running.
 		// Cancel their contexts — the miner returns degraded partials at
 		// the next iteration boundary — and close what remains.
-		notice(fmt.Sprintf("trajserve: grace %v expired — interrupting in-flight requests", grace),
-			"drain grace expired", slog.Duration("grace", grace))
+		logger.Info("drain grace expired", slog.Duration("grace", grace))
 		cancelReqs(fmt.Errorf("serve: drain grace %v expired", grace))
 		if cerr := httpSrv.Close(); cerr != nil {
-			notice(fmt.Sprintf("trajserve: close: %v", cerr), "close failed", slogx.Err(cerr))
+			logger.Info("close failed", slogx.Err(cerr))
 		}
 	}
 	<-serveErr // Serve has returned http.ErrServerClosed by now
@@ -224,21 +191,21 @@ func Run(ctx context.Context, o Options, ready func(addr string)) error {
 	// its acknowledgement by now, the final group commit lands, and the
 	// re-mining loop exits before the process does.
 	if err := srv.StopIngest(); err != nil {
-		notice(fmt.Sprintf("trajserve: ingest close: %v", err), "ingest close failed", slogx.Err(err))
+		logger.Info("ingest close failed", slogx.Err(err))
 	}
 
 	// Flush observability state so an interrupted run still leaves its
 	// records behind (mirrors the CLIs' behaviour on SIGINT).
 	if o.TracePath != "" && cfg.Tracer != nil {
 		if err := cli.SaveTrace(o.TracePath, cfg.Tracer); err != nil {
-			notice(fmt.Sprintf("trajserve: save trace: %v", err), "save trace failed", slogx.Err(err))
+			logger.Info("save trace failed", slogx.Err(err))
 		}
 	}
 	if o.MetricsOut != "" {
 		if err := cli.WriteMetricsReport(o.MetricsOut, cfg.Metrics.Snapshot()); err != nil {
-			notice(fmt.Sprintf("trajserve: write metrics: %v", err), "write metrics failed", slogx.Err(err))
+			logger.Info("write metrics failed", slogx.Err(err))
 		}
 	}
-	notice("trajserve: drained", "drained")
+	logger.Info("drained")
 	return nil
 }

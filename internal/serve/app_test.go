@@ -26,18 +26,16 @@ import (
 func TestRunSigtermDrain(t *testing.T) {
 	leak := leakcheck.Take()
 
-	ctx, stop := cli.SignalContext(context.Background(), io.Discard, "trajserve-test")
+	ctx, stop := cli.SignalContext(context.Background(), nil, "trajserve-test")
 	defer stop()
 
 	ready := make(chan string, 1)
 	runErr := make(chan error, 1)
 	go func() {
 		runErr <- Run(ctx, Options{
-			Addr:    "127.0.0.1:0",
-			Dataset: testDataset(),
-			Server:  Config{GridN: 6},
-			Grace:   10 * time.Second,
-			Log:     io.Discard,
+			Addr:   "127.0.0.1:0",
+			Server: Config{Dataset: testDataset(), GridN: 6},
+			Grace:  10 * time.Second,
 		}, func(addr string) { ready <- addr })
 	}()
 	var addr string
@@ -176,11 +174,9 @@ func TestRunGraceExpiryInterrupts(t *testing.T) {
 	runErr := make(chan error, 1)
 	go func() {
 		runErr <- Run(ctx, Options{
-			Addr:    "127.0.0.1:0",
-			Dataset: testDataset(),
-			Server:  Config{GridN: 6},
-			Grace:   200 * time.Millisecond,
-			Log:     io.Discard,
+			Addr:   "127.0.0.1:0",
+			Server: Config{Dataset: testDataset(), GridN: 6},
+			Grace:  200 * time.Millisecond,
 		}, func(addr string) { ready <- addr })
 	}()
 	var addr string
@@ -228,14 +224,14 @@ func TestRunRejectsBadOptions(t *testing.T) {
 	}
 	if err := Run(context.Background(), Options{
 		Addr:         "127.0.0.1:0",
-		Dataset:      testDataset(),
 		PatternsPath: "/nonexistent/pats.json",
+		Server:       Config{Dataset: testDataset()},
 	}, nil); err == nil {
 		t.Error("missing patterns file accepted")
 	}
 	if err := Run(context.Background(), Options{
-		Addr:    "not-an-address:-1",
-		Dataset: testDataset(),
+		Addr:   "not-an-address:-1",
+		Server: Config{Dataset: testDataset()},
 	}, nil); err == nil {
 		t.Error("bad listen address accepted")
 	}

@@ -11,7 +11,9 @@ import (
 	"trajpattern/internal/core"
 	"trajpattern/internal/geom"
 	"trajpattern/internal/obs"
+	"trajpattern/internal/obs/slogx"
 	"trajpattern/internal/predict"
+	"trajpattern/internal/trace"
 )
 
 // ScoreRequest asks for the normalized match of each submitted pattern.
@@ -81,7 +83,8 @@ func (s *Server) writeScoreError(w http.ResponseWriter, r *http.Request, err err
 		s.writeError(w, http.StatusServiceUnavailable, "timeout", err.Error())
 	case errors.As(err, &pe):
 		s.metrics.panics.Inc()
-		s.logf("serve: scoring panic: %v", pe)
+		s.cfg.Logger.Error("scoring panic",
+			slogx.RequestID(trace.RequestIDFrom(r.Context())), slogx.Err(pe), slogx.Stack(pe.Stack))
 		s.writeError(w, http.StatusInternalServerError, "score_panic", pe.Error())
 	default:
 		s.writeError(w, http.StatusInternalServerError, "internal", err.Error())
@@ -179,16 +182,6 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.SetPatterns(res.Patterns)
 	}
 	writeJSON(w, resp)
-}
-
-// serverLog adapts the server's operator log (plus its mutex) to an
-// io.Writer for components that log concurrently with the handlers.
-type serverLog struct{ s *Server }
-
-func (l serverLog) Write(p []byte) (int, error) {
-	l.s.logMu.Lock()
-	defer l.s.logMu.Unlock()
-	return l.s.cfg.Log.Write(p)
 }
 
 // writeMineError maps a mining failure onto the wire: a *core.ConfigError

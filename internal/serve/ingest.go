@@ -68,13 +68,9 @@ func (s *Server) StartIngest() error {
 		WAL: ingest.WALConfig{
 			Dir:     s.cfg.IngestWALDir,
 			Metrics: s.cfg.Metrics,
-			Log:     serverLog{s},
+			Log:     s.cfg.Logger,
 		},
-		Limits: ingest.WindowLimits{
-			MaxRecords: s.cfg.IngestWindow,
-			MaxAge:     s.cfg.IngestMaxAge,
-		},
-		QueueDepth: s.cfg.IngestQueueDepth,
+		Limits:     ingest.WindowLimits{MaxRecords: s.cfg.IngestWindow},
 		FsyncEvery: s.cfg.IngestFsyncEvery,
 		Metrics:    s.cfg.Metrics,
 		OnApply: func(int) {
@@ -92,7 +88,6 @@ func (s *Server) StartIngest() error {
 	s.ingestPipe = pipe
 	st := pipe.Stats()
 	if st.TornSkipped > 0 {
-		s.logf("serve: ingest WAL replay skipped %d torn tail record(s)", st.TornSkipped)
 		s.cfg.Logger.Warn("ingest replay skipped torn tail",
 			slogx.Route(routeIngest))
 	}
@@ -112,7 +107,6 @@ func (s *Server) StartIngest() error {
 			}
 			s.remineBusy.Store(true)
 			if err := s.remineOnce(ctx); err != nil && ctx.Err() == nil {
-				s.logf("serve: re-mine failed: %v", err)
 				s.cfg.Logger.Error("re-mine failed", slogx.Err(err))
 			}
 			s.remineBusy.Store(false)
@@ -269,8 +263,9 @@ func (s *Server) remineOnce(ctx context.Context) error {
 	// A checkpoint outlives only a crash mid-mine. Resume it: when replay
 	// rebuilt the identical windows the miner continues where it stopped.
 	// If the windows moved on, the miner refuses the checkpoint as another
-	// problem's; delete it and mine fresh.
-	if ck, err := core.LoadCheckpoint(mcfg.CheckpointPath); err == nil {
+	// problem's; delete it and mine fresh. An unreadable checkpoint is
+	// skipped the same way; the mine's next save replaces it.
+	if ck, err := core.LoadResume(mcfg.CheckpointPath); err == nil {
 		mcfg.Resume = ck
 	}
 	res, err := core.Mine(ctx, scorer, mcfg)

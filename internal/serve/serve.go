@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -44,13 +43,15 @@ import (
 
 // Defaults for Config fields left zero.
 const (
-	DefaultCapacity    = 8
-	DefaultMaxQueue    = 16
-	DefaultRetryAfter  = 500 * time.Millisecond
-	DefaultDeadline    = 30 * time.Second
-	DefaultMineWeight  = 4
-	DefaultMaxBodySize = 8 << 20 // 8 MiB of JSON is far beyond any sane request
+	DefaultCapacity   = 8
+	DefaultMaxQueue   = 16
+	DefaultRetryAfter = 500 * time.Millisecond
+	DefaultDeadline   = 30 * time.Second
+	DefaultMineWeight = 4
 )
+
+// DefaultMaxBodySize bounds every request body.
+const DefaultMaxBodySize = 8 << 20 // 8 MiB of JSON is far beyond any sane request
 
 // Config configures a Server.
 type Config struct {
@@ -78,22 +79,16 @@ type Config struct {
 	// Capacity, so a mine request can always be admitted.
 	MineWeight int64
 
-	// ScoreDeadline, MineDeadline and PredictDeadline bound each route's
-	// wall time, queue wait included. Zero means DefaultDeadline;
-	// negative disables the route's deadline.
-	ScoreDeadline   time.Duration
-	MineDeadline    time.Duration
-	PredictDeadline time.Duration
+	// Deadline bounds every guarded route's wall time, queue wait
+	// included. Zero means DefaultDeadline; negative disables it.
+	Deadline time.Duration
 
 	// MaxMineWallTime caps the miner's in-request wall-clock budget.
 	// A request asking for more (or for nothing) gets this value, so a
 	// mine request can never hold its admission weight longer than
 	// MaxMineWallTime plus one iteration. Zero means 80% of the
-	// effective MineDeadline (leaving headroom to encode the answer).
+	// effective Deadline (leaving headroom to encode the answer).
 	MaxMineWallTime time.Duration
-
-	// MaxBodyBytes bounds request bodies. Zero means DefaultMaxBodySize.
-	MaxBodyBytes int64
 
 	// IngestWALDir, when non-empty, enables durable streaming ingest:
 	// POST /v1/ingest appends reports to a segmented write-ahead log in
@@ -104,18 +99,9 @@ type Config struct {
 	// IngestWindow caps each object's sliding window in records. Zero
 	// means ingest.DefaultMaxRecords.
 	IngestWindow int
-	// IngestMaxAge evicts window records older than this many time units
-	// behind the object's newest report. Zero means no age bound.
-	IngestMaxAge float64
 	// IngestFsyncEvery caps how many reports one WAL group commit
 	// covers. Zero means ingest.DefaultFsyncEvery.
 	IngestFsyncEvery int
-	// IngestQueueDepth bounds the ingest accept queue; a full queue
-	// sheds with 429. Zero means ingest.DefaultQueueDepth.
-	IngestQueueDepth int
-	// IngestDeadline bounds one /v1/ingest request. Zero means
-	// DefaultDeadline; negative disables.
-	IngestDeadline time.Duration
 	// IngestMineK is the top-k size the re-mining loop asks for. Zero
 	// means DefaultIngestMineK.
 	IngestMineK int
@@ -134,12 +120,10 @@ type Config struct {
 	// spans buffer in memory for the process lifetime, so this is a
 	// debugging mode, not an always-on default.
 	Tracer *trace.Tracer
-	// Log receives operator-facing notices (panic reports). Nil means
-	// discard.
-	Log io.Writer
-	// Logger, when non-nil, receives structured request-completion and
-	// panic records (route, status, request_id, duration). Nil disables
-	// structured request logging (the -log-format=plain default).
+	// Logger is the operator log: one record per request (route,
+	// status, request_id, duration), panics with their stack, re-mine
+	// failures, WAL replay notices and Run's lifecycle events. Nil
+	// discards them.
 	Logger *slogx.Logger
 }
 
@@ -167,23 +151,11 @@ func (c Config) withDefaults() Config {
 	if c.Capacity > 0 && c.MineWeight > c.Capacity {
 		c.MineWeight = c.Capacity
 	}
-	if c.ScoreDeadline == 0 {
-		c.ScoreDeadline = DefaultDeadline
+	if c.Deadline == 0 {
+		c.Deadline = DefaultDeadline
 	}
-	if c.MineDeadline == 0 {
-		c.MineDeadline = DefaultDeadline
-	}
-	if c.PredictDeadline == 0 {
-		c.PredictDeadline = DefaultDeadline
-	}
-	if c.MaxMineWallTime == 0 && c.MineDeadline > 0 {
-		c.MaxMineWallTime = c.MineDeadline * 8 / 10
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = DefaultMaxBodySize
-	}
-	if c.IngestDeadline == 0 {
-		c.IngestDeadline = DefaultDeadline
+	if c.MaxMineWallTime == 0 && c.Deadline > 0 {
+		c.MaxMineWallTime = c.Deadline * 8 / 10
 	}
 	if c.IngestMineK <= 0 {
 		c.IngestMineK = DefaultIngestMineK
@@ -199,9 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IngestSyncC <= 0 {
 		c.IngestSyncC = 2
-	}
-	if c.Log == nil {
-		c.Log = io.Discard
 	}
 	return c
 }
@@ -238,7 +207,6 @@ type Server struct {
 	gen         ingestGeneration
 
 	metrics serveMetrics
-	logMu   sync.Mutex
 	reqSeq  atomic.Int64 // deterministic per-process X-Request-ID sequence
 }
 
@@ -335,16 +303,16 @@ func NewServer(cfg Config) (*Server, error) {
 		DepthMax: cfg.Metrics.Gauge("serve.queue.depth.max"),
 		Wait:     cfg.Metrics.Histogram("serve.queue.wait"),
 	})
-	s.mux.Handle("POST "+routeScore, s.guarded(routeScore, cfg.ScoreDeadline, 1, s.handleScore))
-	s.mux.Handle("POST "+routeMine, s.guarded(routeMine, cfg.MineDeadline, cfg.MineWeight, s.handleMine))
-	s.mux.Handle("POST "+routePredict, s.guarded(routePredict, cfg.PredictDeadline, 1, s.handlePredict))
+	s.mux.Handle("POST "+routeScore, s.guarded(routeScore, 1, s.handleScore))
+	s.mux.Handle("POST "+routeMine, s.guarded(routeMine, cfg.MineWeight, s.handleMine))
+	s.mux.Handle("POST "+routePredict, s.guarded(routePredict, 1, s.handlePredict))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if s.ingestEnabled() {
 		s.remineC = make(chan struct{}, 1)
 		s.remineDone = make(chan struct{})
-		s.mux.Handle("POST "+routeIngest, s.guarded(routeIngest, cfg.IngestDeadline, 1, s.handleIngest))
+		s.mux.Handle("POST "+routeIngest, s.guarded(routeIngest, 1, s.handleIngest))
 		s.mux.HandleFunc("GET /v1/ingest/status", s.handleIngestStatus)
 	}
 	return s, nil
@@ -390,12 +358,6 @@ func (s *Server) Patterns() []core.ScoredPattern {
 	return s.patterns
 }
 
-func (s *Server) logf(format string, args ...any) {
-	s.logMu.Lock()
-	fmt.Fprintf(s.cfg.Log, format+"\n", args...)
-	s.logMu.Unlock()
-}
-
 // maxRequestIDLen caps accepted inbound X-Request-ID values; longer IDs
 // are replaced with a generated one rather than echoed back at length.
 const maxRequestIDLen = 128
@@ -418,9 +380,9 @@ func (s *Server) requestID(r *http.Request) string {
 // instrumentation (request-ID correlation, status/latency metrics,
 // optional request span, structured request log), panic recovery,
 // deadline, admission, then the handler. Admission sits inside the
-// deadline so queue wait counts against the route budget and a client
+// deadline so queue wait counts against the request budget and a client
 // disconnect abandons the queue slot.
-func (s *Server) guarded(route string, deadline time.Duration, weight int64, h http.HandlerFunc) http.Handler {
+func (s *Server) guarded(route string, weight int64, h http.HandlerFunc) http.Handler {
 	admitted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		release, err := s.admission.Acquire(r.Context(), weight)
 		if err != nil {
@@ -431,7 +393,7 @@ func (s *Server) guarded(route string, deadline time.Duration, weight int64, h h
 		s.metrics.inflight.Set(s.admission.InFlight())
 		h(w, r)
 	})
-	stack := guard.WithDeadline(route, deadline, admitted)
+	stack := guard.WithDeadline(route, s.cfg.Deadline, admitted)
 	inner := stack
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := s.requestID(r)
@@ -440,8 +402,7 @@ func (s *Server) guarded(route string, deadline time.Duration, weight int64, h h
 		recovered := guard.Recover(route, func(pe *guard.PanicError) {
 			s.metrics.panics.Inc()
 			s.cfg.Logger.Error("panic recovered",
-				slogx.Route(route), slogx.RequestID(reqID), slogx.Err(pe))
-			s.logf("serve: %v\n%s", pe, pe.Stack)
+				slogx.Route(route), slogx.RequestID(reqID), slogx.Err(pe), slogx.Stack(pe.Stack))
 		}, inner)
 		if c := s.metrics.requests[route]; c != nil {
 			c.Inc()
@@ -453,7 +414,7 @@ func (s *Server) guarded(route string, deadline time.Duration, weight int64, h h
 				trace.Attrs{"route": route, "request_id": reqID})
 		}
 		sw := guard.NewStatusRecorder(w)
-		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(sw, r.Body, DefaultMaxBodySize)
 		recovered.ServeHTTP(sw, r)
 		status := sw.Status()
 		if status == 0 {

@@ -19,6 +19,8 @@ import (
 	"trajpattern/internal/core"
 	"trajpattern/internal/datagen"
 	"trajpattern/internal/obs"
+	"trajpattern/internal/obs/slogx"
+	"trajpattern/internal/testutil/jsonlog"
 	"trajpattern/internal/traj"
 )
 
@@ -313,13 +315,14 @@ func TestPanicIsolation(t *testing.T) {
 	// and leave the server serving.
 	reg := obs.New()
 	var logBuf bytes.Buffer
-	s, err := NewServer(Config{Dataset: testDataset(), GridN: 6, Metrics: reg, Log: &logBuf})
+	logger := slogx.New(slogx.Options{Format: "json", W: &logBuf, OmitTime: true})
+	s, err := NewServer(Config{Dataset: testDataset(), GridN: 6, Metrics: reg, Logger: logger})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wrap the handler with a route that panics, sharing the server's
 	// middleware assembly.
-	h := s.guarded("/v1/boom", time.Second, 1, func(w http.ResponseWriter, r *http.Request) {
+	h := s.guarded("/v1/boom", 1, func(w http.ResponseWriter, r *http.Request) {
 		panic("poisoned request")
 	})
 	rec := httptest.NewRecorder()
@@ -327,12 +330,33 @@ func TestPanicIsolation(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking route = %d, want 500", rec.Code)
 	}
-	if !strings.Contains(logBuf.String(), "poisoned request") {
-		t.Error("panic not logged")
+	// A scoring-pool panic reaches the wire through writeScoreError; the
+	// HTTP routes reject every input that could trigger one, so hand it
+	// the typed error directly.
+	rec = httptest.NewRecorder()
+	s.writeScoreError(rec, httptest.NewRequest(http.MethodPost, "/v1/score", nil),
+		&core.ScorePanicError{Index: 1, Value: "poisoned pattern", Stack: "goroutine 7 [running]:"})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("scoring panic = %d, want 500", rec.Code)
+	}
+	// Every line is one JSON record: the handler panic, its request,
+	// then the scoring panic, each panic at error level with its stack.
+	recs := jsonlog.Records(t, logBuf.String())
+	if len(recs) != 3 {
+		t.Fatalf("logged %d records, want 3:\n%s", len(recs), logBuf.String())
+	}
+	for i, want := range map[int]string{0: "poisoned request", 2: "poisoned pattern"} {
+		r := recs[i]
+		if r["level"] != "ERROR" || !strings.Contains(fmt.Sprint(r["error"]), want) {
+			t.Errorf("record %d = %v, want an error naming %q", i, r, want)
+		}
+		if stack, _ := r["stack"].(string); !strings.Contains(stack, "goroutine") {
+			t.Errorf("record %d carries no stack: %v", i, r)
+		}
 	}
 	snap := reg.Snapshot()
-	if snap.Counter("serve.panics") != 1 {
-		t.Errorf("serve.panics = %d, want 1", snap.Counter("serve.panics"))
+	if snap.Counter("serve.panics") != 2 {
+		t.Errorf("serve.panics = %d, want 2", snap.Counter("serve.panics"))
 	}
 	if snap.Counter("serve.status.5xx") != 1 {
 		t.Errorf("serve.status.5xx = %d, want 1", snap.Counter("serve.status.5xx"))
