@@ -66,8 +66,8 @@ type Checkpoint struct {
 // FingerprintMismatchError reports a resume checkpoint taken for a
 // different mining problem (config, seeds, scoring, or dataset). It is
 // permanent: retrying the same run with the same checkpoint can never
-// succeed, so a caller either reports it or discards the checkpoint and
-// mines fresh, as trajserve's re-mine loop does.
+// succeed, so a caller reports it or discards the checkpoint and mines
+// fresh.
 type FingerprintMismatchError struct {
 	// Checkpoint is the fingerprint stored in the checkpoint file.
 	Checkpoint string
@@ -165,12 +165,11 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// LoadResume loads the checkpoint a run resumes from: the one load path
-// of trajmine -resume and trajserve's re-mine loop. A missing file is a
-// fresh start and returns (nil, nil); any other failure, such as an
-// unreadable, torn or corrupt file, is an error. A checkpoint for
-// another problem loads fine here; Mine refuses it with a
-// *FingerprintMismatchError.
+// LoadResume loads the checkpoint a run resumes from: the load path of
+// trajmine -resume. A missing file is a fresh start and returns (nil,
+// nil); any other failure, such as an unreadable, torn or corrupt file,
+// is an error. A checkpoint for another problem loads fine here; Mine
+// refuses it with a *FingerprintMismatchError.
 func LoadResume(path string) (*Checkpoint, error) {
 	ck, err := LoadCheckpoint(path)
 	if errors.Is(err, os.ErrNotExist) {

@@ -64,7 +64,6 @@ func childMain() int {
 			IngestWALDir:    os.Getenv(envWAL),
 			IngestWindow:    window,
 			IngestSyncCount: 8,
-			IngestMineK:     4,
 			Logger:          slogx.New(slogx.Options{Format: "json", W: os.Stderr}),
 		},
 	}, func(addr string) { fmt.Printf("ADDR=%s\n", addr) })

@@ -5,19 +5,14 @@ import (
 	"sort"
 )
 
-// WindowLimits bounds each object's sliding window. Both bounds may be
-// active at once; eviction is oldest-first and deterministic: a window's
-// contents are a pure function of the record sequence applied to it,
-// which is what makes crash-replay convergence checkable byte for byte.
+// WindowLimits bounds each object's sliding window. Eviction is
+// oldest-first and deterministic: a window's contents are a pure function
+// of the record sequence applied to it, which is what makes crash-replay
+// convergence checkable byte for byte.
 type WindowLimits struct {
 	// MaxRecords caps how many records one object retains. Zero means
 	// DefaultMaxRecords.
 	MaxRecords int
-	// MaxAge evicts records older than MaxAge time units behind the
-	// object's latest report (the paper's time axis is unitless model
-	// time, so the bound is a float64 span, not a Duration). Zero means
-	// no age bound.
-	MaxAge float64
 }
 
 // DefaultMaxRecords is the per-object record cap when WindowLimits leaves
@@ -59,8 +54,7 @@ func (w *Windows) LastTime(obj string) (float64, bool) {
 }
 
 // Apply admits one record (already validated and in order) and evicts
-// whatever the limits displace: oldest records beyond MaxRecords, then
-// records more than MaxAge behind the object's new latest time.
+// the oldest records beyond MaxRecords.
 func (w *Windows) Apply(r Record) {
 	ow := w.byObj[r.Obj]
 	if ow == nil {
@@ -69,17 +63,7 @@ func (w *Windows) Apply(r Record) {
 	}
 	ow.recs = append(ow.recs, r)
 	w.total++
-	cut := 0
-	if over := len(ow.recs) - w.limits.MaxRecords; over > cut {
-		cut = over
-	}
-	if w.limits.MaxAge > 0 {
-		horizon := r.Time - w.limits.MaxAge
-		for cut < len(ow.recs)-1 && ow.recs[cut].Time < horizon {
-			cut++
-		}
-	}
-	if cut > 0 {
+	if cut := len(ow.recs) - w.limits.MaxRecords; cut > 0 {
 		// Copy down rather than reslice so evicted records do not pin
 		// the backing array forever.
 		n := copy(ow.recs, ow.recs[cut:])

@@ -22,24 +22,6 @@ func TestWindowCountEviction(t *testing.T) {
 	}
 }
 
-func TestWindowAgeEviction(t *testing.T) {
-	w := NewWindows(WindowLimits{MaxRecords: 100, MaxAge: 10})
-	for _, tm := range []float64{1, 2, 11, 20} {
-		w.Apply(Record{Obj: "z", Time: tm})
-	}
-	snap := w.Snapshot()
-	// Horizon is 20-10=10: records at 1 and 2 age out; 11 and 20 stay.
-	times := []float64{snap[0].Records[0].Time, snap[0].Records[1].Time}
-	if len(snap[0].Records) != 2 || !reflect.DeepEqual(times, []float64{11, 20}) {
-		t.Fatalf("retained times %v, want [11 20]", times)
-	}
-	// The newest record always survives, even alone past the horizon.
-	w.Apply(Record{Obj: "z", Time: 1000})
-	if snap := w.Snapshot(); len(snap[0].Records) != 1 || snap[0].Records[0].Time != 1000 {
-		t.Fatalf("after far-future report: %+v, want only it retained", snap)
-	}
-}
-
 func TestWindowMinLiveSeqAndLastTime(t *testing.T) {
 	w := NewWindows(WindowLimits{MaxRecords: 2})
 	if _, ok := w.MinLiveSeq(); ok {
@@ -67,7 +49,7 @@ func TestWindowMinLiveSeqAndLastTime(t *testing.T) {
 // the property replay convergence rests on.
 func TestWindowSnapshotDeterministic(t *testing.T) {
 	build := func() []ObjectWindow {
-		w := NewWindows(WindowLimits{MaxRecords: 4, MaxAge: 50})
+		w := NewWindows(WindowLimits{MaxRecords: 4})
 		for i := 0; i < 200; i++ {
 			w.Apply(Record{
 				Seq: uint64(i + 1), Obj: string(rune('a' + i%7)),

@@ -24,8 +24,8 @@ import (
 
 // ShedError reports that a request was load-shed at admission: the wait
 // queue is full, or the request can never fit the capacity. The HTTP layer
-// maps it to 429 Too Many Requests with a Retry-After header, the
-// contract the retrying client relies on.
+// maps it to 429 Too Many Requests with a Retry-After header, telling a
+// client when to retry.
 type ShedError struct {
 	// Reason says why the request was shed ("wait queue full", ...).
 	Reason string

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 
 	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
@@ -234,7 +232,9 @@ func (s *Server) generation() ingestGeneration {
 	return s.gen
 }
 
-// remineOnce mines the current windows into the next generation.
+// remineOnce mines the current windows into the next generation. A crash
+// mid-mine needs no checkpoint: WAL replay rebuilds the windows and the
+// restarted server's first generation mines them.
 func (s *Server) remineOnce(ctx context.Context) error {
 	snap := s.ingestPipe.WindowSnapshot()
 	ds := s.windowsToDataset(snap)
@@ -252,35 +252,15 @@ func (s *Server) remineOnce(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("build scorer over ingest windows: %w", err)
 	}
-	mcfg := core.MinerConfig{
-		K:               s.cfg.IngestMineK,
-		MaxWallTime:     s.cfg.MaxMineWallTime,
-		CheckpointPath:  filepath.Join(s.cfg.IngestWALDir, "remine.ckpt"),
-		CheckpointEvery: 4,
-		Metrics:         s.cfg.Metrics,
-		Tracer:          s.cfg.Tracer,
-	}
-	// A checkpoint outlives only a crash mid-mine. Resume it: when replay
-	// rebuilt the identical windows the miner continues where it stopped.
-	// If the windows moved on, the miner refuses the checkpoint as another
-	// problem's; delete it and mine fresh. An unreadable checkpoint is
-	// skipped the same way; the mine's next save replaces it.
-	if ck, err := core.LoadResume(mcfg.CheckpointPath); err == nil {
-		mcfg.Resume = ck
-	}
-	res, err := core.Mine(ctx, scorer, mcfg)
-	var fpErr *core.FingerprintMismatchError
-	if errors.As(err, &fpErr) {
-		os.Remove(mcfg.CheckpointPath) //nolint:errcheck // mismatched checkpoint; best-effort cleanup
-		mcfg.Resume = nil
-		res, err = core.Mine(ctx, scorer, mcfg)
-	}
+	res, err := core.Mine(ctx, scorer, core.MinerConfig{
+		K:           DefaultIngestMineK,
+		MaxWallTime: s.cfg.MaxMineWallTime,
+		Metrics:     s.cfg.Metrics,
+		Tracer:      s.cfg.Tracer,
+	})
 	if err != nil {
 		return err
 	}
-	// The mine is done; the checkpoint served its purpose. Removing it
-	// keeps the next generation from paying a load-and-reject cycle.
-	os.Remove(mcfg.CheckpointPath) //nolint:errcheck // best-effort cleanup
 	objects, records := len(snap), 0
 	for _, ow := range snap {
 		records += len(ow.Records)

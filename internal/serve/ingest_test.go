@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -107,42 +106,103 @@ func TestIngestEndpointTypedRejections(t *testing.T) {
 	}
 }
 
+// TestIngestReplayAcrossRestart: WAL replay is the server's one recovery
+// path. A second server over the same WAL dir rebuilds identical windows,
+// and its first re-mine generation equals the one the first server served
+// over them, keys, NM bits and search work alike. The re-mine loop writes
+// nothing beside the WAL segments, and a stray remine.ckpt (an older
+// binary wrote one per generation) changes neither replay nor the mine.
 func TestIngestReplayAcrossRestart(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	dir := t.TempDir()
+	const records = 36
 	var before []string
+	var want ingestGeneration
+	var scorer *core.Scorer
 	{
 		s, url := newIngestServer(t, dir, nil)
-		for obj := 0; obj < 3; obj++ {
-			for i := 0; i < 5; i++ {
-				resp := ingestReport(t, url, fmt.Sprintf("obj-%d", obj), float64(i), float64(i), float64(obj))
+		for i := 0; i < records/3; i++ {
+			for obj := 0; obj < 3; obj++ {
+				resp := ingestReport(t, url, fmt.Sprintf("obj-%d", obj),
+					float64(i), 0.08*float64(i)+0.01*float64(obj), 0.05*float64(i%6))
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("ingest status = %d", resp.StatusCode)
 				}
 				resp.Body.Close()
 			}
 		}
-		for _, ow := range s.ingestPipe.WindowSnapshot() {
+		want = waitGeneration(t, s, records)
+		if len(want.Patterns) == 0 {
+			t.Fatal("the generation over the full windows mined no patterns")
+		}
+		snap := s.ingestPipe.WindowSnapshot()
+		for _, ow := range snap {
 			before = append(before, fmt.Sprintf("%+v", ow))
+		}
+		ds := s.windowsToDataset(snap)
+		g := cli.FitGrid(ds, s.cfg.GridN)
+		var err error
+		if scorer, err = core.NewScorer(ds, core.Config{Grid: g, Delta: s.cfg.DeltaMul * g.CellWidth()}); err != nil {
+			t.Fatal(err)
 		}
 		if err := s.StopIngest(); err != nil {
 			t.Fatalf("stop: %v", err)
 		}
 	}
-	// A second server over the same WAL dir replays to identical windows.
-	s2, url2 := newIngestServer(t, dir, nil)
-	var after []string
-	for _, ow := range s2.ingestPipe.WindowSnapshot() {
-		after = append(after, fmt.Sprintf("%+v", ow))
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("replayed windows differ:\nbefore %v\nafter  %v", before, after)
+	for _, e := range ents {
+		if ok, _ := filepath.Match("wal-*.seg", e.Name()); !ok {
+			t.Errorf("WAL dir holds %s beside the log segments", e.Name())
+		}
 	}
-	if st := s2.ingestPipe.Stats(); st.Replayed != 15 {
-		t.Fatalf("Replayed = %d, want 15", st.Replayed)
+
+	// restart replays dir into a new server and checks its windows and
+	// its first generation against the first server's.
+	restart := func(name string) (*Server, string) {
+		t.Helper()
+		s, url := newIngestServer(t, dir, nil)
+		var after []string
+		for _, ow := range s.ingestPipe.WindowSnapshot() {
+			after = append(after, fmt.Sprintf("%+v", ow))
+		}
+		if !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: replayed windows differ:\nbefore %v\nafter  %v", name, before, after)
+		}
+		if st := s.ingestPipe.Stats(); st.Replayed != records {
+			t.Fatalf("%s: Replayed = %d, want %d", name, st.Replayed, records)
+		}
+		got := waitGeneration(t, s, records)
+		if got.Generation != 1 || got.Iterations != want.Iterations || got.Candidates != want.Candidates {
+			t.Errorf("%s: generation %d took %d iterations, %d candidates; before the restart %d, %d",
+				name, got.Generation, got.Iterations, got.Candidates, want.Iterations, want.Candidates)
+		}
+		if len(got.Patterns) != len(want.Patterns) {
+			t.Fatalf("%s: %d patterns, before the restart %d", name, len(got.Patterns), len(want.Patterns))
+		}
+		for i, w := range want.Patterns {
+			if p := got.Patterns[i]; p.Pattern.Key() != w.Pattern.Key() || math.Float64bits(p.NM) != math.Float64bits(w.NM) {
+				t.Errorf("%s rank %d: (%s, %v), before the restart (%s, %v)",
+					name, i, p.Pattern.Key(), p.NM, w.Pattern.Key(), w.NM)
+			}
+		}
+		return s, url
 	}
+	s2, _ := restart("restart")
+	if err := s2.StopIngest(); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	// A mid-run checkpoint of the same windows, as an older binary left
+	// one after a crash mid-mine.
+	mcfg := core.MinerConfig{K: DefaultIngestMineK, MaxIters: 2, CheckpointPath: filepath.Join(dir, "remine.ckpt")}
+	if _, err := core.Mine(context.Background(), scorer, mcfg); err != nil {
+		t.Fatal(err)
+	}
+	_, url3 := restart("restart beside a stray remine.ckpt")
 	// Ingest continues where the log left off.
-	resp := ingestReport(t, url2, "obj-0", 100, 1, 1)
+	resp := ingestReport(t, url3, "obj-0", 100, 1, 1)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-replay ingest status = %d", resp.StatusCode)
 	}
@@ -191,7 +251,6 @@ func TestMineServesLatestGeneration(t *testing.T) {
 	reg := obs.New()
 	s, url := newIngestServer(t, t.TempDir(), func(cfg *Config) {
 		cfg.Metrics = reg
-		cfg.IngestMineK = 4
 	})
 	// Feed two objects enough history for a generation to mine.
 	for i := 0; i < 12; i++ {
@@ -204,7 +263,7 @@ func TestMineServesLatestGeneration(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
-	waitGeneration(t, s)
+	waitGeneration(t, s, 1)
 	resp := postJSON(t, url+"/v1/mine", MineRequest{K: 4})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mine status = %d", resp.StatusCode)
@@ -224,109 +283,18 @@ func TestMineServesLatestGeneration(t *testing.T) {
 }
 
 // waitGeneration polls until the asynchronous re-mine loop has served a
-// generation, and returns it.
-func waitGeneration(t *testing.T, s *Server) ingestGeneration {
+// generation over at least the given number of window records, and
+// returns it.
+func waitGeneration(t *testing.T, s *Server, records int) ingestGeneration {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if gen := s.generation(); gen.Generation >= 1 {
+		if gen := s.generation(); gen.Generation >= 1 && gen.Records >= records {
 			return gen
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no re-mine generation completed within 10s")
+			t.Fatalf("no re-mine generation over %d records completed within 10s", records)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestRemineResumesCheckpointAfterRestart: a crash mid-mine leaves
-// <wal>/remine.ckpt behind for the restarted server's first re-mine. A
-// checkpoint of the same windows resumes (no seed is scored again); one
-// taken for another problem is deleted and the windows are mined fresh.
-// Either way the generation equals a clean restart's, keys and NM bits,
-// and the file is gone once the generation is served.
-func TestRemineResumesCheckpointAfterRestart(t *testing.T) {
-	t.Cleanup(leakcheck.Check(t))
-	dir := t.TempDir()
-	ckPath := filepath.Join(dir, "remine.ckpt")
-	mut := func(reg *obs.Registry) func(*Config) {
-		return func(cfg *Config) { cfg.Metrics, cfg.IngestMineK = reg, 4 }
-	}
-	s, url := newIngestServer(t, dir, mut(obs.New()))
-	for i := 0; i < 12; i++ {
-		for obj := 0; obj < 3; obj++ {
-			resp := ingestReport(t, url, fmt.Sprintf("obj-%d", obj),
-				float64(i), 0.08*float64(i)+0.01*float64(obj), 0.05*float64(i%6))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("ingest status = %d", resp.StatusCode)
-			}
-			resp.Body.Close()
-		}
-	}
-	if err := s.StopIngest(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	os.Remove(ckPath) //nolint:errcheck // whatever this loop left is not under test
-
-	// restart replays dir into a new server, takes its first generation
-	// and its miner.seeds count, and stops it.
-	restart := func(t *testing.T) (*Server, ingestGeneration, int64) {
-		t.Helper()
-		reg := obs.New()
-		s, _ := newIngestServer(t, dir, mut(reg))
-		gen := waitGeneration(t, s)
-		if _, err := os.Stat(ckPath); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("remine.ckpt still present after the generation (stat err %v)", err)
-		}
-		if err := s.StopIngest(); err != nil {
-			t.Fatalf("stop: %v", err)
-		}
-		return s, gen, reg.Snapshot().Counters["miner.seeds"]
-	}
-	clean, want, seeds := restart(t)
-	if seeds == 0 || len(want.Patterns) == 0 {
-		t.Fatalf("clean restart: %d seeds, %d patterns", seeds, len(want.Patterns))
-	}
-	// plant cuts the re-mine loop's problem (its windows, grid and δ, top
-	// k) short after two iterations, leaving a mid-run checkpoint.
-	ds := clean.windowsToDataset(clean.ingestPipe.WindowSnapshot())
-	g := cli.FitGrid(ds, clean.cfg.GridN)
-	scorer, err := core.NewScorer(ds, core.Config{Grid: g, Delta: clean.cfg.DeltaMul * g.CellWidth()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plant := func(t *testing.T, k int) {
-		t.Helper()
-		mcfg := core.MinerConfig{K: k, MaxIters: 2, CheckpointPath: ckPath}
-		if _, err := core.Mine(context.Background(), scorer, mcfg); err != nil {
-			t.Fatal(err)
-		}
-		if ck, err := core.LoadCheckpoint(ckPath); err != nil || ck.Iteration >= want.Iterations {
-			t.Fatalf("no mid-run checkpoint planted (err %v; clean run: %d iterations)", err, want.Iterations)
-		}
-	}
-	for _, tc := range []struct {
-		name    string
-		k       int
-		resumed bool
-	}{
-		{"other-problem", clean.cfg.IngestMineK + 1, false},
-		{"same-windows", clean.cfg.IngestMineK, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			plant(t, tc.k)
-			_, got, seeds := restart(t)
-			if resumed := seeds == 0; resumed != tc.resumed {
-				t.Errorf("miner.seeds = %d: resumed = %t, want %t", seeds, resumed, tc.resumed)
-			}
-			if len(got.Patterns) != len(want.Patterns) {
-				t.Fatalf("%d patterns, clean restart %d", len(got.Patterns), len(want.Patterns))
-			}
-			for i, w := range want.Patterns {
-				if p := got.Patterns[i]; p.Pattern.Key() != w.Pattern.Key() || math.Float64bits(p.NM) != math.Float64bits(w.NM) {
-					t.Errorf("rank %d: (%s, %v) != clean restart's (%s, %v)", i, p.Pattern.Key(), p.NM, w.Pattern.Key(), w.NM)
-				}
-			}
-		})
 	}
 }

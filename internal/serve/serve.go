@@ -102,9 +102,6 @@ type Config struct {
 	// IngestFsyncEvery caps how many reports one WAL group commit
 	// covers. Zero means ingest.DefaultFsyncEvery.
 	IngestFsyncEvery int
-	// IngestMineK is the top-k size the re-mining loop asks for. Zero
-	// means DefaultIngestMineK.
-	IngestMineK int
 	// IngestSyncInterval, IngestSyncCount, IngestSyncU and IngestSyncC
 	// define the snapshot schedule the re-mining loop superimposes on
 	// the windowed reports (traj.SyncConfig). Zeros mean 1, 16, 1, 2.
@@ -157,9 +154,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxMineWallTime == 0 && c.Deadline > 0 {
 		c.MaxMineWallTime = c.Deadline * 8 / 10
 	}
-	if c.IngestMineK <= 0 {
-		c.IngestMineK = DefaultIngestMineK
-	}
 	if c.IngestSyncInterval <= 0 {
 		c.IngestSyncInterval = 1
 	}
@@ -175,8 +169,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DefaultIngestMineK is the top-k the re-mining loop maintains when
-// IngestMineK is left zero.
+// DefaultIngestMineK is the top-k the re-mining loop maintains.
 const DefaultIngestMineK = 8
 
 // Server is the trajserve request handler: the scorer and grid are built

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -374,142 +373,6 @@ func TestMetricsRecorded(t *testing.T) {
 	}
 	if snap.Counter("serve.status.2xx") != 1 {
 		t.Errorf("2xx counter = %d, want 1", snap.Counter("serve.status.2xx"))
-	}
-}
-
-func TestClientRetriesOn429ThenSucceeds(t *testing.T) {
-	var calls int
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		if calls < 3 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			io.WriteString(w, `{"error":{"code":"overloaded","message":"busy"}}`)
-			return
-		}
-		io.WriteString(w, `{"scores":[{"cells":[1],"nm":0.5}]}`)
-	}))
-	defer ts.Close()
-
-	var slept []time.Duration
-	c := &Client{
-		BaseURL: ts.URL,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-	}
-	out, err := c.Score(context.Background(), ScoreRequest{Patterns: [][]int{{1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Scores) != 1 || out.Scores[0].NM != 0.5 {
-		t.Fatalf("response = %+v", out)
-	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-	// Retry-After of 1s dominates the 50ms/100ms backoff.
-	for i, d := range slept {
-		if d < time.Second {
-			t.Errorf("sleep %d = %v, want >= 1s (Retry-After honoured)", i, d)
-		}
-	}
-}
-
-func TestClientHonoursHTTPDateRetryAfter(t *testing.T) {
-	var calls int
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls++
-		if calls < 2 {
-			// HTTP-date form: ~30s in the future, which must dominate
-			// the default 50ms backoff.
-			w.Header().Set("Retry-After", time.Now().Add(30*time.Second).UTC().Format(http.TimeFormat))
-			w.WriteHeader(http.StatusServiceUnavailable)
-			io.WriteString(w, `{"error":{"code":"overloaded","message":"busy"}}`)
-			return
-		}
-		io.WriteString(w, `{"scores":[{"cells":[1],"nm":0.5}]}`)
-	}))
-	defer ts.Close()
-
-	var slept []time.Duration
-	c := &Client{
-		BaseURL: ts.URL,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return nil
-		},
-	}
-	if _, err := c.Score(context.Background(), ScoreRequest{Patterns: [][]int{{1}}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(slept) != 1 {
-		t.Fatalf("slept %d times, want 1", len(slept))
-	}
-	// The clock ticked between header construction and parsing, so allow
-	// slack below the nominal 30s.
-	if slept[0] < 25*time.Second || slept[0] > 30*time.Second {
-		t.Errorf("sleep = %v, want ~30s (HTTP-date Retry-After honoured)", slept[0])
-	}
-}
-
-func TestClientDoesNotRetryAnswers(t *testing.T) {
-	for _, status := range []int{http.StatusBadRequest, http.StatusConflict, http.StatusInternalServerError} {
-		var calls int
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			calls++
-			w.WriteHeader(status)
-			io.WriteString(w, `{"error":{"code":"nope","message":"answer"}}`)
-		}))
-		c := &Client{BaseURL: ts.URL, Sleep: func(context.Context, time.Duration) error { return nil }}
-		_, err := c.Score(context.Background(), ScoreRequest{Patterns: [][]int{{1}}})
-		ts.Close()
-		var apiErr *APIError
-		if !errors.As(err, &apiErr) || apiErr.Status != status {
-			t.Fatalf("status %d: err = %v, want *APIError", status, err)
-		}
-		if calls != 1 {
-			t.Errorf("status %d retried: %d calls", status, calls)
-		}
-	}
-}
-
-func TestClientExhaustsRetries(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		io.WriteString(w, `{"error":{"code":"draining","message":"going away"}}`)
-	}))
-	defer ts.Close()
-	c := &Client{
-		BaseURL:     ts.URL,
-		MaxAttempts: 3,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-	}
-	_, err := c.Score(context.Background(), ScoreRequest{Patterns: [][]int{{1}}})
-	var ex *RetriesExhaustedError
-	if !errors.As(err, &ex) || ex.Attempts != 3 {
-		t.Fatalf("err = %v, want RetriesExhaustedError after 3", err)
-	}
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Code != "draining" {
-		t.Errorf("exhausted error does not unwrap to the last APIError: %v", err)
-	}
-}
-
-func TestClientBackoffCapsAndJitters(t *testing.T) {
-	c := &Client{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 400 * time.Millisecond}
-	// attempt 1 → 100ms, 2 → 200ms, 3 → 400ms, 4 → capped 400ms
-	wants := []time.Duration{100, 200, 400, 400}
-	for i, want := range wants {
-		var got time.Duration
-		c.Sleep = func(ctx context.Context, d time.Duration) error { got = d; return nil }
-		if err := c.wait(context.Background(), i+1, nil); err != nil {
-			t.Fatal(err)
-		}
-		if got != want*time.Millisecond {
-			t.Errorf("attempt %d backoff = %v, want %v", i+1, got, want*time.Millisecond)
-		}
 	}
 }
 

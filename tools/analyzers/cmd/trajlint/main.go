@@ -1,13 +1,13 @@
-// Trajlint is the repo's static-analysis suite: nine go/analysis analyzers
+// Trajlint is the repo's static-analysis suite: eight go/analysis analyzers
 // that enforce the reproduction's project-specific invariants — nil-safe
 // instrumentation handles (nilguard), bit-deterministic work in the gated
 // packages (determinism), tolerance-based float comparison in the numeric
 // packages (floatcmp), leak-free file/cursor lifecycles (closepair),
 // first-parameter, never-stored context.Context plumbing in the
-// cancellable packages (ctxfirst), and the concurrency-safety suite over
-// the sharded runtime: single-discipline atomics (atomicmix), lock
-// release/self-deadlock/copy rules (lockdiscipline), joined goroutines
-// (goleak) and bounded channel sends (sendbound).
+// cancellable packages (ctxfirst), and the concurrency-safety suite: lock
+// release and self-deadlock rules (lockdiscipline), joined goroutines
+// (goleak) and bounded channel sends (sendbound). Lock and atomic copies
+// are go vet's copylocks check.
 //
 // It is a unitchecker binary, driven by the go command:
 //
@@ -24,7 +24,6 @@ package main
 import (
 	"golang.org/x/tools/go/analysis/unitchecker"
 
-	"trajpattern/tools/analyzers/atomicmix"
 	"trajpattern/tools/analyzers/closepair"
 	"trajpattern/tools/analyzers/ctxfirst"
 	"trajpattern/tools/analyzers/determinism"
@@ -42,7 +41,6 @@ func main() {
 		floatcmp.Analyzer,
 		closepair.Analyzer,
 		ctxfirst.Analyzer,
-		atomicmix.Analyzer,
 		lockdiscipline.Analyzer,
 		goleak.Analyzer,
 		sendbound.Analyzer,

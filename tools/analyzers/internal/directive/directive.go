@@ -92,11 +92,11 @@ func NewIndex(pass *analysis.Pass, name string) *Index {
 }
 
 // knownAnalyzers lets a malformed directive that still names an analyzer be
-// reported exactly once (by that analyzer) instead of by all nine. Keep in
+// reported exactly once (by that analyzer) instead of by all eight. Keep in
 // sync with cmd/trajlint and tools/ci/check-waivers.sh.
 var knownAnalyzers = []string{
 	"nilguard", "determinism", "floatcmp", "closepair", "ctxfirst",
-	"atomicmix", "lockdiscipline", "goleak", "sendbound",
+	"lockdiscipline", "goleak", "sendbound",
 }
 
 func namesAnyAnalyzer(text string) bool {

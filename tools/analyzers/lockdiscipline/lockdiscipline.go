@@ -13,12 +13,7 @@
 //     RLock-after-RLock — a reader re-entering its own read lock
 //     deadlocks the moment a writer queues between the two acquisitions.
 //
-//  3. No lock copies: a value (non-pointer) parameter, result, receiver,
-//     declaration or assignment whose type contains a sync.Mutex,
-//     sync.RWMutex, sync.WaitGroup, sync.Once or sync.Cond copies live
-//     synchronization state. (go vet's copylocks overlaps here; this pass
-//     keeps the property enforced by the same suite that owns the other
-//     concurrency invariants, with the same waiver syntax.)
+// Lock copies are go vet's copylocks check, which CI runs.
 //
 // The analysis is intraprocedural and tracks locks only when the locked
 // expression is a chain of identifiers and field selections ("mu",
@@ -44,11 +39,10 @@ import (
 	"trajpattern/tools/analyzers/internal/directive"
 )
 
-const doc = `check lock release on all paths, self-deadlock, and lock copies
+const doc = `check lock release on all paths and self-deadlock
 
 Every Lock/RLock must reach its Unlock/RUnlock on every exit path (defer
-covers panic unwinds); re-acquiring a held lock self-deadlocks; and values
-containing sync.Mutex/WaitGroup must not be copied.`
+covers panic unwinds), and re-acquiring a held lock self-deadlocks.`
 
 const name = "lockdiscipline"
 
@@ -66,7 +60,7 @@ func init() {
 		"trajpattern/internal/obs,trajpattern/internal/obs/slogx,trajpattern/internal/trace,"+
 			"trajpattern/internal/serve,trajpattern/internal/serve/guard,trajpattern/internal/serve/chaos,"+
 			"trajpattern/internal/core/shard,"+
-			"trajpattern/internal/retry,trajpattern/internal/cli,trajpattern/internal/ingest,trajpattern/internal/ingest/chaos",
+			"trajpattern/internal/cli,trajpattern/internal/ingest,trajpattern/internal/ingest/chaos",
 		"comma-separated package paths (or /-suffixes) held to the lock discipline")
 }
 
@@ -88,16 +82,12 @@ func run(pass *analysis.Pass) (any, error) {
 				return
 			}
 			body, g = d.Body, cfgs.FuncDecl(d)
-			checkCopySignature(pass, ix, d)
 		case *ast.FuncLit:
 			body, g = d.Body, cfgs.FuncLit(d)
 		}
 		if g != nil {
 			checkPaths(pass, ix, g, body)
 		}
-	})
-	ins.Preorder([]ast.Node{(*ast.AssignStmt)(nil), (*ast.ValueSpec)(nil), (*ast.RangeStmt)(nil)}, func(n ast.Node) {
-		checkCopyStmt(pass, ix, n)
 	})
 	return nil, nil
 }
@@ -390,138 +380,4 @@ func keyDisplay(key string) string {
 		parts[0] = parts[0][i+1:]
 	}
 	return strings.Join(parts, ".")
-}
-
-// --- lock-copy checks ------------------------------------------------------
-
-// containsLock reports whether t transitively contains one of the sync
-// types that must not be copied, returning the offender's name.
-func containsLock(t types.Type) (string, bool) {
-	return containsLockSeen(t, make(map[types.Type]bool))
-}
-
-func containsLockSeen(t types.Type, seen map[types.Type]bool) (string, bool) {
-	if seen[t] {
-		return "", false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond":
-				return "sync." + obj.Name(), true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name, ok := containsLockSeen(u.Field(i).Type(), seen); ok {
-				return name, true
-			}
-		}
-	case *types.Array:
-		return containsLockSeen(u.Elem(), seen)
-	}
-	return "", false
-}
-
-// checkCopySignature reports value receivers, parameters and results whose
-// type contains a lock.
-func checkCopySignature(pass *analysis.Pass, ix *directive.Index, d *ast.FuncDecl) {
-	checkField := func(f *ast.Field, role string) {
-		tv, ok := pass.TypesInfo.Types[f.Type]
-		if !ok || tv.Type == nil {
-			return
-		}
-		if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-			return
-		}
-		if name, has := containsLock(tv.Type); has {
-			ix.Report(pass, analysis.Diagnostic{
-				Pos: f.Pos(),
-				Message: fmt.Sprintf(
-					"%s of %s passes a value containing %s by copy; use a pointer",
-					role, d.Name.Name, name),
-			})
-		}
-	}
-	if d.Recv != nil {
-		for _, f := range d.Recv.List {
-			checkField(f, "receiver")
-		}
-	}
-	if d.Type.Params != nil {
-		for _, f := range d.Type.Params.List {
-			checkField(f, "parameter")
-		}
-	}
-	if d.Type.Results != nil {
-		for _, f := range d.Type.Results.List {
-			checkField(f, "result")
-		}
-	}
-}
-
-// checkCopyStmt reports assignments, declarations and range clauses that
-// copy a value containing a lock. Composite literals and new allocations
-// are not copies of live state and are permitted.
-func checkCopyStmt(pass *analysis.Pass, ix *directive.Index, n ast.Node) {
-	reportCopy := func(pos token.Pos, what string, t types.Type) {
-		if name, has := containsLock(t); has {
-			ix.Report(pass, analysis.Diagnostic{
-				Pos:     pos,
-				Message: fmt.Sprintf("%s copies a value containing %s; use a pointer", what, name),
-			})
-		}
-	}
-	isCopySource := func(e ast.Expr) (types.Type, bool) {
-		e = ast.Unparen(e)
-		switch e.(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-			tv, ok := pass.TypesInfo.Types[e]
-			if !ok || tv.Type == nil {
-				return nil, false
-			}
-			return tv.Type, true
-		}
-		return nil, false
-	}
-	switch s := n.(type) {
-	case *ast.AssignStmt:
-		if len(s.Lhs) != len(s.Rhs) {
-			return
-		}
-		for i, r := range s.Rhs {
-			// `_ = x` evaluates x without retaining a copy.
-			if id, ok := ast.Unparen(s.Lhs[i]).(*ast.Ident); ok && id.Name == "_" {
-				continue
-			}
-			if t, ok := isCopySource(r); ok {
-				reportCopy(r.Pos(), "assignment", t)
-			}
-		}
-	case *ast.ValueSpec:
-		for _, r := range s.Values {
-			if t, ok := isCopySource(r); ok {
-				reportCopy(r.Pos(), "declaration", t)
-			}
-		}
-	case *ast.RangeStmt:
-		if s.Value == nil {
-			return
-		}
-		// The value variable is in define position; its type lives in
-		// Defs, not Types.
-		if id, ok := ast.Unparen(s.Value).(*ast.Ident); ok {
-			if obj, ok := pass.TypesInfo.Defs[id]; ok && obj != nil {
-				reportCopy(s.Value.Pos(), "range clause", obj.Type())
-				return
-			}
-		}
-		if tv, ok := pass.TypesInfo.Types[s.Value]; ok && tv.Type != nil {
-			reportCopy(s.Value.Pos(), "range clause", tv.Type)
-		}
-	}
 }

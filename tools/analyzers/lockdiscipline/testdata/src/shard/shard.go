@@ -99,35 +99,3 @@ func (p *pool) stale() {
 	//trajlint:allow lockdiscipline // want `malformed trajlint directive`
 	p.mu.Lock() // want `p.mu locked here is still held`
 }
-
-// byValue copies the pool (and its mutex) through a value parameter.
-func byValue(p pool) int { // want `parameter of byValue passes a value containing sync.Mutex by copy`
-	return len(p.queues)
-}
-
-// valueReceiver copies the pool on every call.
-func (p pool) valueReceiver() int { // want `receiver of valueReceiver passes a value containing sync.Mutex by copy`
-	return len(p.queues)
-}
-
-// copyAssign copies live lock state into a local.
-func copyAssign(p *pool) {
-	cp := *p // want `assignment copies a value containing sync.Mutex`
-	_ = cp
-}
-
-// rangeCopy copies each element's WaitGroup.
-type job struct {
-	wg sync.WaitGroup
-}
-
-func rangeCopy(jobs []job) {
-	for _, j := range jobs { // want `range clause copies a value containing sync.WaitGroup`
-		_ = j
-	}
-}
-
-// pointers are fine: no copy.
-func byPointer(p *pool) int {
-	return len(p.queues)
-}

@@ -58,7 +58,7 @@ var pkgs string
 
 func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs",
-		"trajpattern/internal/core/shard,trajpattern/internal/retry,"+
+		"trajpattern/internal/core/shard,"+
 			"trajpattern/internal/serve,trajpattern/internal/serve/guard,"+
 			"trajpattern/internal/serve/chaos,trajpattern/internal/cli,trajpattern/internal/trace,"+
 			"trajpattern/internal/obs,trajpattern/internal/obs/slogx,trajpattern/internal/ingest,trajpattern/internal/ingest/chaos",

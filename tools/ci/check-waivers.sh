@@ -23,7 +23,7 @@
 set -euo pipefail
 
 # Keep in sync with cmd/trajlint/main.go and internal/directive.
-KNOWN_ANALYZERS="nilguard|determinism|floatcmp|closepair|ctxfirst|atomicmix|lockdiscipline|goleak|sendbound"
+KNOWN_ANALYZERS="nilguard|determinism|floatcmp|closepair|ctxfirst|lockdiscipline|goleak|sendbound"
 
 fail=0
 
