@@ -22,9 +22,8 @@
 //
 // The -check gate compares the deterministic work counters (NM
 // evaluations, candidates, prunes — identical across machines for a fixed
-// scale and seed) within ±tol percent; add -checktime to also gate on wall
-// time against a baseline produced on the same machine. The command exits
-// non-zero when any experiment fails or the check finds a regression.
+// scale and seed) within ±tol percent. The command exits non-zero when any
+// experiment fails or the check finds a regression.
 package main
 
 import (
@@ -49,7 +48,6 @@ func main() {
 		jsonPath   = flag.String("json", "", "write machine-readable results (bench.json) to this file")
 		checkPath  = flag.String("check", "", "baseline bench.json to compare against; exit non-zero on regression")
 		tol        = flag.Float64("tol", cli.DefaultBenchTolerance, "allowed drift percentage for -check")
-		checkTime  = flag.Bool("checktime", false, "also gate -check on wall time (same-machine baselines only)")
 		trcPath    = flag.String("trace", "", "write a span/event journal (JSONL) here and a Chrome trace to <file>.json")
 		prog       = flag.Bool("progress", false, "print a live one-line progress status to stderr")
 		dbgAddr    = flag.String("debug-addr", "", "serve pprof, expvar, /metrics and /trace/status on this address")
@@ -104,7 +102,6 @@ func main() {
 		JSONPath:    *jsonPath,
 		CheckPath:   *checkPath,
 		TolPct:      *tol,
-		CheckTime:   *checkTime,
 		Tracer:      tracer,
 		Progress:    printer.Update,
 		Holder:      holder,

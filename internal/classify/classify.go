@@ -107,11 +107,17 @@ func (c *Classifier) Score(tr traj.Trajectory) (map[string]float64, error) {
 	}
 	scores := make(map[string]float64, len(c.classes))
 	for _, name := range c.classes {
-		var sum float64
-		for _, sp := range c.model[name] {
-			sum += s.NMTrajectory(sp.Pattern, 0)
+		pats := make([]core.Pattern, len(c.model[name]))
+		for k, sp := range c.model[name] {
+			pats[k] = sp.Pattern
 		}
-		scores[name] = sum / float64(len(c.model[name]))
+		// The scorer holds one trajectory, so LogMatchesAll returns one
+		// log-match per pattern; NM(P, T) is it over len(P).
+		var sum float64
+		for k, lm := range s.LogMatchesAll(pats, nil) {
+			sum += lm / float64(len(pats[k]))
+		}
+		scores[name] = sum / float64(len(pats))
 	}
 	return scores, nil
 }

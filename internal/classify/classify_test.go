@@ -2,9 +2,11 @@ package classify
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"trajpattern/internal/core"
+	"trajpattern/internal/datagen"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/stat"
 	"trajpattern/internal/traj"
@@ -103,6 +105,61 @@ func TestClassifyScores(t *testing.T) {
 	}
 	if _, _, err := c.Classify(nil); err == nil {
 		t.Error("empty trajectory accepted")
+	}
+}
+
+// TestScoreIsMeanNM pins Score to its definition bit for bit: each class
+// score is the mean, over the class's patterns in mined order, of the
+// pattern's NM on a scorer over the trajectory alone. Besides the
+// fixture's test set it scores seeded zebra paths cut to mixed lengths,
+// some shorter than the longest mined pattern, where NM is the floor.
+func TestScoreIsMeanNM(t *testing.T) {
+	g, train, test := twoClassFixture(t)
+	c, err := Train(context.Background(), train, cfg(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for _, name := range c.Classes() {
+		for _, sp := range c.Patterns(name) {
+			longest = max(longest, len(sp.Pattern))
+		}
+	}
+	zebras, err := datagen.ZebraDataset(datagen.ZebraConfig{NumZebras: 30, NumGroups: 3, AvgLen: 12, Seed: 9}, 0.02, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs := append(append(traj.Dataset(nil), test["climbers"]...), test["rowers"]...)
+	short := 0
+	for i, tr := range zebras {
+		tr = tr[:min(len(tr), 1+i%(2*longest))]
+		if len(tr) < longest {
+			short++
+		}
+		trs = append(trs, tr)
+	}
+	if short == 0 {
+		t.Fatalf("no trajectory shorter than the longest pattern (%d)", longest)
+	}
+	for i, tr := range trs {
+		got, err := c.Score(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := core.NewScorer(traj.Dataset{tr}, cfg(g).Scorer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range c.Classes() {
+			pats := c.Patterns(name)
+			var sum float64
+			for _, sp := range pats {
+				sum += s.NM(sp.Pattern)
+			}
+			if want := sum / float64(len(pats)); math.Float64bits(got[name]) != math.Float64bits(want) {
+				t.Errorf("trajectory %d (length %d), class %s: Score %v, mean NM %v", i, len(tr), name, got[name], want)
+			}
+		}
 	}
 }
 

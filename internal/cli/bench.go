@@ -50,12 +50,6 @@ type BenchOptions struct {
 	// TolPct is the allowed drift percentage for CheckPath comparisons.
 	// Zero means DefaultBenchTolerance.
 	TolPct float64
-	// CheckTime additionally gates on wall-clock time (one-sided: slower
-	// than baseline by more than TolPct fails). Off by default because
-	// wall time is only comparable on the machine that produced the
-	// baseline; the default gate uses the deterministic work counters,
-	// which are machine-independent.
-	CheckTime bool
 
 	// Tracer, when non-nil, records spans and events across every
 	// instrumented experiment (the caller writes the files; see SaveTrace).
@@ -223,7 +217,7 @@ func RunBench(ctx context.Context, w io.Writer, o BenchOptions) (*BenchResult, e
 		if tol <= 0 {
 			tol = DefaultBenchTolerance
 		}
-		regressions := CheckRegression(baseline, result, tol, o.CheckTime)
+		regressions := CheckRegression(baseline, result, tol)
 		if len(regressions) > 0 {
 			for _, r := range regressions {
 				fmt.Fprintf(w, "regression: %s\n", r)
@@ -375,9 +369,8 @@ func LoadBenchResult(path string) (*BenchResult, error) {
 // fixed scale and seed, so they are compared two-sided: any drift beyond
 // tolPct — more work (a perf regression) or less (a silently shrunken
 // workload) — is flagged, as is a counter that disappeared. Wall time is
-// compared only when checkTime is set, one-sided (slower fails), because it
-// is only meaningful against a baseline from the same machine.
-func CheckRegression(baseline, current *BenchResult, tolPct float64, checkTime bool) []string {
+// not compared: it depends on the machine.
+func CheckRegression(baseline, current *BenchResult, tolPct float64) []string {
 	var out []string
 	if baseline.Scale != current.Scale || baseline.Seed != current.Seed {
 		return []string{fmt.Sprintf(
@@ -417,13 +410,6 @@ func CheckRegression(baseline, current *BenchResult, tolPct float64, checkTime b
 			if drift > tolPct || drift < -tolPct {
 				out = append(out, fmt.Sprintf("%s: %s = %d vs baseline %d (%+.1f%%, tolerance ±%.4g%%)",
 					id, k, cv, bv, drift, tolPct))
-			}
-		}
-		if checkTime && base.NS > 0 {
-			drift := 100 * (float64(cur.NS) - float64(base.NS)) / float64(base.NS)
-			if drift > tolPct {
-				out = append(out, fmt.Sprintf("%s: wall time %v vs baseline %v (%+.1f%%, tolerance %.4g%%)",
-					id, time.Duration(cur.NS), time.Duration(base.NS), drift, tolPct))
 			}
 		}
 	}

@@ -24,7 +24,7 @@ func fakeBench(ns int64, work map[string]int64) *BenchResult {
 func TestCheckRegressionWithinTolerance(t *testing.T) {
 	base := fakeBench(1000, map[string]int64{"scorer.nm.evals": 100, "miner.candidates.fresh": 50})
 	cur := fakeBench(5000, map[string]int64{"scorer.nm.evals": 110, "miner.candidates.fresh": 45})
-	if got := CheckRegression(base, cur, 15, false); len(got) != 0 {
+	if got := CheckRegression(base, cur, 15); len(got) != 0 {
 		t.Errorf("within-tolerance drift flagged: %v", got)
 	}
 }
@@ -39,7 +39,7 @@ func TestCheckRegressionFlagsDrift(t *testing.T) {
 		{"less work", 80},
 	} {
 		cur := fakeBench(1000, map[string]int64{"scorer.nm.evals": tc.cur})
-		got := CheckRegression(base, cur, 15, false)
+		got := CheckRegression(base, cur, 15)
 		if len(got) != 1 || !strings.Contains(got[0], "scorer.nm.evals") {
 			t.Errorf("%s: got %v, want one scorer.nm.evals violation", tc.name, got)
 		}
@@ -49,7 +49,7 @@ func TestCheckRegressionFlagsDrift(t *testing.T) {
 func TestCheckRegressionMissingCounter(t *testing.T) {
 	base := fakeBench(1000, map[string]int64{"scorer.nm.evals": 100})
 	cur := fakeBench(1000, nil)
-	got := CheckRegression(base, cur, 15, false)
+	got := CheckRegression(base, cur, 15)
 	if len(got) != 1 || !strings.Contains(got[0], "missing") {
 		t.Errorf("missing counter not flagged: %v", got)
 	}
@@ -57,26 +57,11 @@ func TestCheckRegressionMissingCounter(t *testing.T) {
 
 func TestCheckRegressionZeroBaseline(t *testing.T) {
 	base := fakeBench(1000, map[string]int64{"miner.pruned.lowcap": 0})
-	if got := CheckRegression(base, fakeBench(1000, map[string]int64{"miner.pruned.lowcap": 0}), 15, false); len(got) != 0 {
+	if got := CheckRegression(base, fakeBench(1000, map[string]int64{"miner.pruned.lowcap": 0}), 15); len(got) != 0 {
 		t.Errorf("0 == 0 flagged: %v", got)
 	}
-	if got := CheckRegression(base, fakeBench(1000, map[string]int64{"miner.pruned.lowcap": 3}), 15, false); len(got) != 1 {
+	if got := CheckRegression(base, fakeBench(1000, map[string]int64{"miner.pruned.lowcap": 3}), 15); len(got) != 1 {
 		t.Errorf("0 -> 3 not flagged: %v", got)
-	}
-}
-
-func TestCheckRegressionTime(t *testing.T) {
-	base := fakeBench(1000, nil)
-	slow := fakeBench(1300, nil)
-	if got := CheckRegression(base, slow, 15, false); len(got) != 0 {
-		t.Errorf("time gated without -checktime: %v", got)
-	}
-	if got := CheckRegression(base, slow, 15, true); len(got) != 1 {
-		t.Errorf("30%% slowdown not flagged with -checktime: %v", got)
-	}
-	// Faster than baseline never fails.
-	if got := CheckRegression(base, fakeBench(100, nil), 15, true); len(got) != 0 {
-		t.Errorf("speedup flagged: %v", got)
 	}
 }
 
@@ -84,7 +69,7 @@ func TestCheckRegressionIncomparableRuns(t *testing.T) {
 	base := fakeBench(1000, nil)
 	cur := fakeBench(1000, nil)
 	cur.Scale = 0.5
-	got := CheckRegression(base, cur, 15, false)
+	got := CheckRegression(base, cur, 15)
 	if len(got) != 1 || !strings.Contains(got[0], "incomparable") {
 		t.Errorf("scale mismatch not flagged: %v", got)
 	}
@@ -94,7 +79,7 @@ func TestCheckRegressionSkipsUnrunExperiments(t *testing.T) {
 	base := fakeBench(1000, map[string]int64{"scorer.nm.evals": 100})
 	base.Experiments["e7"] = &ExperimentResult{NS: 1, Work: map[string]int64{"scorer.nm.evals": 100}}
 	cur := fakeBench(1000, map[string]int64{"scorer.nm.evals": 100}) // only e3 ran
-	if got := CheckRegression(base, cur, 15, false); len(got) != 0 {
+	if got := CheckRegression(base, cur, 15); len(got) != 0 {
 		t.Errorf("unrun baseline experiment flagged: %v", got)
 	}
 }

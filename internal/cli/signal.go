@@ -18,7 +18,7 @@ var exitFn = os.Exit
 
 // SignalContext returns a child of parent implementing the CLIs'
 // two-stage shutdown on SIGINT/SIGTERM. The first signal cancels the
-// returned context — long-running stages (Mine, RunBench, StreamNM)
+// returned context — long-running stages (Mine, RunBench)
 // then drain gracefully and their callers flush partial results and
 // trace journals. A second signal aborts the process immediately with
 // the conventional exit code 130.

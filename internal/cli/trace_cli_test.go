@@ -390,7 +390,7 @@ func TestRunBenchTraced(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy baseline rejected: %v", err)
 	}
-	if got := CheckRegression(base, res, 15, false); len(got) != 0 {
+	if got := CheckRegression(base, res, 15); len(got) != 0 {
 		t.Errorf("legacy baseline comparison: %v", got)
 	}
 }

@@ -159,10 +159,10 @@ func (c MinerConfig) withDefaults() MinerConfig {
 	return c
 }
 
-// validate rejects miner configurations up front with typed *ConfigError
+// Validate rejects miner configurations up front with typed *ConfigError
 // values, so CLIs and trajserve surface a clean caller-error message
-// instead of a deep panic or silent garbage.
-func (c MinerConfig) validate() error {
+// instead of a deep panic or silent garbage. Mine runs it first.
+func (c MinerConfig) Validate() error {
 	if c.K <= 0 {
 		return cfgErr("MinerConfig", "K", "must be > 0, got %d", c.K)
 	}
@@ -300,7 +300,7 @@ func newMinerMetrics(r *obs.Registry) minerMetrics {
 // Result.Interrupted set — not an error. Real failures (invalid config,
 // a scoring panic, a checkpoint write error) are errors.
 func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()

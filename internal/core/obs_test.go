@@ -117,28 +117,6 @@ func TestMinerMetricsConsistency(t *testing.T) {
 	}
 }
 
-// TestStreamNMMetrics checks the streaming path's instrumentation.
-func TestStreamNMMetrics(t *testing.T) {
-	g := grid.NewSquare(3)
-	data := patternedDatasetPts(5, g, []int{0, 4}, 4, 2, 0.05, 0.02)
-	reg := obs.New()
-	cfg := Config{Grid: g, Delta: g.CellWidth(), Metrics: reg}
-	patterns := []Pattern{{0, 4}, {4, 8}}
-	if _, err := StreamNM(context.Background(), NewSliceCursor(data), cfg, patterns); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counter("stream.trajectories"); got != int64(len(data)) {
-		t.Errorf("stream.trajectories = %d, want %d", got, len(data))
-	}
-	if got := snap.Gauge("stream.patterns"); got != int64(len(patterns)) {
-		t.Errorf("stream.patterns = %d, want %d", got, len(patterns))
-	}
-	if snap.Timers["stream.time.total"].Count != 1 {
-		t.Error("stream.time.total not observed")
-	}
-}
-
 // TestScorerMetricsCacheAccounting pins the cache hit/miss split: Prepare
 // builds each vector once, subsequent lookups hit.
 func TestScorerMetricsCacheAccounting(t *testing.T) {

@@ -74,8 +74,7 @@ type Config struct {
 	// Tracer, when non-nil, records one "scorer.batch" span per ScoreAll
 	// call (patterns and cells per batch) and one "scorer.prepare" span per
 	// Prepare or BestSingularLogProb call (nested in its batch when
-	// ScoreAll prepares) on the run timeline; StreamNM additionally
-	// records a "stream.pass" span per pass. Nil disables tracing at the
+	// ScoreAll prepares) on the run timeline. Nil disables tracing at the
 	// cost of one nil check per batch.
 	Tracer *trace.Tracer
 }
@@ -420,23 +419,11 @@ func (s *Scorer) vectors(p Pattern, dst [][]float64) [][]float64 {
 // shorter reports whether trajectory ti has fewer snapshots than m.
 func (s *Scorer) shorter(ti, m int) bool { return s.offsets[ti+1]-s.offsets[ti] < m }
 
-// NMTrajectory returns NM(P, T) for trajectory index ti: the maximum
-// normalized match over all windows of T with the pattern's length
-// (Equation 4). Trajectories shorter than the pattern contribute the floor
-// value (the worst possible NM), keeping the min-max property intact.
-func (s *Scorer) NMTrajectory(p Pattern, ti int) float64 {
-	if len(p) == 0 {
-		panic("core: NM of empty pattern")
-	}
-	w := s.walkOne(p)
-	defer w.release()
-	w.trajectory(ti)
-	return w.logM[0] / float64(len(p))
-}
-
 // NM returns the normalized match of p in the whole dataset:
-// Σ_T NM(P, T) (Section 3.3), summed in trajectory order. Larger (closer
-// to zero) is better.
+// Σ_T NM(P, T) (Section 3.3), summed in trajectory order. NM(P, T) is the
+// best window's log-match divided by len(p) (Equation 4); a trajectory
+// shorter than p contributes the floor, the worst possible NM, keeping
+// the min-max property intact. Larger (closer to zero) is better.
 func (s *Scorer) NM(p Pattern) float64 {
 	if len(p) == 0 {
 		panic("core: NM of empty pattern")
@@ -485,23 +472,6 @@ func (s *Scorer) LogMatchesAll(patterns []Pattern, dst []float64) []float64 {
 		}
 	}
 	return dst
-}
-
-// MatchTrajectory returns M(P, T) for trajectory ti: the maximum joint
-// probability over windows (Equation 2 with the max of Equation 4 applied
-// to the unnormalized measure, as in [14]). Trajectories shorter than the
-// pattern contribute 0.
-func (s *Scorer) MatchTrajectory(p Pattern, ti int) float64 {
-	if len(p) == 0 {
-		panic("core: match of empty pattern")
-	}
-	if s.shorter(ti, len(p)) {
-		return 0
-	}
-	w := s.walkOne(p)
-	defer w.release()
-	w.trajectory(ti)
-	return math.Exp(w.logM[0])
 }
 
 // Match returns the match of p in the whole dataset: Σ_T M(P, T), the

@@ -91,7 +91,7 @@ func TestNMWindowMaximization(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Pattern{5, 10}
-	got := s.NMTrajectory(p, 0)
+	got := s.NM(p) // one trajectory: NM(P, D) is NM(P, T)
 	// The perfect window: both positions centered on their cells.
 	lp := math.Log(stat.BoxProb2D(a.X, a.Y, 0.05, a.X, a.Y, g.CellWidth()))
 	want := lp // average of two identical log-probs
@@ -437,7 +437,7 @@ func TestBestSingularLogProb(t *testing.T) {
 	for ti := range data {
 		var want float64 = math.Inf(-1)
 		for _, c := range cells {
-			if v := s.NMTrajectory(Pattern{c}, ti); v > want {
+			if v := s.LogMatches(Pattern{c})[ti]; v > want {
 				want = v
 			}
 		}
@@ -570,8 +570,7 @@ func TestNMEmptyPatternPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { s.NM(nil) },
 		func() { s.Match(nil) },
-		func() { s.NMTrajectory(nil, 0) },
-		func() { s.MatchTrajectory(nil, 0) },
+		func() { s.LogMatches(nil) },
 	} {
 		func() {
 			defer func() {

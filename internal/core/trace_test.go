@@ -186,33 +186,6 @@ func TestMinerTraceAttrs(t *testing.T) {
 	}
 }
 
-// TestStreamNMTrace checks the streaming path records one pass span with
-// the trajectory count, and that per-trajectory scorers do not register
-// tracer buffers (the Local count must stay constant per pass).
-func TestStreamNMTrace(t *testing.T) {
-	g := grid.NewSquare(3)
-	data := patternedDatasetPts(5, g, []int{0, 4}, 4, 2, 0.05, 0.02)
-	tr := trace.New()
-	cfg := Config{Grid: g, Delta: g.CellWidth(), Tracer: tr}
-	if _, err := StreamNM(context.Background(), NewSliceCursor(data), cfg, []Pattern{{0, 4}, {4, 8}}); err != nil {
-		t.Fatal(err)
-	}
-	events := tr.Events()
-	if len(events) != 1 {
-		t.Fatalf("got %d trace records, want exactly 1 stream.pass span (no per-trajectory leakage): %v", len(events), events)
-	}
-	e := events[0]
-	if e.Name != "stream.pass" || e.Kind != trace.KindSpan {
-		t.Fatalf("record = %+v, want a stream.pass span", e)
-	}
-	if got := e.Attrs["trajectories"]; got != len(data) {
-		t.Errorf("stream.pass trajectories attr = %v, want %d", got, len(data))
-	}
-	if got := e.Attrs["patterns"]; got != 2 {
-		t.Errorf("stream.pass patterns attr = %v, want 2", got)
-	}
-}
-
 // TestMinerProgress checks the OnProgress callback fires once per
 // iteration with monotonically consistent state.
 func TestMinerProgress(t *testing.T) {

@@ -123,17 +123,37 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
+	wall := s.cfg.MaxMineWallTime
+	if req.MaxWallMS > 0 {
+		if asked := time.Duration(req.MaxWallMS) * time.Millisecond; wall <= 0 || asked < wall {
+			wall = asked
+		}
+	}
+	mcfg := core.MinerConfig{
+		K:           req.K,
+		MinLen:      req.MinLen,
+		MaxLen:      req.MaxLen,
+		MaxWallTime: wall,
+		Metrics:     s.cfg.Metrics,
+		Tracer:      s.cfg.Tracer,
+	}
+	if err := mcfg.Validate(); err != nil {
+		s.writeMineError(w, r, err)
+		return
+	}
 	// An ingest-enabled server mines continuously and serves
 	// best-so-far: once the re-mining loop has completed a generation,
-	// /v1/mine answers from it immediately — flagged degraded while a
-	// newer generation is still being mined — instead of re-running the
-	// search in the request path. Before the first generation (or with
-	// ingest off) the on-demand path below still applies.
+	// /v1/mine answers with at most k of its patterns, best first —
+	// flagged degraded while a newer generation is still being mined —
+	// instead of re-running the search in the request path. Before the
+	// first generation (or with ingest off) the on-demand path below
+	// still applies.
 	if s.ingestEnabled() {
 		if gen := s.generation(); gen.Generation > 0 {
 			mining := s.remineBusy.Load()
+			pats := gen.Patterns[:min(req.K, len(gen.Patterns))]
 			resp := MineResponse{
-				Patterns:        make([]ScoredPatternJSON, len(gen.Patterns)),
+				Patterns:        make([]ScoredPatternJSON, len(pats)),
 				Degraded:        gen.Degraded || mining,
 				InterruptReason: gen.InterruptReason,
 				Iterations:      gen.Iterations,
@@ -143,27 +163,14 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 			if mining && resp.InterruptReason == "" {
 				resp.InterruptReason = "re-mine in flight; serving previous generation"
 			}
-			for i, sp := range gen.Patterns {
+			for i, sp := range pats {
 				resp.Patterns[i] = ScoredPatternJSON{Cells: sp.Pattern, NM: sp.NM}
 			}
 			writeJSON(w, resp)
 			return
 		}
 	}
-	wall := s.cfg.MaxMineWallTime
-	if req.MaxWallMS > 0 {
-		if asked := time.Duration(req.MaxWallMS) * time.Millisecond; wall <= 0 || asked < wall {
-			wall = asked
-		}
-	}
-	res, err := core.Mine(r.Context(), s.scorer, core.MinerConfig{
-		K:           req.K,
-		MinLen:      req.MinLen,
-		MaxLen:      req.MaxLen,
-		MaxWallTime: wall,
-		Metrics:     s.cfg.Metrics,
-		Tracer:      s.cfg.Tracer,
-	})
+	res, err := core.Mine(r.Context(), s.scorer, mcfg)
 	if err != nil {
 		s.writeMineError(w, r, err)
 		return

@@ -252,17 +252,7 @@ func TestMineServesLatestGeneration(t *testing.T) {
 	s, url := newIngestServer(t, t.TempDir(), func(cfg *Config) {
 		cfg.Metrics = reg
 	})
-	// Feed two objects enough history for a generation to mine.
-	for i := 0; i < 12; i++ {
-		for obj := 0; obj < 2; obj++ {
-			resp := ingestReport(t, url, fmt.Sprintf("obj-%d", obj),
-				float64(i), 0.1*float64(i), 0.1*float64(i))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("ingest status = %d", resp.StatusCode)
-			}
-			resp.Body.Close()
-		}
-	}
+	feedTwoObjects(t, url)
 	waitGeneration(t, s, 1)
 	resp := postJSON(t, url+"/v1/mine", MineRequest{K: 4})
 	if resp.StatusCode != http.StatusOK {
@@ -279,6 +269,60 @@ func TestMineServesLatestGeneration(t *testing.T) {
 	}
 	if reg.Snapshot().Counters["serve.ingest.generations"] == 0 {
 		t.Fatal("generation counter never incremented")
+	}
+}
+
+// TestMineOnGenerationValidatesAndCutsToK checks that /v1/mine on an
+// ingest server rejects a bad request as the on-demand path does, before
+// serving a generation, and serves at most k of the generation's
+// patterns, best first.
+func TestMineOnGenerationValidatesAndCutsToK(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	s, url := newIngestServer(t, t.TempDir(), nil)
+	feedTwoObjects(t, url)
+	gen := waitGeneration(t, s, 24)
+	for _, req := range []MineRequest{{K: -1}, {K: 0}, {K: 3, MinLen: 5, MaxLen: 2}} {
+		resp := postJSON(t, url+"/v1/mine", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%+v: status %d, want 400", req, resp.StatusCode)
+		} else if eb := decode[errorBody](t, resp); eb.Error.Code != "bad_config" {
+			t.Errorf("%+v: code %q, want bad_config", req, eb.Error.Code)
+		}
+		resp.Body.Close()
+	}
+	if len(gen.Patterns) <= 3 {
+		t.Fatalf("generation holds %d patterns, want more than 3", len(gen.Patterns))
+	}
+	resp := postJSON(t, url+"/v1/mine", MineRequest{K: 3})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mine status = %d", resp.StatusCode)
+	}
+	mr := decode[MineResponse](t, resp)
+	resp.Body.Close()
+	if len(mr.Patterns) != 3 {
+		t.Fatalf("k=3 served %d patterns", len(mr.Patterns))
+	}
+	for i, p := range mr.Patterns {
+		w := gen.Patterns[i]
+		if core.Pattern(p.Cells).Key() != w.Pattern.Key() || math.Float64bits(p.NM) != math.Float64bits(w.NM) {
+			t.Errorf("rank %d: (%v, %v), generation has (%s, %v)", i, p.Cells, p.NM, w.Pattern.Key(), w.NM)
+		}
+	}
+}
+
+// feedTwoObjects ingests 12 reports for each of two objects, enough
+// history for a generation to mine.
+func feedTwoObjects(t *testing.T, url string) {
+	t.Helper()
+	for i := 0; i < 12; i++ {
+		for obj := 0; obj < 2; obj++ {
+			resp := ingestReport(t, url, fmt.Sprintf("obj-%d", obj),
+				float64(i), 0.1*float64(i), 0.1*float64(i))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest status = %d", resp.StatusCode)
+			}
+			resp.Body.Close()
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ type chromeTrace struct {
 }
 
 // category derives the Chrome trace category from a record name: the
-// leading dot-separated segment ("miner", "scorer", "stream", "groups").
+// leading dot-separated segment ("miner", "scorer", "groups").
 func category(name string) string {
 	if i := strings.IndexByte(name, '.'); i > 0 {
 		return name[:i]

@@ -12,10 +12,8 @@ import (
 )
 
 // The on-disk format is JSON lines: one trajectory per line, encoded as an
-// array of {"mean":{"X":…,"Y":…},"sigma":…} objects. The format is
-// line-oriented so huge datasets can be streamed trajectory by trajectory,
-// matching the paper's observation that the whole input never needs to be
-// resident (Section 4.4).
+// array of {"mean":{"X":…,"Y":…},"sigma":…} objects. Read and ReadFile
+// load a whole dataset; every scoring path scores a resident dataset.
 
 // Write encodes the dataset to w, one trajectory per line.
 func Write(w io.Writer, d Dataset) error {
@@ -83,7 +81,11 @@ func (d *decoder) next() (Trajectory, error) {
 // Read decodes a dataset from r. Blank lines are skipped. Errors carry
 // the 1-based line and record number of the offending input.
 func Read(r io.Reader) (Dataset, error) {
-	d := decoder{br: bufio.NewReader(r)}
+	return readAll(&decoder{br: bufio.NewReader(r)})
+}
+
+// readAll decodes every remaining trajectory of d.
+func readAll(d *decoder) (Dataset, error) {
 	var out Dataset
 	for {
 		t, err := d.next()
@@ -114,49 +116,5 @@ func ReadFile(path string) (Dataset, error) {
 		return nil, fmt.Errorf("traj: %w", err)
 	}
 	defer f.Close()
-	d := decoder{br: bufio.NewReader(f), path: path}
-	var out Dataset
-	for {
-		t, err := d.next()
-		if err != nil {
-			return nil, err
-		}
-		if t == nil {
-			return out, nil
-		}
-		out = append(out, t)
-	}
-}
-
-// Reader streams trajectories from a JSON-lines file one at a time,
-// validating each, so arbitrarily large datasets can be scanned in
-// constant memory (the access pattern §4.4 of the paper relies on).
-type Reader struct {
-	f   *os.File
-	dec decoder
-}
-
-// OpenReader opens the named dataset file for streaming.
-func OpenReader(path string) (*Reader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("traj: %w", err)
-	}
-	return &Reader{f: f, dec: decoder{br: bufio.NewReader(f), path: path}}, nil
-}
-
-// Next returns the next trajectory, or (nil, nil) at end of file. Errors
-// carry the file path and the 1-based line and record number.
-func (r *Reader) Next() (Trajectory, error) {
-	return r.dec.next()
-}
-
-// Close releases the underlying file.
-func (r *Reader) Close() error {
-	if r.f == nil {
-		return nil
-	}
-	err := r.f.Close()
-	r.f = nil
-	return err
+	return readAll(&decoder{br: bufio.NewReader(f), path: path})
 }

@@ -145,65 +145,6 @@ func TestReadFileMissing(t *testing.T) {
 	}
 }
 
-func TestReaderStreaming(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stream.jsonl")
-	d := sampleDataset()
-	if err := WriteFile(path, d); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var got int
-	for {
-		tr, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr == nil {
-			break
-		}
-		if len(tr) != len(d[got]) {
-			t.Errorf("trajectory %d length %d, want %d", got, len(tr), len(d[got]))
-		}
-		got++
-	}
-	if got != len(d) {
-		t.Errorf("streamed %d trajectories, want %d", got, len(d))
-	}
-	// Next after EOF keeps returning (nil, nil).
-	if tr, err := r.Next(); err != nil || tr != nil {
-		t.Errorf("post-EOF Next = %v, %v", tr, err)
-	}
-	// Double close is fine.
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReaderRejectsInvalid(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.jsonl")
-	if err := writeRaw(path, `[{"mean":{"X":0,"Y":0},"sigma":-1}]`+"\n"); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if _, err := r.Next(); err == nil {
-		t.Error("invalid trajectory accepted by streaming reader")
-	}
-	if _, err := OpenReader(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
 func writeRaw(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }

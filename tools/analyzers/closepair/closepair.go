@@ -1,7 +1,7 @@
-// Package closepair checks that every resource acquired from an approved
-// "opener" (os.Open, os.Create, os.OpenFile, traj.OpenReader,
-// core.NewFileCursor, ...) is released on every control-flow path: the
-// generalization of the PR 2 FileCursor fd-leak fix.
+// Package closepair checks that every *os.File acquired from an approved
+// "opener" (os.Open, os.Create, os.OpenFile, os.CreateTemp) is released on
+// every control-flow path, so long experiment sweeps cannot exhaust
+// descriptors.
 //
 // For each call to an opener whose result is bound to a local variable v,
 // the analyzer walks the function's control-flow graph from the open site.
@@ -34,7 +34,7 @@ import (
 	"trajpattern/tools/analyzers/internal/directive"
 )
 
-const doc = `check that opened files and cursors are closed on all control-flow paths
+const doc = `check that opened files are closed on all control-flow paths
 
 Every call to an approved opener must be paired with a Close (or a defer
 that closes) reachable on every path out of the function, excluding the
@@ -53,9 +53,7 @@ var openerList string
 
 func init() {
 	Analyzer.Flags.StringVar(&openerList, "funcs",
-		"os.Open,os.Create,os.OpenFile,os.CreateTemp,"+
-			"trajpattern/internal/traj.OpenReader,"+
-			"trajpattern/internal/core.NewFileCursor",
+		"os.Open,os.Create,os.OpenFile,os.CreateTemp",
 		"comma-separated pkgpath.Func openers whose results must be closed")
 }
 
@@ -259,8 +257,8 @@ func usageEscapes(pass *analysis.Pass, stack []ast.Node, v *types.Var) bool {
 	switch p := parent.(type) {
 	case *ast.SelectorExpr:
 		// v.M(...) — a method call on v keeps ownership local. v.M as a
-		// method value or field read is fine too (fields of a file don't
-		// exist; cursors have none exported).
+		// method value or field read is fine too (an *os.File has no
+		// exported fields).
 		return false
 	case *ast.AssignStmt:
 		// v on the LHS of its defining assignment: the open itself. v on

@@ -2,7 +2,7 @@
 // that enforce the reproduction's project-specific invariants — nil-safe
 // instrumentation handles (nilguard), bit-deterministic work in the gated
 // packages (determinism), tolerance-based float comparison in the numeric
-// packages (floatcmp), leak-free file/cursor lifecycles (closepair),
+// packages (floatcmp), leak-free file lifecycles (closepair),
 // first-parameter, never-stored context.Context plumbing in the
 // cancellable packages (ctxfirst), and the concurrency-safety suite: lock
 // release and self-deadlock rules (lockdiscipline), joined goroutines

@@ -3,12 +3,12 @@
 // context.Context is always the first parameter of the function that uses
 // it, and is never stored in a struct.
 //
-// Both rules come from the cancellation design: Mine, ScoreAll, StreamNM
-// and the cursors thread one request-scoped Context down the call tree, so
-// every hop must accept it positionally (first, named ctx by Go
-// convention) and none may squirrel it away in a field where its lifetime
-// silently outlives the request — a stored Context is how a "cancelled"
-// miner keeps running.
+// Both rules come from the cancellation design: Mine, ScoreAll and
+// RunBench thread one request-scoped Context down the call tree, so every
+// hop must accept it positionally (first, named ctx by Go convention) and
+// none may squirrel it away in a field where its lifetime silently
+// outlives the request — a stored Context is how a "cancelled" miner keeps
+// running.
 //
 // It reports two classes of violation:
 //

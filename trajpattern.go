@@ -167,9 +167,6 @@ func DiscoverGroups(patterns []Pattern, g *Grid, gamma float64) ([]Group, error)
 // every snapshot (Definition 1).
 func Similar(a, b Pattern, g *Grid, gamma float64) bool { return core.Similar(a, b, g, gamma) }
 
-// Explanation breaks a pattern's NM down per trajectory.
-type Explanation = core.Explanation
-
 // Observability. Attach a registry via ScorerConfig.Metrics and
 // MinerConfig.Metrics to collect miner/scorer instrumentation; leaving the
 // fields nil keeps the hot paths free of collection cost.
@@ -219,13 +216,6 @@ func SavePatterns(path string, patterns []ScoredPattern) error {
 // validate callback can reject patterns (e.g. against a grid).
 func LoadPatterns(path string, validate func(Pattern) error) ([]ScoredPattern, error) {
 	return core.LoadPatterns(path, validate)
-}
-
-// StreamNM evaluates patterns against a dataset streamed from a JSON-lines
-// file in one pass with constant memory (§4.4). Cancelling ctx interrupts
-// the scan between records and returns an error.
-func StreamNM(ctx context.Context, path string, cfg ScorerConfig, patterns []Pattern) ([]float64, error) {
-	return core.StreamNM(ctx, core.NewFileCursor(path), cfg, patterns)
 }
 
 // DefaultGamma is the paper's recommended group distance γ = 3σ̄.
