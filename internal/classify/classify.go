@@ -88,12 +88,6 @@ func Train(ctx context.Context, classes map[string]traj.Dataset, cfg Config) (*C
 	return &Classifier{cfg: cfg, classes: names, model: model}, nil
 }
 
-// Classes returns the class names in deterministic order.
-func (c *Classifier) Classes() []string { return append([]string(nil), c.classes...) }
-
-// Patterns returns the mined pattern set of a class (nil if unknown).
-func (c *Classifier) Patterns(class string) []core.ScoredPattern { return c.model[class] }
-
 // Score computes the per-class support of one trajectory: the mean NM of
 // the class's patterns against the trajectory (closer to zero = better
 // match). It returns the scores keyed by class.

@@ -68,7 +68,7 @@ func TestClassifySeparatesClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Classes(); len(got) != 2 || got[0] != "climbers" {
+	if got := c.classes; len(got) != 2 || got[0] != "climbers" {
 		t.Errorf("Classes = %v", got)
 	}
 	acc, confusion, err := c.Evaluate(test)
@@ -120,8 +120,8 @@ func TestScoreIsMeanNM(t *testing.T) {
 		t.Fatal(err)
 	}
 	longest := 0
-	for _, name := range c.Classes() {
-		for _, sp := range c.Patterns(name) {
+	for _, name := range c.classes {
+		for _, sp := range c.model[name] {
 			longest = max(longest, len(sp.Pattern))
 		}
 	}
@@ -150,8 +150,8 @@ func TestScoreIsMeanNM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range c.Classes() {
-			pats := c.Patterns(name)
+		for _, name := range c.classes {
+			pats := c.model[name]
 			var sum float64
 			for _, sp := range pats {
 				sum += s.NM(sp.Pattern)
@@ -160,20 +160,6 @@ func TestScoreIsMeanNM(t *testing.T) {
 				t.Errorf("trajectory %d (length %d), class %s: Score %v, mean NM %v", i, len(tr), name, got[name], want)
 			}
 		}
-	}
-}
-
-func TestPatternsAccessor(t *testing.T) {
-	g, train, _ := twoClassFixture(t)
-	c, err := Train(context.Background(), train, cfg(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Patterns("rowers")) == 0 {
-		t.Error("no patterns for known class")
-	}
-	if c.Patterns("unknown") != nil {
-		t.Error("patterns for unknown class")
 	}
 }
 

@@ -36,8 +36,8 @@ func TestGenerateBus(t *testing.T) {
 	if len(ds) == 0 {
 		t.Fatal("empty bus dataset")
 	}
-	if ds[0].Len() != 100 {
-		t.Errorf("velocity length = %d", ds[0].Len())
+	if len(ds[0]) != 100 {
+		t.Errorf("velocity length = %d", len(ds[0]))
 	}
 }
 

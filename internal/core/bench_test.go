@@ -173,19 +173,3 @@ func BenchmarkDiscoverGroups(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkNMGapDP measures the gap-pattern dynamic program (§5).
-func BenchmarkNMGapDP(b *testing.B) {
-	s := benchScorer(b, ProbBox, true)
-	gp := GapPattern{
-		Segments: []Pattern{{50, 51}, {62}, {75, 76}},
-		MinGap:   []int{0, 1},
-		MaxGap:   []int{3, 4},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.NMGap(gp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

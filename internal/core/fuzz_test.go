@@ -109,34 +109,6 @@ func FuzzParsePattern(f *testing.F) {
 	})
 }
 
-// FuzzSuperPattern checks the consistency of the super-pattern relation
-// under random cell sequences encoded as comma strings.
-func FuzzSuperPattern(f *testing.F) {
-	f.Add("1,2,3", "2,3")
-	f.Add("1", "1")
-	f.Add("5,5,5", "5,5")
-	f.Fuzz(func(t *testing.T, a, b string) {
-		pa, errA := ParsePattern(a)
-		pb, errB := ParsePattern(b)
-		if errA != nil || errB != nil {
-			return
-		}
-		super := pa.IsSuperPatternOf(pb)
-		proper := pa.IsProperSuperPatternOf(pb)
-		if proper && !super {
-			t.Fatal("proper super-pattern that is not a super-pattern")
-		}
-		if super && len(pb) > len(pa) {
-			t.Fatal("super-pattern shorter than sub-pattern")
-		}
-		if super && strings.Count(","+pa.Key()+",", ","+pb.Key()+",") == 0 {
-			// The key of a contiguous sub-pattern must appear inside the
-			// super-pattern's key (with comma delimiters).
-			t.Fatalf("IsSuperPatternOf(%q, %q) true but key not contained", a, b)
-		}
-	})
-}
-
 // FuzzScoreAllMatchesNM checks that ScoreAll returns, for every pattern of
 // an arbitrary batch, the bits per-pattern NM returns. The input encodes
 // the batch: bytes are cells (mod 9), 0xff ends a pattern, and at most

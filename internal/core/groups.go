@@ -29,40 +29,6 @@ func (g Group) PatternLen() int {
 	return len(g.Members[0])
 }
 
-// Representative returns the member with the highest NM under the given
-// scorer — the pattern a user would display for the whole group. It
-// returns the zero value for an empty group.
-func (g Group) Representative(s *Scorer) Pattern {
-	if len(g.Members) == 0 {
-		return nil
-	}
-	best := g.Members[0]
-	bestNM := s.NM(best)
-	for _, m := range g.Members[1:] {
-		if nm := s.NM(m); nm > bestNM {
-			best, bestNM = m, nm
-		}
-	}
-	return best
-}
-
-// Spread returns the largest per-snapshot distance between any two members
-// (always <= the γ the group was built with).
-func (g Group) Spread(gr *grid.Grid) float64 {
-	var max float64
-	for i := 0; i < len(g.Members); i++ {
-		for j := i + 1; j < len(g.Members); j++ {
-			for s := range g.Members[i] {
-				d := gr.CenterAt(g.Members[i][s]).Dist(gr.CenterAt(g.Members[j][s]))
-				if d > max {
-					max = d
-				}
-			}
-		}
-	}
-	return max
-}
-
 // Similar reports whether two patterns of the same length are similar
 // patterns per Definition 1: at every snapshot their positions are within
 // gamma (Euclidean distance between cell centers). Patterns of different

@@ -7,7 +7,6 @@ import (
 
 	"trajpattern/internal/grid"
 	"trajpattern/internal/stat"
-	"trajpattern/internal/traj"
 )
 
 func TestSimilar(t *testing.T) {
@@ -163,37 +162,6 @@ func TestGroupsAllDistantSingletons(t *testing.T) {
 	}
 	if len(groups) != 3 {
 		t.Errorf("expected 3 singletons, got %+v", groups)
-	}
-}
-
-func TestGroupRepresentativeAndSpread(t *testing.T) {
-	g := grid.NewSquare(10)
-	// Data sits dead-center of cell (3,3): the pattern on that cell must
-	// be the representative of any group containing it.
-	center := g.Center(grid.Cell{X: 3, Y: 3})
-	data := traj.Dataset{{
-		{Mean: center, Sigma: 0.02},
-		{Mean: center, Sigma: 0.02},
-	}}
-	s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := Pattern{g.Index(grid.Cell{X: 3, Y: 3}), g.Index(grid.Cell{X: 3, Y: 3})}
-	offGrid := Pattern{g.Index(grid.Cell{X: 4, Y: 3}), g.Index(grid.Cell{X: 4, Y: 3})}
-	grp := Group{Members: []Pattern{offGrid, exact}}
-	if rep := grp.Representative(s); !rep.Equal(exact) {
-		t.Errorf("representative = %v, want %v", rep, exact)
-	}
-	if (Group{}).Representative(s) != nil {
-		t.Error("empty group representative should be nil")
-	}
-	// Spread: members differ by one cell (0.1) at both snapshots.
-	if got := grp.Spread(g); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("Spread = %v, want 0.1", got)
-	}
-	if (Group{Members: []Pattern{exact}}).Spread(g) != 0 {
-		t.Error("singleton spread should be 0")
 	}
 }
 

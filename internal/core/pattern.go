@@ -3,7 +3,7 @@
 // match and normalized-match (NM) measures, the min-max property, the
 // TrajPattern top-k mining algorithm with 1-extension pruning, the
 // pattern-group presentation of the results, and the Section 5 extensions
-// (wildcard/gap patterns and the minimum-length variant).
+// (wildcard patterns and the minimum-length variant).
 package core
 
 import (
@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"trajpattern/internal/geom"
 	"trajpattern/internal/grid"
 )
 
@@ -19,10 +18,6 @@ import (
 // cell indices interpreted as the possible positions of an object at m
 // consecutive snapshots (Section 3.3). The empty pattern is invalid.
 type Pattern []int
-
-// Len returns the pattern length m. A pattern of length 1 is a singular
-// pattern.
-func (p Pattern) Len() int { return len(p) }
 
 // Clone returns a copy of p.
 func (p Pattern) Clone() Pattern { return append(Pattern(nil), p...) }
@@ -77,31 +72,6 @@ func (p Pattern) Concat(q Pattern) Pattern {
 	return append(out, q...)
 }
 
-// IsSuperPatternOf reports whether p is a super-pattern of q per
-// Definition 3: q appears in p as a contiguous segment. Every pattern is a
-// super-pattern of itself; the empty q is not a valid sub-pattern.
-func (p Pattern) IsSuperPatternOf(q Pattern) bool {
-	if len(q) == 0 || len(q) > len(p) {
-		return false
-	}
-outer:
-	for i := 0; i+len(q) <= len(p); i++ {
-		for j := range q {
-			if p[i+j] != q[j] {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// IsProperSuperPatternOf reports whether p is a proper super-pattern of q
-// (a super-pattern that is strictly longer, Definition 3).
-func (p Pattern) IsProperSuperPatternOf(q Pattern) bool {
-	return len(p) > len(q) && p.IsSuperPatternOf(q)
-}
-
 // DropFirst returns p without its first position, or nil for length <= 1.
 func (p Pattern) DropFirst() Pattern {
 	if len(p) <= 1 {
@@ -116,15 +86,6 @@ func (p Pattern) DropLast() Pattern {
 		return nil
 	}
 	return p[:len(p)-1].Clone()
-}
-
-// Centers maps the pattern's cell indices to cell-center points on g.
-func (p Pattern) Centers(g *grid.Grid) []geom.Point {
-	out := make([]geom.Point, len(p))
-	for i, c := range p {
-		out[i] = g.CenterAt(c)
-	}
-	return out
 }
 
 // Validate reports whether every position is a valid cell index of g.

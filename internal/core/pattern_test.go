@@ -49,32 +49,6 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-func TestSuperPattern(t *testing.T) {
-	p := Pattern{1, 2, 3}
-	cases := []struct {
-		sub    Pattern
-		super  bool
-		proper bool
-	}{
-		{Pattern{1, 2, 3}, true, false}, // itself
-		{Pattern{1, 2}, true, true},
-		{Pattern{2, 3}, true, true},
-		{Pattern{2}, true, true},
-		{Pattern{1, 3}, false, false}, // not contiguous
-		{Pattern{3, 2}, false, false},
-		{Pattern{1, 2, 3, 4}, false, false}, // longer
-		{nil, false, false},                 // empty
-	}
-	for _, c := range cases {
-		if got := p.IsSuperPatternOf(c.sub); got != c.super {
-			t.Errorf("IsSuperPatternOf(%v) = %v, want %v", c.sub, got, c.super)
-		}
-		if got := p.IsProperSuperPatternOf(c.sub); got != c.proper {
-			t.Errorf("IsProperSuperPatternOf(%v) = %v, want %v", c.sub, got, c.proper)
-		}
-	}
-}
-
 func TestDropFirstLast(t *testing.T) {
 	p := Pattern{1, 2, 3}
 	if !p.DropFirst().Equal(Pattern{2, 3}) {
@@ -105,10 +79,6 @@ func TestValidateAndCenters(t *testing.T) {
 	if err := (Pattern{16}).Validate(g); err == nil {
 		t.Error("out-of-range cell accepted")
 	}
-	cs := (Pattern{0}).Centers(g)
-	if len(cs) != 1 || cs[0] != g.CenterAt(0) {
-		t.Errorf("Centers = %v", cs)
-	}
 	if (Pattern{0, 5}).Format(g) == "" {
 		t.Error("Format empty")
 	}
@@ -132,26 +102,6 @@ func TestQuickKeyInjective(t *testing.T) {
 			return pa.Key() == pb.Key()
 		}
 		return pa.Key() != pb.Key()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: every contiguous slice of a pattern is a sub-pattern.
-func TestQuickContiguousSubPatterns(t *testing.T) {
-	f := func(raw []uint8, lo, width uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		p := make(Pattern, len(raw))
-		for i, v := range raw {
-			p[i] = int(v)
-		}
-		start := int(lo) % len(p)
-		w := 1 + int(width)%(len(p)-start)
-		sub := p[start : start+w]
-		return p.IsSuperPatternOf(sub)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -138,9 +138,11 @@ func TestNMAprioriCounterexample(t *testing.T) {
 	g := grid.NewSquare(4)
 	weak := g.CenterAt(5)
 	strong := g.CenterAt(10)
+	away := weak.Sub(strong)
+	away = away.Scale(1 / math.Hypot(away.X, away.Y)) // unit vector from cell 10 to cell 5
 	data := traj.Dataset{{
-		{Mean: weak.Add(weak.Sub(g.CenterAt(10)).Unit().Scale(0.12)), Sigma: 0.05}, // offset from cell 5
-		{Mean: strong, Sigma: 0.02}, // dead center of cell 10
+		{Mean: weak.Add(away.Scale(0.12)), Sigma: 0.05}, // offset from cell 5
+		{Mean: strong, Sigma: 0.02},                     // dead center of cell 10
 	}}
 	s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth()})
 	if err != nil {

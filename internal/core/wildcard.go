@@ -9,9 +9,8 @@ import (
 	"strings"
 )
 
-// This file implements the Section 5 extensions: patterns with wild-card
-// ("don't care") positions and gap patterns with a variable number of
-// consecutive wild cards, whose NM is computed by dynamic programming.
+// This file implements the Section 5 extension: patterns with wild-card
+// ("don't care") positions.
 //
 // A wild-card position matches any location with probability 1 and is not
 // counted in the normalization length m, so adding wild cards can never
@@ -35,23 +34,6 @@ func (p WildPattern) SpecifiedLen() int {
 		}
 	}
 	return n
-}
-
-// MaxConsecutiveWildcards returns the longest run of Wildcard positions,
-// the quantity the paper bounds with the parameter d.
-func (p WildPattern) MaxConsecutiveWildcards() int {
-	best, run := 0, 0
-	for _, c := range p {
-		if c == Wildcard {
-			run++
-			if run > best {
-				best = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	return best
 }
 
 // String renders the pattern with "*" for wild cards, e.g. "3,*,*,7".
@@ -114,132 +96,6 @@ func (s *Scorer) NMWild(p WildPattern) (float64, error) {
 			if sum > best {
 				best = sum
 			}
-		}
-		total += best / float64(spec)
-	}
-	return total, nil
-}
-
-// GapPattern is a pattern whose fixed segments are separated by variable
-// gaps: between Segments[i] and Segments[i+1] the trajectory may contain
-// between MinGap[i] and MaxGap[i] snapshots that are not constrained (a
-// variable run of "*"). len(MinGap) == len(MaxGap) == len(Segments)-1.
-type GapPattern struct {
-	Segments []Pattern
-	MinGap   []int
-	MaxGap   []int
-}
-
-// SpecifiedLen returns the total number of specified positions.
-func (p GapPattern) SpecifiedLen() int {
-	n := 0
-	for _, seg := range p.Segments {
-		n += len(seg)
-	}
-	return n
-}
-
-func (p GapPattern) validate() error {
-	if len(p.Segments) == 0 {
-		return fmt.Errorf("core: gap pattern with no segments")
-	}
-	for i, seg := range p.Segments {
-		if len(seg) == 0 {
-			return fmt.Errorf("core: gap pattern segment %d is empty", i)
-		}
-	}
-	if len(p.MinGap) != len(p.Segments)-1 || len(p.MaxGap) != len(p.Segments)-1 {
-		return fmt.Errorf("core: gap pattern needs %d gap bounds, got %d/%d",
-			len(p.Segments)-1, len(p.MinGap), len(p.MaxGap))
-	}
-	for i := range p.MinGap {
-		if p.MinGap[i] < 0 || p.MaxGap[i] < p.MinGap[i] {
-			return fmt.Errorf("core: gap %d has invalid bounds [%d,%d]", i, p.MinGap[i], p.MaxGap[i])
-		}
-	}
-	return nil
-}
-
-// minSpan returns the smallest window length the pattern can occupy.
-func (p GapPattern) minSpan() int {
-	n := p.SpecifiedLen()
-	for _, g := range p.MinGap {
-		n += g
-	}
-	return n
-}
-
-// NMGap returns the normalized match of a gap pattern via the dynamic
-// program the paper sketches: for each trajectory, the best total
-// log-probability over all placements of the segments respecting the gap
-// bounds, normalized by the number of specified positions; per-trajectory
-// values are summed over the dataset.
-func (s *Scorer) NMGap(p GapPattern) (float64, error) {
-	if err := p.validate(); err != nil {
-		return 0, err
-	}
-	spec := p.SpecifiedLen()
-	// Cache segment vectors once.
-	segVecs := make([][][]float64, len(p.Segments))
-	for i, seg := range p.Segments {
-		segVecs[i] = s.vectors(seg, nil)
-	}
-
-	var total float64
-	for ti := range s.data {
-		start, end := s.offsets[ti], s.offsets[ti+1]
-		L := end - start
-		if L < p.minSpan() {
-			total += DefaultLogFloor
-			continue
-		}
-		// segScore[i][w] = log-match of segment i anchored at window
-		// offset w (within this trajectory).
-		segScore := make([][]float64, len(p.Segments))
-		for i, seg := range p.Segments {
-			m := len(seg)
-			scores := make([]float64, L-m+1)
-			for w := 0; w+m <= L; w++ {
-				var sum float64
-				for j := 0; j < m; j++ {
-					sum += segVecs[i][j][start+w+j]
-				}
-				scores[w] = sum
-			}
-			segScore[i] = scores
-		}
-		// DP over segments: best[i][w] = best total log-match of segments
-		// 0..i with segment i anchored at w.
-		prev := segScore[0]
-		for i := 1; i < len(p.Segments); i++ {
-			segLen := len(p.Segments[i-1])
-			cur := make([]float64, len(segScore[i]))
-			for w := range cur {
-				best := math.Inf(-1)
-				// Segment i-1 anchored at u ends at u+segLen-1; the gap is
-				// w - (u+segLen), constrained to [MinGap, MaxGap].
-				for gap := p.MinGap[i-1]; gap <= p.MaxGap[i-1]; gap++ {
-					u := w - gap - segLen
-					if u < 0 || u >= len(prev) {
-						continue
-					}
-					if prev[u] > best {
-						best = prev[u]
-					}
-				}
-				cur[w] = best + segScore[i][w]
-			}
-			prev = cur
-		}
-		best := math.Inf(-1)
-		for _, v := range prev {
-			if v > best {
-				best = v
-			}
-		}
-		if math.IsInf(best, -1) {
-			total += DefaultLogFloor
-			continue
 		}
 		total += best / float64(spec)
 	}

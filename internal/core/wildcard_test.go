@@ -14,14 +14,8 @@ func TestWildPatternBasics(t *testing.T) {
 	if p.SpecifiedLen() != 2 {
 		t.Errorf("SpecifiedLen = %d", p.SpecifiedLen())
 	}
-	if p.MaxConsecutiveWildcards() != 2 {
-		t.Errorf("MaxConsecutiveWildcards = %d", p.MaxConsecutiveWildcards())
-	}
 	if p.String() != "3,*,*,7" {
 		t.Errorf("String = %q", p.String())
-	}
-	if (WildPattern{1, 2}).MaxConsecutiveWildcards() != 0 {
-		t.Error("no-wildcard run should be 0")
 	}
 }
 
@@ -82,92 +76,6 @@ func TestNMWildSkipsNoisyMiddle(t *testing.T) {
 	}
 	if wild <= exactBest {
 		t.Errorf("wildcard NM %v should beat best exact middle %v", wild, exactBest)
-	}
-}
-
-func TestGapPatternValidation(t *testing.T) {
-	s := testScorer(t, randomDataset(3, 2, 10, 0.1), 4)
-	bad := []GapPattern{
-		{},
-		{Segments: []Pattern{{1}, {}}, MinGap: []int{0}, MaxGap: []int{1}},
-		{Segments: []Pattern{{1}, {2}}, MinGap: []int{0}, MaxGap: nil},
-		{Segments: []Pattern{{1}, {2}}, MinGap: []int{-1}, MaxGap: []int{1}},
-		{Segments: []Pattern{{1}, {2}}, MinGap: []int{2}, MaxGap: []int{1}},
-	}
-	for i, p := range bad {
-		if _, err := s.NMGap(p); err == nil {
-			t.Errorf("bad gap pattern %d accepted", i)
-		}
-	}
-}
-
-func TestNMGapZeroGapMatchesNM(t *testing.T) {
-	s := testScorer(t, randomDataset(4, 3, 12, 0.1), 4)
-	p := GapPattern{
-		Segments: []Pattern{{3, 7}, {11}},
-		MinGap:   []int{0},
-		MaxGap:   []int{0},
-	}
-	got, err := s.NMGap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := s.NM(Pattern{3, 7, 11}); math.Abs(got-want) > 1e-12 {
-		t.Errorf("zero-gap NM = %v, contiguous NM = %v", got, want)
-	}
-}
-
-func TestNMGapFixedGapMatchesWildcards(t *testing.T) {
-	s := testScorer(t, randomDataset(5, 3, 12, 0.1), 4)
-	gp := GapPattern{
-		Segments: []Pattern{{3}, {11}},
-		MinGap:   []int{2},
-		MaxGap:   []int{2},
-	}
-	got, err := s.NMGap(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := s.NMWild(WildPattern{3, Wildcard, Wildcard, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("fixed-gap NM = %v, wildcard NM = %v", got, want)
-	}
-}
-
-func TestNMGapFlexibleBeatsFixed(t *testing.T) {
-	// A flexible gap can only do at least as well as any fixed gap within
-	// its bounds.
-	s := testScorer(t, randomDataset(6, 4, 15, 0.1), 4)
-	flex := GapPattern{Segments: []Pattern{{3}, {11}}, MinGap: []int{0}, MaxGap: []int{3}}
-	flexNM, err := s.NMGap(flex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gap := 0; gap <= 3; gap++ {
-		fixed := GapPattern{Segments: []Pattern{{3}, {11}}, MinGap: []int{gap}, MaxGap: []int{gap}}
-		fixedNM, err := s.NMGap(fixed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fixedNM > flexNM+1e-9 {
-			t.Errorf("fixed gap %d NM %v beats flexible NM %v", gap, fixedNM, flexNM)
-		}
-	}
-}
-
-func TestNMGapShortTrajectoryFloor(t *testing.T) {
-	data := traj.Dataset{{traj.P(0.5, 0.5, 0.1), traj.P(0.5, 0.5, 0.1)}}
-	s := testScorer(t, data, 4)
-	gp := GapPattern{Segments: []Pattern{{5}, {5}}, MinGap: []int{3}, MaxGap: []int{5}}
-	got, err := s.NMGap(gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != DefaultLogFloor {
-		t.Errorf("short trajectory gap NM = %v, want floor", got)
 	}
 }
 

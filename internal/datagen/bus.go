@@ -147,19 +147,6 @@ func stopArcs(loopLen float64, n int) []float64 {
 	return arcs
 }
 
-// BusPaths returns just the true paths of Buses, in trace order.
-func BusPaths(cfg BusConfig) ([][]geom.Point, error) {
-	traces, err := Buses(cfg)
-	if err != nil {
-		return nil, err
-	}
-	paths := make([][]geom.Point, len(traces))
-	for i, tr := range traces {
-		paths[i] = tr.Path
-	}
-	return paths, nil
-}
-
 // makeRoute builds a closed rectilinear route: buses drive city blocks, so
 // the loop is an axis-aligned rectangle on a street grid with one or two
 // rectangular notches. Rectilinear routes concentrate the velocity

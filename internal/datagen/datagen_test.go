@@ -56,7 +56,7 @@ func TestBusesSameRouteSharesGeometry(t *testing.T) {
 		}
 		a := geom.BoundingRect(ts[0].Path)
 		b := geom.BoundingRect(ts[1].Path)
-		if !a.Intersects(b) {
+		if a.Min.X > b.Max.X || b.Min.X > a.Max.X || a.Min.Y > b.Max.Y || b.Min.Y > a.Max.Y {
 			t.Errorf("route %d buses do not overlap: %v vs %v", r, a, b)
 		}
 	}
@@ -229,8 +229,8 @@ func TestTPRDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds) != 5 || ds[0].Len() != 20 {
-		t.Fatalf("dataset shape wrong: %d × %d", len(ds), ds[0].Len())
+	if len(ds) != 5 || len(ds[0]) != 20 {
+		t.Fatalf("dataset shape wrong: %d × %d", len(ds), len(ds[0]))
 	}
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)

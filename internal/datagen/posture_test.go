@@ -94,8 +94,8 @@ func TestPostureDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ds) != 5 || ds[0].Len() != 20 {
-		t.Fatalf("dataset shape %d × %d", len(ds), ds[0].Len())
+	if len(ds) != 5 || len(ds[0]) != 20 {
+		t.Fatalf("dataset shape %d × %d", len(ds), len(ds[0]))
 	}
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)

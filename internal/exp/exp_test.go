@@ -71,8 +71,8 @@ func TestMakeBusData(t *testing.T) {
 	if len(data.Velocities) != len(data.Locations) {
 		t.Errorf("velocity/location count mismatch")
 	}
-	if data.Velocities[0].Len() != 100 {
-		t.Errorf("velocity length = %d, want 100", data.Velocities[0].Len())
+	if len(data.Velocities[0]) != 100 {
+		t.Errorf("velocity length = %d, want 100", len(data.Velocities[0]))
 	}
 	if _, err := data.Scorer(); err != nil {
 		t.Fatal(err)

@@ -28,56 +28,12 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
 
-// Dot returns the dot product of p and q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
-
-// Norm returns the Euclidean length of p.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
-
-// DistSq returns the squared Euclidean distance between p and q.
-func (p Point) DistSq(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
-// ChebyshevDist returns the L∞ distance between p and q. The pattern-group
-// similarity test of the paper ("distance no larger than γ at every
-// snapshot") is evaluated with the caller's choice of metric; Chebyshev is
-// the natural companion of a rectangular grid.
-func (p Point) ChebyshevDist(q Point) float64 {
-	return math.Max(math.Abs(p.X-q.X), math.Abs(p.Y-q.Y))
-}
-
-// ManhattanDist returns the L1 distance between p and q.
-func (p Point) ManhattanDist(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
 
 // Lerp linearly interpolates between p (t=0) and q (t=1).
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + (q.X-p.X)*t, p.Y + (q.Y-p.Y)*t}
-}
-
-// Rotate returns p rotated by theta radians around the origin.
-func (p Point) Rotate(theta float64) Point {
-	s, c := math.Sin(theta), math.Cos(theta)
-	return Point{p.X*c - p.Y*s, p.X*s + p.Y*c}
-}
-
-// Angle returns the angle of the vector p in radians, in (-π, π].
-func (p Point) Angle() float64 { return math.Atan2(p.Y, p.X) }
-
-// Unit returns p normalized to length 1. The zero vector is returned
-// unchanged.
-func (p Point) Unit() Point {
-	n := p.Norm()
-	if n == 0 {
-		return p
-	}
-	return p.Scale(1 / n)
 }
 
 // IsFinite reports whether both coordinates are finite numbers.
@@ -113,9 +69,6 @@ func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
@@ -138,20 +91,6 @@ func (r Rect) Clamp(p Point) Point {
 // result is normalized so Min <= Max still holds.
 func (r Rect) Expand(d float64) Rect {
 	return NewRect(Point{r.Min.X - d, r.Min.Y - d}, Point{r.Max.X + d, r.Max.Y + d})
-}
-
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
-}
-
-// Intersects reports whether r and s share any point.
-func (r Rect) Intersects(s Rect) bool {
-	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
-		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
 // String implements fmt.Stringer.

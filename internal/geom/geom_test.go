@@ -19,24 +19,12 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != Pt(2, 4) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := p.Dot(q); got != 3-8 {
-		t.Errorf("Dot = %v", got)
-	}
 }
 
 func TestDistances(t *testing.T) {
 	p, q := Pt(0, 0), Pt(3, 4)
 	if got := p.Dist(q); got != 5 {
 		t.Errorf("Dist = %v, want 5", got)
-	}
-	if got := p.DistSq(q); got != 25 {
-		t.Errorf("DistSq = %v, want 25", got)
-	}
-	if got := p.ChebyshevDist(q); got != 4 {
-		t.Errorf("ChebyshevDist = %v, want 4", got)
-	}
-	if got := p.ManhattanDist(q); got != 7 {
-		t.Errorf("ManhattanDist = %v, want 7", got)
 	}
 }
 
@@ -50,23 +38,6 @@ func TestLerp(t *testing.T) {
 	}
 	if got := p.Lerp(q, 0.5); got != Pt(5, 10) {
 		t.Errorf("Lerp(0.5) = %v", got)
-	}
-}
-
-func TestRotate(t *testing.T) {
-	p := Pt(1, 0)
-	got := p.Rotate(math.Pi / 2)
-	if !almostEq(got.X, 0, 1e-12) || !almostEq(got.Y, 1, 1e-12) {
-		t.Errorf("Rotate(π/2) = %v, want (0,1)", got)
-	}
-}
-
-func TestUnit(t *testing.T) {
-	if got := Pt(3, 4).Unit(); !almostEq(got.Norm(), 1, 1e-12) {
-		t.Errorf("Unit norm = %v", got.Norm())
-	}
-	if got := Pt(0, 0).Unit(); got != Pt(0, 0) {
-		t.Errorf("Unit of zero = %v", got)
 	}
 }
 
@@ -84,8 +55,8 @@ func TestRectBasics(t *testing.T) {
 	if r.Min != Pt(0, 1) || r.Max != Pt(2, 3) {
 		t.Fatalf("NewRect normalization failed: %v", r)
 	}
-	if r.Width() != 2 || r.Height() != 2 || r.Area() != 4 {
-		t.Errorf("dims: w=%v h=%v a=%v", r.Width(), r.Height(), r.Area())
+	if r.Width() != 2 || r.Height() != 2 {
+		t.Errorf("dims: w=%v h=%v", r.Width(), r.Height())
 	}
 	if r.Center() != Pt(1, 2) {
 		t.Errorf("Center = %v", r.Center())
@@ -105,17 +76,6 @@ func TestRectClampExpandUnion(t *testing.T) {
 	}
 	if got := r.Expand(0.5); got.Min != Pt(-0.5, -0.5) || got.Max != Pt(1.5, 1.5) {
 		t.Errorf("Expand = %v", got)
-	}
-	s := NewRect(Pt(2, 2), Pt(3, 3))
-	u := r.Union(s)
-	if u.Min != Pt(0, 0) || u.Max != Pt(3, 3) {
-		t.Errorf("Union = %v", u)
-	}
-	if r.Intersects(s) {
-		t.Error("disjoint rects reported intersecting")
-	}
-	if !r.Intersects(NewRect(Pt(0.5, 0.5), Pt(2, 2))) {
-		t.Error("overlapping rects reported disjoint")
 	}
 }
 
@@ -171,26 +131,10 @@ func TestQuickTriangleInequality(t *testing.T) {
 			return true
 		}
 		// Guard against overflow for huge random values.
-		if a.Norm() > 1e150 || b.Norm() > 1e150 || c.Norm() > 1e150 {
+		if math.Hypot(a.X, a.Y) > 1e150 || math.Hypot(b.X, b.Y) > 1e150 || math.Hypot(c.X, c.Y) > 1e150 {
 			return true
 		}
 		return a.Dist(c) <= a.Dist(b)+b.Dist(c)+1e-9*(1+a.Dist(c))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Chebyshev <= Euclid <= Manhattan for any pair of points.
-func TestQuickMetricOrdering(t *testing.T) {
-	f := func(ax, ay, bx, by float64) bool {
-		a, b := Pt(ax, ay), Pt(bx, by)
-		if !a.IsFinite() || !b.IsFinite() || a.Norm() > 1e150 || b.Norm() > 1e150 {
-			return true
-		}
-		d2, dInf, d1 := a.Dist(b), a.ChebyshevDist(b), a.ManhattanDist(b)
-		eps := 1e-9 * (1 + d1)
-		return dInf <= d2+eps && d2 <= d1+eps
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -66,9 +66,6 @@ func (g *Grid) NumCells() int { return g.nx * g.ny }
 // CellWidth returns gₓ, the horizontal extent of one cell.
 func (g *Grid) CellWidth() float64 { return g.cw }
 
-// CellHeight returns g_y, the vertical extent of one cell.
-func (g *Grid) CellHeight() float64 { return g.ch }
-
 // CellOf returns the cell containing p. Points outside the bounds are
 // clamped to the nearest boundary cell, so every point maps to a valid cell.
 func (g *Grid) CellOf(p geom.Point) Cell {
@@ -118,15 +115,6 @@ func (g *Grid) Center(c Cell) geom.Point {
 // CenterAt returns the center point of the cell with flat index idx.
 func (g *Grid) CenterAt(idx int) geom.Point { return g.Center(g.CellAt(idx)) }
 
-// CellRect returns the rectangle covered by cell c.
-func (g *Grid) CellRect(c Cell) geom.Rect {
-	min := geom.Point{
-		X: g.bounds.Min.X + float64(c.X)*g.cw,
-		Y: g.bounds.Min.Y + float64(c.Y)*g.ch,
-	}
-	return geom.Rect{Min: min, Max: geom.Point{X: min.X + g.cw, Y: min.Y + g.ch}}
-}
-
 // Neighbors returns the flat indices of the cells within Chebyshev distance
 // r (in cells) of the cell with flat index idx, excluding idx itself. The
 // result is ordered row-major for determinism.
@@ -141,24 +129,6 @@ func (g *Grid) Neighbors(idx, r int) []int {
 			n := Cell{X: c.X + dx, Y: c.Y + dy}
 			if n.X >= 0 && n.X < g.nx && n.Y >= 0 && n.Y < g.ny {
 				out = append(out, g.Index(n))
-			}
-		}
-	}
-	return out
-}
-
-// CellsNear returns the flat indices of all cells whose center lies within
-// Euclidean distance d of point p, ordered by flat index. The singular
-// pattern seeding of the miners uses this to restrict candidate positions.
-func (g *Grid) CellsNear(p geom.Point, d float64) []int {
-	lo := g.CellOf(geom.Point{X: p.X - d, Y: p.Y - d})
-	hi := g.CellOf(geom.Point{X: p.X + d, Y: p.Y + d})
-	var out []int
-	for y := lo.Y; y <= hi.Y; y++ {
-		for x := lo.X; x <= hi.X; x++ {
-			c := Cell{X: x, Y: y}
-			if g.Center(c).Dist(p) <= d {
-				out = append(out, g.Index(c))
 			}
 		}
 	}

@@ -7,6 +7,15 @@ import (
 	"trajpattern/internal/geom"
 )
 
+// cellRect returns the rectangle covered by cell c.
+func cellRect(g *Grid, c Cell) geom.Rect {
+	min := geom.Point{
+		X: g.bounds.Min.X + float64(c.X)*g.cw,
+		Y: g.bounds.Min.Y + float64(c.Y)*g.ch,
+	}
+	return geom.Rect{Min: min, Max: geom.Point{X: min.X + g.cw, Y: min.Y + g.ch}}
+}
+
 func TestNewValidation(t *testing.T) {
 	for _, bad := range []func(){
 		func() { New(geom.UnitSquare(), 0, 1) },
@@ -29,8 +38,8 @@ func TestBasicGeometry(t *testing.T) {
 	if g.NumCells() != 100 || g.NX() != 10 || g.NY() != 10 {
 		t.Fatalf("shape wrong: %v", g)
 	}
-	if g.CellWidth() != 0.1 || g.CellHeight() != 0.1 {
-		t.Errorf("cell size %v×%v", g.CellWidth(), g.CellHeight())
+	if g.CellWidth() != 0.1 || g.ch != 0.1 {
+		t.Errorf("cell size %v×%v", g.CellWidth(), g.ch)
 	}
 	c := g.CellOf(geom.Pt(0.05, 0.05))
 	if c != (Cell{0, 0}) {
@@ -65,7 +74,7 @@ func TestIndexRoundTrip(t *testing.T) {
 		if g.Index(c) != idx {
 			t.Fatalf("round trip failed at %d -> %v", idx, c)
 		}
-		if !g.CellRect(c).Contains(g.Center(c)) {
+		if !cellRect(g, c).Contains(g.Center(c)) {
 			t.Fatalf("center of %v outside its rect", c)
 		}
 		if g.IndexOf(g.Center(c)) != idx {
@@ -115,28 +124,6 @@ func TestNeighbors(t *testing.T) {
 	}
 }
 
-func TestCellsNear(t *testing.T) {
-	g := NewSquare(10)
-	p := g.Center(Cell{5, 5})
-	// Only the containing cell within a tiny radius.
-	near := g.CellsNear(p, 0.01)
-	if len(near) != 1 || near[0] != g.Index(Cell{5, 5}) {
-		t.Errorf("tiny radius = %v", near)
-	}
-	// Radius of one cell width (with slack for float rounding of the
-	// center spacing) includes the 4 axis neighbors.
-	near = g.CellsNear(p, 0.1+1e-9)
-	if len(near) != 5 {
-		t.Errorf("axis radius count = %d, want 5 (%v)", len(near), near)
-	}
-	// All returned centers really are within d.
-	for _, idx := range g.CellsNear(p, 0.25) {
-		if g.CenterAt(idx).Dist(p) > 0.25 {
-			t.Errorf("cell %d center too far", idx)
-		}
-	}
-}
-
 // Property: every finite point maps to a valid cell whose rect (expanded by
 // eps for boundary points) contains the clamped point.
 func TestQuickCellOfValid(t *testing.T) {
@@ -151,7 +138,7 @@ func TestQuickCellOfValid(t *testing.T) {
 			return false
 		}
 		clamped := g.Bounds().Clamp(p)
-		return g.CellRect(c).Expand(1e-9).Contains(clamped)
+		return cellRect(g, c).Expand(1e-9).Contains(clamped)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

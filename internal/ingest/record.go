@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-
-	"trajpattern/internal/geom"
 )
 
 // Record is one accepted location report as persisted in the WAL: the
@@ -41,9 +39,6 @@ type Record struct {
 	X    float64 `json:"x"`
 	Y    float64 `json:"y"`
 }
-
-// Loc returns the reported location as a geom.Point.
-func (r Record) Loc() geom.Point { return geom.Pt(r.X, r.Y) }
 
 // Wire framing: every record is
 //

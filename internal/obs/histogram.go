@@ -89,27 +89,6 @@ func (h *Histogram) Start() (stop func()) {
 	return func() { h.ObserveDuration(time.Since(start)) }
 }
 
-// Count returns the number of observations (0 for a nil histogram),
-// derived from the bucket counts.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observed values (0 for a nil histogram).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.load()
-}
-
 // HistogramStat is the snapshot form of one Histogram. Bounds and Counts
 // are parallel except that Counts carries one extra trailing entry, the
 // +Inf overflow bucket; counts are per-bucket, not cumulative.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -13,12 +14,12 @@ func TestHistogramNilSafe(t *testing.T) {
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
 	h.Start()()
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("nil histogram reported Count=%d Sum=%g", h.Count(), h.Sum())
-	}
 	var r *Registry
 	if r.Histogram("x") != nil || r.HistogramWith("x", []float64{1}) != nil {
 		t.Fatal("nil registry must hand out nil histograms")
+	}
+	if hs := r.Snapshot().Histograms; hs != nil {
+		t.Fatalf("nil registry snapshot has histograms: %+v", hs)
 	}
 }
 
@@ -39,8 +40,8 @@ func TestHistogramBucketing(t *testing.T) {
 			t.Fatalf("bucket %d: got %d want %d (counts %v)", i, s.Counts[i], w, s.Counts)
 		}
 	}
-	if s.Count != 7 || h.Count() != 7 {
-		t.Fatalf("Count: snapshot %d, live %d, want 7", s.Count, h.Count())
+	if s.Count != 7 {
+		t.Fatalf("Count %d, want 7", s.Count)
 	}
 	if got, want := s.Sum, 0.5+1+1.5+2+3+4+100; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Sum %g, want %g", got, want)
@@ -95,7 +96,7 @@ func TestHistogramConcurrentConsistency(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := h.Count(); got != goroutines*per {
+	if got := h.snapshot().Count; got != goroutines*per {
 		t.Fatalf("final Count %d, want %d", got, goroutines*per)
 	}
 }
@@ -111,7 +112,7 @@ func TestSnapshotIncludesHistograms(t *testing.T) {
 	if out := s.String(); !strings.Contains(out, "histograms:") || !strings.Contains(out, "lat") {
 		t.Fatalf("String() missing histogram section:\n%s", out)
 	}
-	js, err := s.JSON()
+	js, err := json.Marshal(s)
 	if err != nil || !strings.Contains(string(js), `"histograms"`) {
 		t.Fatalf("JSON missing histograms (err=%v):\n%s", err, js)
 	}

@@ -16,7 +16,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -319,9 +318,6 @@ func (s Snapshot) String() string {
 	})
 	return b.String()
 }
-
-// JSON returns the snapshot serialized as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 
 func keys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))

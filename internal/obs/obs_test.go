@@ -102,7 +102,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Timer("miner.time.total").Observe(1234 * time.Microsecond)
 	s := r.Snapshot()
 
-	data, err := s.JSON()
+	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed snapshot:\n%+v\n%+v", s, back)
 	}
 	// Marshaling is deterministic (encoding/json sorts map keys).
-	again, err := s.JSON()
+	again, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSnapshotTimerDurationsRoundTrip(t *testing.T) {
 		tm.Observe(d)
 		tm.Observe(d) // two spans: count 2, total 2d
 	}
-	data, err := r.Snapshot().JSON()
+	data, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,18 +82,6 @@ func New(opts Options) *Logger {
 	return &Logger{s: slog.New(h)}
 }
 
-// With returns a Logger that adds attrs to every record. Nil in, nil out.
-func (l *Logger) With(attrs ...slog.Attr) *Logger {
-	if l == nil {
-		return nil
-	}
-	args := make([]any, len(attrs))
-	for i, a := range attrs {
-		args[i] = a
-	}
-	return &Logger{s: l.s.With(args...)}
-}
-
 // StdLogger returns a standard library logger that turns each line it
 // is given into one record at level, for APIs such as
 // http.Server.ErrorLog. On a nil Logger it discards.
@@ -102,23 +90,6 @@ func (l *Logger) StdLogger(level slog.Level) *log.Logger {
 		return log.New(io.Discard, "", 0)
 	}
 	return slog.NewLogLogger(l.s.Handler(), level)
-}
-
-// Enabled reports whether records at level would be emitted (false on a
-// nil logger).
-func (l *Logger) Enabled(level slog.Level) bool {
-	if l == nil {
-		return false
-	}
-	return l.s.Enabled(context.Background(), level)
-}
-
-// Debug logs at debug level. No-op on a nil logger.
-func (l *Logger) Debug(msg string, attrs ...slog.Attr) {
-	if l == nil {
-		return
-	}
-	l.s.LogAttrs(context.Background(), slog.LevelDebug, msg, attrs...)
 }
 
 // Info logs at info level. No-op on a nil logger.

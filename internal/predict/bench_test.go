@@ -34,10 +34,9 @@ func benchDrive(b *testing.B, p Predictor) {
 	}
 }
 
-func BenchmarkLinear(b *testing.B)   { benchDrive(b, NewLinear()) }
-func BenchmarkKalman(b *testing.B)   { benchDrive(b, NewKalman(1e-4, 1e-4)) }
-func BenchmarkRMF(b *testing.B)      { benchDrive(b, NewRMF(0, 0)) }
-func BenchmarkAdaptive(b *testing.B) { benchDrive(b, NewAdaptive(0.8)) }
+func BenchmarkLinear(b *testing.B) { benchDrive(b, NewLinear()) }
+func BenchmarkKalman(b *testing.B) { benchDrive(b, NewKalman(1e-4, 1e-4)) }
+func BenchmarkRMF(b *testing.B)    { benchDrive(b, NewRMF(0, 0)) }
 
 func BenchmarkPatternPredictor(b *testing.B) {
 	g := velocityGrid(10)

@@ -98,33 +98,6 @@ func Simulate(times []float64, path []geom.Point, cfg Config, rng *stat.RNG) (Re
 	return res, nil
 }
 
-// Efficiency summarizes what the reporting scheme saved: the paper's §1
-// motivation is that dead reckoning lets devices stay silent most of the
-// time.
-type Efficiency struct {
-	Readings     int     // device-side position readings
-	Sent         int     // transmissions attempted
-	Lost         int     // transmissions dropped by the channel
-	Delivered    int     // reports that reached the server
-	SilenceRatio float64 // fraction of readings that required no transmission
-}
-
-// Summarize aggregates per-device results. readingsPerDevice is the number
-// of position readings each device took (the observation count).
-func Summarize(results []Result, readingsPerDevice int) Efficiency {
-	var e Efficiency
-	for _, r := range results {
-		e.Readings += readingsPerDevice
-		e.Sent += r.Sent
-		e.Lost += r.Lost
-		e.Delivered += len(r.Received)
-	}
-	if e.Readings > 0 {
-		e.SilenceRatio = 1 - float64(e.Sent)/float64(e.Readings)
-	}
-	return e
-}
-
 // BuildDataset runs the reporting protocol for every device path and
 // synchronizes the received reports onto the snapshot schedule, yielding
 // the imprecise location trajectories the miners take as input. All paths

@@ -163,8 +163,8 @@ func TestBuildDataset(t *testing.T) {
 		t.Fatalf("dataset shape %d/%d", len(ds), len(results))
 	}
 	for _, tr := range ds {
-		if tr.Len() != n {
-			t.Errorf("trajectory length %d, want %d", tr.Len(), n)
+		if len(tr) != n {
+			t.Errorf("trajectory length %d, want %d", len(tr), n)
 		}
 		for _, p := range tr {
 			if p.Sigma != cfg().U/cfg().C {
@@ -188,23 +188,6 @@ func TestBuildDataset(t *testing.T) {
 func TestBuildDatasetPropagatesErrors(t *testing.T) {
 	if _, _, err := BuildDataset(times(2), [][]geom.Point{{geom.Pt(0, 0)}}, cfg(), 0, 1, 2, nil); err == nil {
 		t.Error("mismatched path length accepted")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	results := []Result{
-		{Received: []traj.Report{{}, {}}, Sent: 3, Lost: 1},
-		{Received: []traj.Report{{}}, Sent: 1, Lost: 0},
-	}
-	e := Summarize(results, 10)
-	if e.Readings != 20 || e.Sent != 4 || e.Lost != 1 || e.Delivered != 3 {
-		t.Errorf("Efficiency = %+v", e)
-	}
-	if math.Abs(e.SilenceRatio-0.8) > 1e-12 {
-		t.Errorf("SilenceRatio = %v", e.SilenceRatio)
-	}
-	if got := Summarize(nil, 5); got.SilenceRatio != 0 {
-		t.Errorf("empty Summarize = %+v", got)
 	}
 }
 

@@ -93,7 +93,9 @@ func Run(ctx context.Context, o Options, ready func(addr string)) error {
 	}
 
 	if o.PatternsPath != "" {
-		pats, err := core.LoadPatterns(o.PatternsPath, nil)
+		// Every cell must lie on the server's grid: /v1/predict maps
+		// pattern cells to centers, which panics on an off-grid index.
+		pats, err := core.LoadPatterns(o.PatternsPath, func(p core.Pattern) error { return p.Validate(srv.grid) })
 		if err != nil {
 			return fmt.Errorf("serve: preload patterns: %w", err)
 		}

@@ -9,12 +9,14 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"trajpattern/internal/cli"
+	"trajpattern/internal/core"
 	"trajpattern/internal/testutil/leakcheck"
 )
 
@@ -228,6 +230,22 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		Server:       Config{Dataset: testDataset()},
 	}, nil); err == nil {
 		t.Error("missing patterns file accepted")
+	}
+	// A pattern file with a cell off the server's 6×6 grid. The context
+	// is already cancelled, so a Run that accepted the file would drain at
+	// once and return nil.
+	pats := filepath.Join(t.TempDir(), "pats.json")
+	if err := core.SavePatterns(pats, []core.ScoredPattern{{Pattern: core.Pattern{0, 36}, NM: -1}}); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Run(cancelled, Options{
+		Addr:         "127.0.0.1:0",
+		PatternsPath: pats,
+		Server:       Config{Dataset: testDataset(), GridN: 6},
+	}, nil); err == nil || !strings.Contains(err.Error(), "cell 36") {
+		t.Errorf("off-grid pattern file: Run = %v, want an error naming cell 36", err)
 	}
 	if err := Run(context.Background(), Options{
 		Addr:   "not-an-address:-1",

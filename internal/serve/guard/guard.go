@@ -76,7 +76,6 @@ type Admission struct {
 	inflight   int64
 	waiters    []*waiter
 	draining   bool
-	shed       int64 // requests rejected with ShedError or DrainError
 	metrics    AdmissionMetrics
 }
 
@@ -137,7 +136,6 @@ func (a *Admission) Acquire(ctx context.Context, weight int64) (release func(), 
 	a.mu.Lock()
 	wait := a.metrics.Wait
 	if a.draining {
-		a.shed++
 		a.mu.Unlock()
 		return nil, &DrainError{}
 	}
@@ -148,7 +146,6 @@ func (a *Admission) Acquire(ctx context.Context, weight int64) (release func(), 
 		return a.releaseFunc(weight), nil
 	}
 	if weight > a.capacity {
-		a.shed++
 		a.mu.Unlock()
 		return nil, &ShedError{
 			Reason:     fmt.Sprintf("weight %d exceeds capacity %d", weight, a.capacity),
@@ -167,7 +164,6 @@ func (a *Admission) Acquire(ctx context.Context, weight int64) (release func(), 
 	}
 	if a.maxQueue >= 0 && len(a.waiters) >= a.maxQueue {
 		queued := len(a.waiters)
-		a.shed++
 		a.mu.Unlock()
 		return nil, &ShedError{
 			Reason:     "wait queue full",
@@ -252,7 +248,6 @@ func (a *Admission) StartDrain() {
 	a.draining = true
 	ws := a.waiters
 	a.waiters = nil
-	a.shed += int64(len(ws))
 	a.noteQueueLocked()
 	a.mu.Unlock()
 	for _, w := range ws {
@@ -288,16 +283,6 @@ func (a *Admission) Queued() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.waiters)
-}
-
-// Shed returns how many acquisitions have been rejected (0 on nil).
-func (a *Admission) Shed() int64 {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.shed
 }
 
 // Capacity returns the configured capacity (0 on nil).

@@ -147,8 +147,15 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	// flagged degraded while a newer generation is still being mined —
 	// instead of re-running the search in the request path. Before the
 	// first generation (or with ingest off) the on-demand path below
-	// still applies.
+	// still applies. The loop answers one problem, so a request for
+	// another is refused before and after the first generation alike.
 	if s.ingestEnabled() {
+		if req.K > DefaultIngestMineK || req.MinLen > 1 || (req.MaxLen != 0 && req.MaxLen != core.DefaultMaxLen) {
+			s.writeError(w, http.StatusBadRequest, "ingest_fixed_problem", fmt.Sprintf(
+				"this server serves the top %d patterns of length 1 to %d from its ingest re-mining loop; ask for k <= %d with no other min_len or max_len",
+				DefaultIngestMineK, core.DefaultMaxLen, DefaultIngestMineK))
+			return
+		}
 		if gen := s.generation(); gen.Generation > 0 {
 			mining := s.remineBusy.Load()
 			pats := gen.Patterns[:min(req.K, len(gen.Patterns))]

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 
-	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
 	"trajpattern/internal/geom"
 	"trajpattern/internal/ingest"
@@ -241,11 +240,12 @@ func (s *Server) remineOnce(ctx context.Context) error {
 	if len(ds) == 0 {
 		return nil
 	}
-	g := cli.FitGrid(ds, s.cfg.GridN)
-	delta := s.cfg.DeltaMul * g.CellWidth()
+	// The server's grid and δ, not a grid fitted to the windows: a served
+	// cell index must mean the same place on /v1/mine, /v1/predict and
+	// /v1/score.
 	scorer, err := core.NewScorer(ds, core.Config{
-		Grid:    g,
-		Delta:   delta,
+		Grid:    s.grid,
+		Delta:   s.delta,
 		Metrics: s.cfg.Metrics,
 		Tracer:  s.cfg.Tracer,
 	})

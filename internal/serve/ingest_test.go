@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
 	"trajpattern/internal/obs"
 	"trajpattern/internal/testutil/leakcheck"
@@ -139,10 +138,8 @@ func TestIngestReplayAcrossRestart(t *testing.T) {
 		for _, ow := range snap {
 			before = append(before, fmt.Sprintf("%+v", ow))
 		}
-		ds := s.windowsToDataset(snap)
-		g := cli.FitGrid(ds, s.cfg.GridN)
 		var err error
-		if scorer, err = core.NewScorer(ds, core.Config{Grid: g, Delta: s.cfg.DeltaMul * g.CellWidth()}); err != nil {
+		if scorer, err = core.NewScorer(s.windowsToDataset(snap), core.Config{Grid: s.grid, Delta: s.delta}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.StopIngest(); err != nil {
@@ -306,6 +303,68 @@ func TestMineOnGenerationValidatesAndCutsToK(t *testing.T) {
 		w := gen.Patterns[i]
 		if core.Pattern(p.Cells).Key() != w.Pattern.Key() || math.Float64bits(p.NM) != math.Float64bits(w.NM) {
 			t.Errorf("rank %d: (%v, %v), generation has (%s, %v)", i, p.Cells, p.NM, w.Pattern.Key(), w.NM)
+		}
+	}
+}
+
+// TestMineOnIngestServerRefusesOtherProblems checks that /v1/mine on an
+// ingest server answers only the problem its re-mining loop solves (top
+// DefaultIngestMineK, every length up to DefaultMaxLen): other k, min_len
+// and max_len values get 400 ingest_fixed_problem, before the first
+// generation and after it.
+func TestMineOnIngestServerRefusesOtherProblems(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	s, url := newIngestServer(t, t.TempDir(), nil)
+	check := func(when string) {
+		t.Helper()
+		for _, req := range []MineRequest{
+			{K: DefaultIngestMineK + 1},
+			{K: DefaultIngestMineK, MinLen: 3},
+			{K: 2, MinLen: 2},
+			{K: DefaultIngestMineK, MaxLen: 5},
+		} {
+			resp := postJSON(t, url+"/v1/mine", req)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s, %+v: status %d, want 400", when, req, resp.StatusCode)
+			} else if eb := decode[errorBody](t, resp); eb.Error.Code != "ingest_fixed_problem" {
+				t.Errorf("%s, %+v: code %q, want ingest_fixed_problem", when, req, eb.Error.Code)
+			}
+		}
+		for _, req := range []MineRequest{
+			{K: DefaultIngestMineK},
+			{K: 1, MinLen: 1, MaxLen: core.DefaultMaxLen},
+		} {
+			if resp := postJSON(t, url+"/v1/mine", req); resp.StatusCode != http.StatusOK {
+				t.Errorf("%s, %+v: status %d, want 200", when, req, resp.StatusCode)
+			}
+		}
+	}
+	check("before the first generation")
+	feedTwoObjects(t, url)
+	waitGeneration(t, s, 24)
+	check("after a generation")
+}
+
+// TestGenerationMinesOnServerGrid checks that each generation is mined on
+// the server's own grid and δ: every served pattern's NM equals
+// Scorer.NM over the same windows on that grid, bit for bit. The ingested
+// reports span a wider box than the served dataset, so a grid fitted to
+// the windows would differ.
+func TestGenerationMinesOnServerGrid(t *testing.T) {
+	t.Cleanup(leakcheck.Check(t))
+	s, url := newIngestServer(t, t.TempDir(), nil)
+	feedTwoObjects(t, url)
+	gen := waitGeneration(t, s, 24)
+	if len(gen.Patterns) == 0 {
+		t.Fatal("the generation mined no patterns")
+	}
+	sc, err := core.NewScorer(s.windowsToDataset(s.ingestPipe.WindowSnapshot()), core.Config{Grid: s.grid, Delta: s.delta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sp := range gen.Patterns {
+		if want := sc.NM(sp.Pattern); math.Float64bits(sp.NM) != math.Float64bits(want) {
+			t.Errorf("rank %d %s: served NM %v, Scorer.NM on the server grid %v", i, sp.Pattern.Key(), sp.NM, want)
 		}
 	}
 }

@@ -2,12 +2,6 @@ package stat
 
 import "testing"
 
-func BenchmarkNormalCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		NormalCDF(0.7, 0, 1)
-	}
-}
-
 func BenchmarkNormalIntervalProb(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		NormalIntervalProb(-0.3, 0.4, 0.1, 0.5)

@@ -1,41 +1,14 @@
 // Package stat provides the numerical machinery behind the TrajPattern
-// measures: univariate normal distribution functions, the probability mass
-// of a 2-D isotropic normal over boxes and disks (the Prob(l,σ,p,δ) of the
-// paper), scaled Bessel functions, small dense linear algebra for the
-// prediction models, deterministic random sources, and descriptive
-// statistics for the experiment harness.
+// measures: the normal interval probability, the probability mass of a 2-D
+// isotropic normal over boxes and disks (the Prob(l,σ,p,δ) of the paper),
+// scaled Bessel functions, small dense linear algebra for the prediction
+// models, and deterministic random sources.
 package stat
 
 import "math"
 
 // Sqrt2 is cached to avoid recomputing in hot probability loops.
 var sqrt2 = math.Sqrt(2)
-
-// NormalPDF returns the density of N(mu, sigma²) at x. For sigma <= 0 it
-// returns +Inf at x == mu and 0 elsewhere (the degenerate point mass).
-func NormalPDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		//trajlint:allow floatcmp -- degenerate point mass: the density is +Inf exactly at mu and 0 everywhere else
-		if x == mu {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	z := (x - mu) / sigma
-	return math.Exp(-z*z/2) / (sigma * math.Sqrt(2*math.Pi))
-}
-
-// NormalCDF returns P(X <= x) for X ~ N(mu, sigma²). For sigma <= 0 it
-// returns the step function of the degenerate point mass at mu.
-func NormalCDF(x, mu, sigma float64) float64 {
-	if sigma <= 0 {
-		if x >= mu {
-			return 1
-		}
-		return 0
-	}
-	return 0.5 * math.Erfc(-(x-mu)/(sigma*sqrt2))
-}
 
 // NormalIntervalProb returns P(a <= X <= b) for X ~ N(mu, sigma²).
 // It is exact (up to erfc accuracy) and returns 0 when b < a.
@@ -61,31 +34,6 @@ func NormalIntervalProb(a, b, mu, sigma float64) float64 {
 		return 1
 	}
 	return p
-}
-
-// NormalQuantile returns the x with NormalCDF(x, mu, sigma) = p, computed by
-// bisection on the CDF. p outside (0,1) returns ∓Inf. Accuracy is ~1e-12
-// relative to sigma, plenty for test oracles and data generation.
-func NormalQuantile(p, mu, sigma float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	if sigma <= 0 {
-		return mu
-	}
-	lo, hi := -40.0, 40.0 // standard-normal z bounds
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if 0.5*math.Erfc(-mid/sqrt2) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return mu + sigma*(lo+hi)/2
 }
 
 // BoxProb2D is the paper's Prob(l, σ, p, δ) under the "box" interpretation:

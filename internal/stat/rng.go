@@ -63,33 +63,7 @@ func (r *RNG) Normal(mu, sigma float64) float64 {
 	return mu + sigma*z
 }
 
-// Exponential returns a draw from Exp(rate). It panics if rate <= 0.
-func (r *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("stat: Exponential with non-positive rate")
-	}
-	u := r.Float64()
-	//trajlint:allow floatcmp -- exact-zero rejection guards log(0); any nonzero float is fine
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

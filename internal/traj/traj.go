@@ -32,34 +32,6 @@ func P(x, y, sigma float64) Point {
 // object. Location and velocity trajectories share this representation.
 type Trajectory []Point
 
-// Len returns the number of snapshots.
-func (t Trajectory) Len() int { return len(t) }
-
-// Clone returns a deep copy of t.
-func (t Trajectory) Clone() Trajectory {
-	return append(Trajectory(nil), t...)
-}
-
-// Means returns the sequence of expected locations.
-func (t Trajectory) Means() []geom.Point {
-	out := make([]geom.Point, len(t))
-	for i, p := range t {
-		out[i] = p.Mean
-	}
-	return out
-}
-
-// MaxSigma returns the largest standard deviation in t, or 0 if empty.
-func (t Trajectory) MaxSigma() float64 {
-	var m float64
-	for _, p := range t {
-		if p.Sigma > m {
-			m = p.Sigma
-		}
-	}
-	return m
-}
-
 // Validate reports the first structural problem in t: non-finite
 // coordinates, or sigmas that are negative, NaN or infinite. An infinite
 // sigma passes a plain `< 0` test but poisons every probability downstream,
@@ -79,7 +51,7 @@ func (t Trajectory) Validate() error {
 // ToVelocity converts a location trajectory into a velocity trajectory per
 // Section 3.2: entry i is the difference of locations i+1 and i, with mean
 // l(i+1)−l(i) and standard deviation sqrt(σᵢ² + σᵢ₊₁²) (the locations'
-// prediction errors are assumed independent). The result has Len()−1
+// prediction errors are assumed independent). The result has len(t)−1
 // snapshots; a trajectory with fewer than two snapshots yields nil.
 func (t Trajectory) ToVelocity() Trajectory {
 	if len(t) < 2 {
@@ -170,17 +142,4 @@ func (d Dataset) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Split partitions the dataset into a training prefix and testing suffix,
-// as the prediction experiment does (450 train / 50 test in §6.1). n is the
-// number of training trajectories; it is clamped to [0, len(d)].
-func (d Dataset) Split(n int) (train, test Dataset) {
-	if n < 0 {
-		n = 0
-	}
-	if n > len(d) {
-		n = len(d)
-	}
-	return d[:n], d[n:]
 }

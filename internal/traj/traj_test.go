@@ -35,25 +35,6 @@ func TestToVelocity(t *testing.T) {
 	}
 }
 
-func TestTrajectoryHelpers(t *testing.T) {
-	tr := Trajectory{P(0, 0, 0.1), P(1, 1, 0.3), P(2, 0, 0.2)}
-	if tr.Len() != 3 {
-		t.Error("Len wrong")
-	}
-	if got := tr.MaxSigma(); got != 0.3 {
-		t.Errorf("MaxSigma = %v", got)
-	}
-	means := tr.Means()
-	if len(means) != 3 || means[1] != geom.Pt(1, 1) {
-		t.Errorf("Means = %v", means)
-	}
-	c := tr.Clone()
-	c[0].Mean = geom.Pt(9, 9)
-	if tr[0].Mean == c[0].Mean {
-		t.Error("Clone not deep")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	good := Trajectory{P(0, 0, 0.1)}
 	if err := good.Validate(); err != nil {
@@ -111,22 +92,6 @@ func TestDatasetToVelocity(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	d := Dataset{{P(0, 0, 1)}, {P(1, 1, 1)}, {P(2, 2, 1)}}
-	train, test := d.Split(2)
-	if len(train) != 2 || len(test) != 1 {
-		t.Errorf("Split(2) = %d/%d", len(train), len(test))
-	}
-	train, test = d.Split(-1)
-	if len(train) != 0 || len(test) != 3 {
-		t.Error("Split(-1) should clamp")
-	}
-	train, test = d.Split(10)
-	if len(train) != 3 || len(test) != 0 {
-		t.Error("Split(10) should clamp")
-	}
-}
-
 // Property: velocity transform is exact on means — summing velocity means
 // reconstructs location differences.
 func TestQuickVelocityReconstruction(t *testing.T) {
@@ -146,7 +111,7 @@ func TestQuickVelocityReconstruction(t *testing.T) {
 		pos := tr[0].Mean
 		for i, vel := range v {
 			pos = pos.Add(vel.Mean)
-			if pos.Dist(tr[i+1].Mean) > 1e-6*(1+pos.Norm()) {
+			if pos.Dist(tr[i+1].Mean) > 1e-6*(1+math.Hypot(pos.X, pos.Y)) {
 				return false
 			}
 		}

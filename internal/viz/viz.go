@@ -51,33 +51,6 @@ func Density(d traj.Dataset, g *grid.Grid, title string) string {
 	return b.String()
 }
 
-// Patterns renders up to 9 patterns on the grid: each pattern's cells are
-// drawn with its 1-based digit; later positions of the same pattern
-// overwrite earlier ones, and overlapping patterns show the last one
-// drawn. Cells used by no pattern are blank.
-func Patterns(ps []core.Pattern, g *grid.Grid, title string) string {
-	marks := make(map[int]rune)
-	for i, p := range ps {
-		if i >= 9 {
-			break
-		}
-		for _, cell := range p {
-			marks[cell] = rune('1' + i)
-		}
-	}
-	var b strings.Builder
-	if title != "" {
-		fmt.Fprintf(&b, "%s\n", title)
-	}
-	writeFrame(&b, g, func(idx int) rune {
-		if r, ok := marks[idx]; ok {
-			return r
-		}
-		return ' '
-	})
-	return b.String()
-}
-
 // PatternPath renders one pattern as an ordered path: its first position
 // is 'a', the second 'b', and so on (wrapping after 'z'); a cell visited
 // more than once shows its last letter.

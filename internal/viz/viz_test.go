@@ -59,39 +59,6 @@ func TestDensityLogScaleKeepsSparseVisible(t *testing.T) {
 	}
 }
 
-func TestPatterns(t *testing.T) {
-	g := grid.NewSquare(4)
-	ps := []core.Pattern{{0, 1}, {15}}
-	out := Patterns(ps, g, "pats")
-	if !strings.Contains(out, "1") || !strings.Contains(out, "2") {
-		t.Errorf("pattern digits missing:\n%s", out)
-	}
-	ls := lines(out)
-	// Cell 0 is bottom-left: last row before border, first column.
-	if r := []rune(ls[5])[1]; r != '1' {
-		t.Errorf("cell 0 = %q:\n%s", r, out)
-	}
-	// Cell 15 is top-right.
-	if r := []rune(ls[2])[4]; r != '2' {
-		t.Errorf("cell 15 = %q:\n%s", r, out)
-	}
-}
-
-func TestPatternsCapsAtNine(t *testing.T) {
-	g := grid.NewSquare(4)
-	var ps []core.Pattern
-	for i := 0; i < 12; i++ {
-		ps = append(ps, core.Pattern{i})
-	}
-	out := Patterns(ps, g, "")
-	if strings.ContainsRune(out, ':') || strings.Contains(out, "10") {
-		t.Errorf("more than 9 digits rendered:\n%s", out)
-	}
-	if !strings.Contains(out, "9") {
-		t.Errorf("ninth pattern missing:\n%s", out)
-	}
-}
-
 func TestPatternPath(t *testing.T) {
 	g := grid.NewSquare(4)
 	out := PatternPath(core.Pattern{0, 1, 2}, g, "")

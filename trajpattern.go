@@ -124,8 +124,6 @@ type (
 	Group = core.Group
 	// WildPattern is a pattern with "don't care" positions (§5).
 	WildPattern = core.WildPattern
-	// GapPattern is a pattern with variable gaps between segments (§5).
-	GapPattern = core.GapPattern
 	// ScoredWildPattern pairs a wild pattern with its NM value.
 	ScoredWildPattern = core.ScoredWildPattern
 )
@@ -173,8 +171,9 @@ func Similar(a, b Pattern, g *Grid, gamma float64) bool { return core.Similar(a,
 type (
 	// MetricsRegistry collects atomic counters, gauges and phase timers.
 	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a point-in-time copy of a registry, with
-	// deterministic text (String) and JSON serialization.
+	// MetricsSnapshot is a point-in-time copy of a registry. String
+	// renders it as deterministic text; encoding/json marshals it with
+	// sorted keys.
 	MetricsSnapshot = obs.Snapshot
 )
 
@@ -288,14 +287,6 @@ func NewKalmanPredictor(q, r float64) Predictor { return predict.NewKalman(q, r)
 
 // NewRMFPredictor returns the recursive motion function RMF of [11].
 func NewRMFPredictor(order, window int) Predictor { return predict.NewRMF(order, window) }
-
-// NewAdaptivePredictor returns a selector that tracks each base model's
-// recent error and predicts with the current best — addressing the paper's
-// observation that a mobile object may change its type of movement at any
-// time. With no models it wraps LM, LKF and RMF.
-func NewAdaptivePredictor(decay float64, models ...Predictor) Predictor {
-	return predict.NewAdaptive(decay, models...)
-}
 
 // EvaluatePredictor counts mis-predictions of p on the paths with
 // tolerance u.
