@@ -137,7 +137,8 @@ func TestPBMinLen(t *testing.T) {
 }
 
 // TestPBGolden pins MinePB's whole output on a small seeded zebra
-// instance: the work counters, the top-k keys and every NM to the bit.
+// instance: the work counters, the top-k keys and every NM to the bit,
+// each of which is Scorer.NM's.
 func TestPBGolden(t *testing.T) {
 	s := newScorer(t, goldenZebra(t), 5)
 	res, err := MinePB(s, PBConfig{K: 8, MaxLen: 5})
@@ -147,8 +148,7 @@ func TestPBGolden(t *testing.T) {
 	if want := (PBStats{PrefixesExpanded: 45, PrefixesPruned: 829, NMEvaluations: 874}); res.Stats != want {
 		t.Errorf("stats %+v, want %+v", res.Stats, want)
 	}
-	// The length-5 entries also pin PB's per-trajectory (logM/m)·m: summing
-	// logM unscaled moves "13,13,13,13,13" by two ulps.
+	// PB reports Σ_T logM/m, the sum Scorer.NM takes (checked below).
 	want := []struct {
 		key  string
 		bits uint64
@@ -158,7 +158,7 @@ func TestPBGolden(t *testing.T) {
 		{"13,13,13", 0xbfd3db007c8b8102},
 		{"13,13,13,13", 0xbfe3142ca04bd7b4},
 		{"13,13,13,13,13", 0xbfe9940d99bb9e9e},
-		{"12,13,13,13,13", 0xc00c4edfe710e780},
+		{"12,13,13,13,13", 0xc00c4edfe710e77f},
 		{"13,12,13,13,13", 0xc00c67776cdca47d},
 		{"13,12,13,13", 0xc00fc69438cbf988},
 	}
@@ -170,6 +170,10 @@ func TestPBGolden(t *testing.T) {
 		if got.Pattern.Key() != w.key || math.Float64bits(got.NM) != w.bits {
 			t.Errorf("rank %d: %s NM %#016x, want %s %#016x",
 				i, got.Pattern.Key(), math.Float64bits(got.NM), w.key, w.bits)
+		}
+		if nm := s.NM(got.Pattern); math.Float64bits(got.NM) != math.Float64bits(nm) {
+			t.Errorf("rank %d: %s NM %#016x, Scorer.NM %#016x",
+				i, got.Pattern.Key(), math.Float64bits(got.NM), math.Float64bits(nm))
 		}
 	}
 }

@@ -97,27 +97,33 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 
 	top := newTopK(cfg.K)
 
-	// A frame is a scored pattern; its NM is sumLogM/len(pat).
+	// A frame is a scored pattern. sumLogM feeds the bound; nm is the NM
+	// PB ranks and reports.
 	type frame struct {
 		pat     core.Pattern
 		sumLogM float64
+		nm      float64
 	}
 
-	// scaledSum sums, in trajectory order, each trajectory's best-window
-	// log-match taken as (logM/m)·m: its NM scaled back by the length. The
-	// conversion rounds that product before the sum, so no fused
+	// score makes pat's frame from its per-trajectory best-window
+	// log-matches. nm sums logM/m in trajectory order, as Scorer.NM does,
+	// so PB reports NM's bits. sumLogM sums each logM taken as (logM/m)·m:
+	// the conversion rounds that product before the sum, so no fused
 	// multiply-add can change the total's bits.
-	scaledSum := func(logM []float64, m int) float64 {
-		var sum float64
+	score := func(pat core.Pattern, logM []float64) frame {
+		f := frame{pat: pat}
+		m := float64(len(pat))
 		for _, v := range logM {
-			sum += float64(v / float64(m) * float64(m))
+			q := v / m
+			f.nm += q
+			f.sumLogM += float64(q * m)
 		}
-		return sum
+		return f
 	}
 
 	admit := func(f frame) {
 		if len(f.pat) >= cfg.MinLen {
-			top.offer(core.ScoredPattern{Pattern: f.pat.Clone(), NM: f.sumLogM / float64(len(f.pat))})
+			top.offer(core.ScoredPattern{Pattern: f.pat.Clone(), NM: f.nm})
 		}
 	}
 
@@ -143,7 +149,7 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 	var stack []frame
 	for idx := len(seeds) - 1; idx >= 0; idx-- {
 		p := core.Pattern{seeds[idx]}
-		f := frame{pat: p, sumLogM: scaledSum(s.LogMatches(p), 1)}
+		f := score(p, s.LogMatches(p))
 		stats.NMEvaluations++
 		admit(f)
 		stack = append(stack, f)
@@ -165,7 +171,7 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 		logM = s.LogMatchesAll(children, logM)
 		for idx := len(seeds) - 1; idx >= 0; idx-- {
 			pat := children[idx]
-			child := frame{pat: pat, sumLogM: scaledSum(logM[idx*nt:][:nt], len(pat))}
+			child := score(pat, logM[idx*nt:][:nt])
 			stats.NMEvaluations++
 			admit(child)
 			stack = append(stack, child)

@@ -198,3 +198,15 @@ func TestLogFlagsFormats(t *testing.T) {
 		}
 	}
 }
+
+// TestLogFlagsLevels: -log-level takes only the levels that change the
+// output. Nothing logs below info, so debug is refused like a typo.
+func TestLogFlagsLevels(t *testing.T) {
+	for level, ok := range map[string]bool{"info": true, "warn": true, " ERROR ": true, "debug": false, "eror": false, "": false} {
+		f := LogFlags{Format: "text", Level: level}
+		logger, err := f.Logger(io.Discard)
+		if (err == nil) != ok || (logger != nil) != ok {
+			t.Errorf("-log-level %q: logger %v, err %v; want accepted = %t", level, logger, err, ok)
+		}
+	}
+}

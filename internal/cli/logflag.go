@@ -21,14 +21,21 @@ type LogFlags struct {
 // flag.CommandLine).
 func (f *LogFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Format, "log-format", "text", "operator log format: text or json")
-	fs.StringVar(&f.Level, "log-level", "info", "minimum log level: debug, info, warn or error")
+	fs.StringVar(&f.Level, "log-level", "info", "minimum log level: info, warn or error")
 }
 
-// Logger builds the logger the flags select, writing to w.
+// Logger builds the logger the flags select, writing to w. It rejects a
+// level other than info, warn or error: nothing logs below info, so any
+// other value would only look like it changed the output.
 func (f *LogFlags) Logger(w io.Writer) (*slogx.Logger, error) {
 	format := strings.ToLower(strings.TrimSpace(f.Format))
 	if format != "text" && format != "json" {
 		return nil, fmt.Errorf("cli: unknown -log-format %q (want text or json)", f.Format)
+	}
+	switch strings.ToLower(strings.TrimSpace(f.Level)) {
+	case "info", "warn", "error":
+	default:
+		return nil, fmt.Errorf("cli: unknown -log-level %q (want info, warn or error)", f.Level)
 	}
 	return slogx.New(slogx.Options{Format: format, Level: f.Level, W: w}), nil
 }

@@ -57,8 +57,10 @@ type MinerConfig struct {
 	// negative means unlimited (the paper's literal rule).
 	MaxLowQ int
 	// DisablePrune keeps all low patterns in Q instead of removing those
-	// failing the 1-extension property — the A1 ablation. The MaxLowQ
-	// cap still applies unless MaxLowQ is negative.
+	// failing the 1-extension property, and proposes every (high, Q)
+	// concatenation, including those the LM bound rules out — the A1
+	// ablation, the paper's literal search. The MaxLowQ cap still applies
+	// unless MaxLowQ is negative.
 	DisablePrune bool
 	// Seeds is the set of singular-pattern cells to start from. Nil means
 	// Scorer.ObservedCells(1): every cell holding data plus one ring,
@@ -136,6 +138,11 @@ const (
 	DefaultMaxLen   = 24
 	DefaultMaxIters = 64
 )
+
+// boundSlack is the relative slack by which a pair's LM bound must fall
+// below ω before candidate generation skips it, so rounding in the bound
+// never drops a concatenation whose NM ties ω.
+const boundSlack = 1e-9
 
 func (c MinerConfig) withDefaults() MinerConfig {
 	if c.MaxLen == 0 {
@@ -232,7 +239,8 @@ type labeling struct {
 	high    []*entry
 	highKey map[string]struct{}
 	ansKey  map[string]struct{}
-	capped  int // entries dropped from the high set by the MaxHigh cap
+	omega   float64 // the Kth best NM in Q, -Inf while Q holds fewer than K
+	capped  int     // entries dropped from the high set by the MaxHigh cap
 }
 
 // minerMetrics holds the resolved obs handles of one Mine call. All fields
@@ -248,6 +256,7 @@ type minerMetrics struct {
 	retained   *obs.Counter // patterns left in Q at the end of a run; across
 	// any number of runs, retained = seeds + fresh + readmitted − pruned
 	highCapped    *obs.Counter // high-set entries dropped by the MaxHigh cap
+	pairsSkipped  *obs.Counter // (high, Q) pairs whose LM bound falls below ω
 	termStable    *obs.Counter // terminations: high+answer sets stable, answer full
 	termDry       *obs.Counter // terminations: stable and no fresh candidates left
 	termMaxIter   *obs.Counter // terminations: MaxIters safety net hit
@@ -272,6 +281,7 @@ func newMinerMetrics(r *obs.Registry) minerMetrics {
 		prunedCap:     r.Counter("miner.pruned.lowcap"),
 		retained:      r.Counter("miner.q.retained"),
 		highCapped:    r.Counter("miner.high.capped"),
+		pairsSkipped:  r.Counter("miner.pairs.skipped"),
 		termStable:    r.Counter("miner.term.stable"),
 		termDry:       r.Counter("miner.term.exhausted"),
 		termMaxIter:   r.Counter("miner.term.maxiters"),
@@ -292,7 +302,9 @@ func newMinerMetrics(r *obs.Registry) minerMetrics {
 // pattern with every pattern in Q on both sides), re-threshold, prune low
 // patterns failing the 1-extension property (§4.1), and stop when the high
 // set and the answer set are stable. See MinerConfig.MinLen and
-// MinerConfig.MaxLowQ for the two documented deviations from the paper.
+// MinerConfig.MaxLowQ for two documented deviations from the paper; at
+// MinLen 1 the generation also skips every pair whose concatenations the
+// LM bound keeps below ω (DESIGN §4, deviation 4).
 //
 // ctx cancellation (and MinerConfig.MaxWallTime) interrupt the run
 // gracefully: the miner drains its scoring workers, optionally flushes a
@@ -474,7 +486,8 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 		prevHigh, prevAns = lab.highKey, lab.ansKey
 
 		// Candidate generation: extend every high pattern with every
-		// pattern in Q, on both sides.
+		// pattern in Q, on both sides, except where the LM bound rules
+		// both concatenations out (DESIGN §4, deviation 4).
 		all := make([]*entry, 0, len(q))
 		for _, e := range q {
 			all = append(all, e)
@@ -505,12 +518,21 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 			}
 			fresh = append(fresh, p)
 		}
+		skip := cfg.MinLen == 1 && !cfg.DisablePrune
+		cut := lab.omega - boundSlack*math.Abs(lab.omega)
+		skipped := 0
 		for _, h := range lab.high {
+			lh := float64(len(h.pat)) * h.nm
 			for _, e := range all {
+				if skip && (lh+float64(len(e.pat))*e.nm)/float64(len(h.pat)+len(e.pat)) < cut {
+					skipped++
+					continue
+				}
 				propose(h.pat.Concat(e.pat))
 				propose(e.pat.Concat(h.pat))
 			}
 		}
+		m.pairsSkipped.Add(int64(skipped))
 
 		lastFresh = len(fresh)
 		if len(fresh) > 0 {
@@ -659,6 +681,7 @@ func label(q map[string]*entry, k, minLen, maxHigh int) labeling {
 	lab := labeling{
 		highKey: make(map[string]struct{}),
 		ansKey:  make(map[string]struct{}),
+		omega:   omega,
 	}
 	for _, e := range all {
 		if e.nm >= omega {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"trajpattern/internal/grid"
+	"trajpattern/internal/obs"
 	"trajpattern/internal/stat"
 	"trajpattern/internal/traj"
 )
@@ -210,6 +211,36 @@ func TestMinerPruningAblationSameResults(t *testing.T) {
 	if noPrune.Stats.MaxQ < withPrune.Stats.MaxQ {
 		t.Errorf("pruning should shrink Q: %d (pruned) vs %d (unpruned)",
 			withPrune.Stats.MaxQ, noPrune.Stats.MaxQ)
+	}
+}
+
+// TestMinerPairSkipScope: candidate generation skips the pairs the LM
+// bound rules out only at MinLen 1 with pruning on; DisablePrune (the A1
+// literal search) and the MinLen variant propose every pair.
+func TestMinerPairSkipScope(t *testing.T) {
+	g := grid.NewSquare(3)
+	data := patternedDatasetPts(11, g, []int{0, 4, 8}, 8, 3, 0.05, 0.02)
+	for _, tc := range []struct {
+		name string
+		cfg  MinerConfig
+		skip bool
+	}{
+		{"default", MinerConfig{K: 6, MaxLen: 5}, true},
+		{"DisablePrune", MinerConfig{K: 6, MaxLen: 5, DisablePrune: true}, false},
+		{"MinLen 2", MinerConfig{K: 6, MinLen: 2, MaxLen: 5}, false},
+	} {
+		reg := obs.New()
+		s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.cfg.Metrics = reg
+		if _, err := Mine(context.Background(), s, tc.cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Snapshot().Counter("miner.pairs.skipped"); (got > 0) != tc.skip {
+			t.Errorf("%s: miner.pairs.skipped = %d, want skipping = %t", tc.name, got, tc.skip)
+		}
 	}
 }
 

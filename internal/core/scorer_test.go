@@ -606,7 +606,10 @@ func TestQuickNMBounds(t *testing.T) {
 	}
 }
 
-// Property (full min-max over random datasets too, not just one fixture).
+// Property (full min-max over random datasets too, not just one fixture),
+// in its length-weighted form as well: NM(A·B) ≤ (|A|·NM(A) + |B|·NM(B)) /
+// (|A| + |B|), the bound the miner's pair skip rests on (DESIGN §4,
+// deviation 4).
 func TestQuickMinMaxProperty(t *testing.T) {
 	f := func(seed uint64, rawP []uint8, cutRaw uint8) bool {
 		if len(rawP) < 2 || len(rawP) > 6 {
@@ -623,8 +626,10 @@ func TestQuickMinMaxProperty(t *testing.T) {
 			p[i] = int(v) % 9
 		}
 		cut := 1 + int(cutRaw)%(len(p)-1)
-		bound := math.Max(s.NM(p[:cut]), s.NM(p[cut:]))
-		return s.NM(p) <= bound+1e-9
+		a, b := float64(cut), float64(len(p)-cut)
+		nmA, nmB := s.NM(p[:cut]), s.NM(p[cut:])
+		lm := (a*nmA + b*nmB) / (a + b)
+		return s.NM(p) <= math.Max(nmA, nmB)+1e-9 && s.NM(p) <= lm+1e-9*math.Abs(lm)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -34,7 +34,7 @@ func TestMinerTraceConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Mine(context.Background(), s, MinerConfig{K: 3, MaxLen: 4, MaxLowQ: 12, Metrics: reg, Tracer: tr})
+		res, err := Mine(context.Background(), s, MinerConfig{K: 5, MaxLen: 4, MaxLowQ: 12, Metrics: reg, Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestMinerTraceConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res3, err := Mine(context.Background(), s3, MinerConfig{K: 3, MaxLen: 4, MaxLowQ: 12})
+	res3, err := Mine(context.Background(), s3, MinerConfig{K: 5, MaxLen: 4, MaxLowQ: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

