@@ -50,7 +50,6 @@ func main() {
 		maxIter = flag.Int("maxiters", 0, "bound the miner's grow iterations (0 = default; nm only)")
 		maxWall = flag.Duration("maxwall", 0, "wall-clock budget; report best-so-far when it elapses (nm only)")
 		ckpt    = flag.String("checkpoint", "", "write crash-safe miner checkpoints to this file (nm only)")
-		ckEvery = flag.Int("checkpoint-every", 1, "checkpoint cadence in iterations")
 		resume  = flag.Bool("resume", false, "restore miner state from -checkpoint before mining")
 
 		logFlags cli.LogFlags
@@ -108,25 +107,24 @@ func main() {
 	defer stopSignals()
 
 	_, err = cli.Mine(ctx, os.Stdout, ds, cli.MineOptions{
-		K:               *k,
-		GridN:           *gridN,
-		MinLen:          *minLen,
-		MaxLen:          *maxLen,
-		DeltaMul:        *deltaMu,
-		Measure:         *measure,
-		Groups:          *groups,
-		Viz:             *viz,
-		SavePath:        *save,
-		Metrics:         *metrics,
-		MetricsOut:      *metOut,
-		Registry:        reg,
-		Tracer:          tracer,
-		OnProgress:      printer.Update,
-		MaxIters:        *maxIter,
-		MaxWallTime:     *maxWall,
-		CheckpointPath:  *ckpt,
-		CheckpointEvery: *ckEvery,
-		Resume:          *resume,
+		K:              *k,
+		GridN:          *gridN,
+		MinLen:         *minLen,
+		MaxLen:         *maxLen,
+		DeltaMul:       *deltaMu,
+		Measure:        *measure,
+		Groups:         *groups,
+		Viz:            *viz,
+		SavePath:       *save,
+		Metrics:        *metrics,
+		MetricsOut:     *metOut,
+		Registry:       reg,
+		Tracer:         tracer,
+		OnProgress:     printer.Update,
+		MaxIters:       *maxIter,
+		MaxWallTime:    *maxWall,
+		CheckpointPath: *ckpt,
+		Resume:         *resume,
 	})
 	stopSignals()
 	printer.Done()

@@ -96,8 +96,6 @@ type MineOptions struct {
 	// CheckpointPath, when non-empty, makes the miner write crash-safe
 	// checkpoints there (see core.MinerConfig.CheckpointPath). NM only.
 	CheckpointPath string
-	// CheckpointEvery is the checkpoint cadence in iterations (0 = 1).
-	CheckpointEvery int
 	// Resume restores miner state from CheckpointPath before mining. A
 	// missing checkpoint file starts a fresh run (so a crash-looped
 	// service can always pass -resume).
@@ -157,8 +155,7 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 	case "nm":
 		mcfg := core.MinerConfig{
 			K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen,
-			MaxIters: o.MaxIters, MaxWallTime: o.MaxWallTime,
-			CheckpointPath: o.CheckpointPath, CheckpointEvery: o.CheckpointEvery,
+			MaxIters: o.MaxIters, MaxWallTime: o.MaxWallTime, CheckpointPath: o.CheckpointPath,
 			Metrics: reg, Tracer: o.Tracer, OnProgress: o.OnProgress,
 		}
 		if o.Resume {

@@ -47,8 +47,9 @@ type Checkpoint struct {
 	// LastFresh is the number of fresh candidates evaluated in the
 	// iteration before the snapshot; the termination test reads it.
 	LastFresh int `json:"last_fresh"`
-	// PrevHigh and PrevAns are the high-set and answer-set keys at the
-	// last labeling, the stability witnesses of the termination test.
+	// PrevHigh and PrevAns are the high-set and answer-set keys of the
+	// labeling the last completed iteration generated from, the
+	// stability witnesses of the termination test.
 	PrevHigh []string `json:"prev_high"`
 	PrevAns  []string `json:"prev_answer"`
 	// Stats is the cumulative work accounting up to the snapshot.
@@ -184,8 +185,11 @@ func LoadResume(path string) (*Checkpoint, error) {
 // Checkpoint.Fingerprint).
 func (c MinerConfig) fingerprint(s *Scorer, seeds []int) string {
 	h := fnv.New64a()
+	// The high-set cap is a constant, but its "maxhigh=" text stays in
+	// the hash so checkpoints written while it was a MinerConfig field
+	// still resume.
 	fmt.Fprintf(h, "k=%d minlen=%d maxlen=%d maxhigh=%d maxlowq=%d noprune=%t;",
-		c.K, c.MinLen, c.MaxLen, c.MaxHigh, c.MaxLowQ, c.DisablePrune)
+		c.K, c.MinLen, c.MaxLen, highCapPerK*c.K, c.MaxLowQ, c.DisablePrune)
 	fmt.Fprintf(h, "seeds=%d:", len(seeds))
 	for _, sd := range seeds {
 		fmt.Fprintf(h, "%d,", sd)

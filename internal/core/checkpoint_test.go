@@ -215,9 +215,10 @@ func TestMineResumeFingerprintMismatch(t *testing.T) {
 }
 
 // TestMineResumeEqualsUninterrupted is the core crash-safety guarantee:
-// interrupt a run at an arbitrary iteration, resume from its checkpoint
-// with a fresh scorer, and the final persisted answer is byte-identical
-// to the uninterrupted run's.
+// stop a run after an arbitrary iteration — cancelled, or cut short by
+// MaxIters — resume from its checkpoint with a fresh scorer, and the final
+// persisted answer is byte-identical to the uninterrupted run's. Either
+// way the checkpoint holds the boundary the run stopped at.
 func TestMineResumeEqualsUninterrupted(t *testing.T) {
 	defer leakcheck.Check(t)()
 	data := randomDataset(7, 8, 20, 0.1)
@@ -242,63 +243,74 @@ func TestMineResumeEqualsUninterrupted(t *testing.T) {
 	if err := SavePatterns(refPath, resA.Patterns); err != nil {
 		t.Fatal(err)
 	}
+	want, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for stopAt := 1; stopAt < resA.Stats.Iterations; stopAt++ {
-		ckPath := filepath.Join(dir, fmt.Sprintf("stop%d.ckpt", stopAt))
+		for _, how := range []string{"cancel", "maxiters"} {
+			name := fmt.Sprintf("%s %d", how, stopAt)
+			ckPath := filepath.Join(dir, fmt.Sprintf("%s%d.ckpt", how, stopAt))
 
-		// Interrupted run: cancel after stopAt iterations.
-		sB := testScorer(t, data, 5)
-		ctx, cancel := context.WithCancelCause(context.Background())
-		cfgB := base
-		cfgB.CheckpointPath = ckPath
-		cfgB.OnProgress = func(p Progress) {
-			if p.Iteration == stopAt {
-				cancel(fmt.Errorf("simulated crash after iteration %d", stopAt))
+			// Stopped run: cancel after stopAt iterations, or bound it
+			// to stopAt.
+			sB := testScorer(t, data, 5)
+			ctx, cancel := context.WithCancelCause(context.Background())
+			cfgB := base
+			cfgB.CheckpointPath = ckPath
+			if how == "cancel" {
+				cfgB.OnProgress = func(p Progress) {
+					if p.Iteration == stopAt {
+						cancel(fmt.Errorf("simulated crash after iteration %d", stopAt))
+					}
+				}
+			} else {
+				cfgB.MaxIters = stopAt
 			}
-		}
-		resB, err := Mine(ctx, sB, cfgB)
-		cancel(nil)
-		if err != nil {
-			t.Fatalf("stop %d: %v", stopAt, err)
-		}
-		if !resB.Interrupted {
-			t.Fatalf("stop %d: run not interrupted", stopAt)
-		}
+			resB, err := Mine(ctx, sB, cfgB)
+			cancel(nil)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if how == "cancel" && !resB.Interrupted {
+				t.Fatalf("%s: run not interrupted", name)
+			}
 
-		// Resume with a fresh scorer (a new process would have one).
-		ck, err := LoadCheckpoint(ckPath)
-		if err != nil {
-			t.Fatalf("stop %d: %v", stopAt, err)
-		}
-		sC := testScorer(t, data, 5)
-		cfgC := base
-		cfgC.Resume = ck
-		resC, err := Mine(context.Background(), sC, cfgC)
-		if err != nil {
-			t.Fatalf("stop %d: resume: %v", stopAt, err)
-		}
-		if resC.Interrupted {
-			t.Fatalf("stop %d: resumed run interrupted", stopAt)
-		}
-		if resC.Stats.Iterations != resA.Stats.Iterations {
-			t.Errorf("stop %d: resumed run took %d iterations, uninterrupted took %d",
-				stopAt, resC.Stats.Iterations, resA.Stats.Iterations)
-		}
+			// Resume with a fresh scorer (a new process would have one).
+			ck, err := LoadCheckpoint(ckPath)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if ck.Iteration != stopAt {
+				t.Errorf("%s: checkpoint holds boundary %d, want %d", name, ck.Iteration, stopAt)
+			}
+			sC := testScorer(t, data, 5)
+			cfgC := base
+			cfgC.Resume = ck
+			resC, err := Mine(context.Background(), sC, cfgC)
+			if err != nil {
+				t.Fatalf("%s: resume: %v", name, err)
+			}
+			if resC.Interrupted {
+				t.Fatalf("%s: resumed run interrupted", name)
+			}
+			if resC.Stats.Iterations != resA.Stats.Iterations {
+				t.Errorf("%s: resumed run took %d iterations, uninterrupted took %d",
+					name, resC.Stats.Iterations, resA.Stats.Iterations)
+			}
 
-		gotPath := filepath.Join(dir, fmt.Sprintf("resume%d.json", stopAt))
-		if err := SavePatterns(gotPath, resC.Patterns); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(gotPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(refPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("stop %d: resumed answer differs from the uninterrupted run", stopAt)
+			gotPath := filepath.Join(dir, fmt.Sprintf("resume-%s%d.json", how, stopAt))
+			if err := SavePatterns(gotPath, resC.Patterns); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(gotPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: resumed answer differs from the uninterrupted run", name)
+			}
 		}
 	}
 }

@@ -75,6 +75,7 @@ func TestMinerConfigTypedErrors(t *testing.T) {
 		{"negative maxiters", MinerConfig{K: 1, MaxIters: -1}, "MaxIters"},
 		{"negative wall time", MinerConfig{K: 1, MaxWallTime: -time.Second}, "MaxWallTime"},
 		{"minlen over maxlen", MinerConfig{K: 1, MinLen: 9, MaxLen: 4}, "MinLen"},
+		{"minlen over default maxlen", MinerConfig{K: 1, MinLen: DefaultMaxLen + 1}, "MinLen"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -40,15 +40,6 @@ type MinerConfig struct {
 	// MaxIters bounds the number of grow iterations as a safety net on
 	// top of the termination test. Zero means DefaultMaxIters.
 	MaxIters int
-	// MaxHigh caps the size of the high set used for candidate
-	// generation. The paper labels every pattern with NM >= ω as high;
-	// when many patterns tie at ω — which is guaranteed once δ is large
-	// enough that whole regions have probability 1 and NM 0 — that rule
-	// floods H and the candidate volume explodes combinatorially. The
-	// cap keeps the best MaxHigh patterns (deterministic order) plus the
-	// protected answer set. Zero means 4·K; negative means unlimited
-	// (the paper's literal rule).
-	MaxHigh int
 	// MaxLowQ caps how many low 1-extension patterns are retained in Q
 	// as extension partners, keeping the best by NM. The paper retains
 	// all of them (O(kG), which with its O(k²G) candidate volume per
@@ -94,14 +85,13 @@ type MinerConfig struct {
 	// zero when reproducibility matters.
 	MaxWallTime time.Duration
 	// CheckpointPath, when non-empty, makes the miner persist a
-	// crash-safe snapshot of its state (see Checkpoint) every
-	// CheckpointEvery iterations and at a cancellation boundary. Writes
-	// are atomic (temp file + fsync + rename) with a CRC trailer, so the
-	// path always holds a complete, verifiable checkpoint.
+	// crash-safe snapshot of its state (see Checkpoint) after every
+	// completed grow iteration, so the path holds the last completed
+	// boundary whether the run terminates, hits MaxIters or is
+	// interrupted. Writes are atomic (temp file + fsync + rename) with a
+	// CRC trailer, so the path always holds a complete, verifiable
+	// checkpoint.
 	CheckpointPath string
-	// CheckpointEvery is the checkpoint cadence in grow iterations.
-	// Zero means 1 (every iteration boundary).
-	CheckpointEvery int
 	// Resume, when non-nil, restores the miner's state from a previous
 	// run's checkpoint instead of seeding from scratch. The checkpoint's
 	// fingerprint must match this run's configuration and dataset.
@@ -139,6 +129,15 @@ const (
 	DefaultMaxIters = 64
 )
 
+// highCapPerK caps the high set used for candidate generation at
+// highCapPerK·K patterns (DESIGN §4, deviation 2). The paper labels every
+// pattern with NM >= ω as high; when many patterns tie at ω — which is
+// guaranteed once δ is large enough that whole regions have probability 1
+// and NM 0 — that rule floods H and the candidate volume explodes
+// combinatorially. The cap keeps the best patterns in deterministic order,
+// plus the protected answer set.
+const highCapPerK = 4
+
 // boundSlack is the relative slack by which a pair's LM bound must fall
 // below ω before candidate generation skips it, so rounding in the bound
 // never drops a concatenation whose NM ties ω.
@@ -154,14 +153,8 @@ func (c MinerConfig) withDefaults() MinerConfig {
 	if c.MinLen < 1 {
 		c.MinLen = 1
 	}
-	if c.MaxHigh == 0 {
-		c.MaxHigh = 4 * c.K
-	}
 	if c.MaxLowQ == 0 {
 		c.MaxLowQ = 4 * c.K
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
 	}
 	return c
 }
@@ -185,8 +178,8 @@ func (c MinerConfig) Validate() error {
 	if c.Resume != nil && c.Resume.Version != CheckpointVersion {
 		return fmt.Errorf("core: resume checkpoint version %d, want %d", c.Resume.Version, CheckpointVersion)
 	}
-	if c.MinLen > c.MaxLen && c.MaxLen != 0 {
-		return cfgErr("MinerConfig", "MinLen", "%d exceeds MaxLen %d", c.MinLen, c.MaxLen)
+	if maxLen := c.withDefaults().MaxLen; c.MinLen > maxLen {
+		return cfgErr("MinerConfig", "MinLen", "%d exceeds MaxLen %d", c.MinLen, maxLen)
 	}
 	return nil
 }
@@ -232,15 +225,16 @@ type entry struct {
 	nm  float64
 }
 
-// labeling is one iteration's view of Q: the high set (paper ω = Kth best
-// NM over all of Q, plus the protected top-K answer patterns of length >=
-// MinLen) and the current answer key set.
+// labeling is one iteration boundary's view of Q: the high set (paper ω =
+// Kth best NM over all of Q, plus the protected top-K answer patterns of
+// length >= MinLen) and the answer set, best first.
 type labeling struct {
 	high    []*entry
 	highKey map[string]struct{}
+	ans     []*entry
 	ansKey  map[string]struct{}
 	omega   float64 // the Kth best NM in Q, -Inf while Q holds fewer than K
-	capped  int     // entries dropped from the high set by the MaxHigh cap
+	capped  int     // patterns with NM >= ω that the cap left out of the high set
 }
 
 // minerMetrics holds the resolved obs handles of one Mine call. All fields
@@ -255,7 +249,7 @@ type minerMetrics struct {
 	prunedCap  *obs.Counter // low patterns removed by the MaxLowQ cap
 	retained   *obs.Counter // patterns left in Q at the end of a run; across
 	// any number of runs, retained = seeds + fresh + readmitted − pruned
-	highCapped    *obs.Counter // high-set entries dropped by the MaxHigh cap
+	highCapped    *obs.Counter // high-set entries dropped by the high-set cap
 	pairsSkipped  *obs.Counter // (high, Q) pairs whose LM bound falls below ω
 	termStable    *obs.Counter // terminations: high+answer sets stable, answer full
 	termDry       *obs.Counter // terminations: stable and no fresh candidates left
@@ -307,10 +301,11 @@ func newMinerMetrics(r *obs.Registry) minerMetrics {
 // LM bound keeps below ω (DESIGN §4, deviation 4).
 //
 // ctx cancellation (and MinerConfig.MaxWallTime) interrupt the run
-// gracefully: the miner drains its scoring workers, optionally flushes a
-// final checkpoint, and returns its best-so-far top-k with
-// Result.Interrupted set — not an error. Real failures (invalid config,
-// a scoring panic, a checkpoint write error) are errors.
+// gracefully: the miner drains its scoring workers and returns its
+// best-so-far top-k with Result.Interrupted set — not an error; the
+// checkpoint, if any, already holds the last completed boundary. Real
+// failures (invalid config, a scoring panic, a checkpoint write error) are
+// errors.
 func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -365,6 +360,9 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 		}
 	}
 
+	// prevHigh and prevAns are the key sets of the labeling the last
+	// iteration generated from, the termination test's stability
+	// witnesses; nil before the first iteration.
 	var prevHigh, prevAns map[string]struct{}
 	lastFresh := -1   // fresh candidates evaluated in the previous iteration
 	startIter := 0    // first grow iteration to execute
@@ -410,43 +408,25 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 		m.seeds.Add(int64(len(seedPats)))
 	}
 
-	// saveCk flushes a boundary snapshot: iter is the next iteration to
-	// execute. A failed checkpoint write is a hard error — continuing
-	// would let a crash lose far more work than the caller asked us to
-	// protect.
-	saveCk := func(iter int) error {
-		cks := stats
-		cks.NMEvaluations = resumeBaseNM + s.NMEvaluations()
-		snap := snapshot(fp, iter, lastFresh, cks, q, evaluated, prevHigh, prevAns)
-		if err := SaveCheckpoint(cfg.CheckpointFS, cfg.CheckpointPath, snap); err != nil {
-			return fmt.Errorf("core: checkpoint: %w", err)
-		}
-		m.checkpoints.Inc()
-		if tl != nil {
-			tl.Event("miner.checkpoint", trace.Attrs{"iter": iter, "q": len(q)})
-		}
-		return nil
-	}
+	// lab is the labeling of Q at the current iteration boundary. Each
+	// iteration labels Q once, after scoring, and prunes only patterns
+	// outside that labeling's high and answer sets, which leaves its ω,
+	// high set and answer set those of the pruned Q; so it is carried into
+	// the next iteration unchanged, apart from capped (see drop).
+	lab := label(q, cfg.K, cfg.MinLen)
+	m.highSize.Set(int64(len(lab.high)))
+	m.lowSize.Set(int64(len(q) - len(lab.high)))
+	m.ansSize.Set(int64(len(lab.ansKey)))
 
 	terminated := false
 	interruptReason := ""
 	for iter := startIter; iter < cfg.MaxIters; iter++ {
-		// Interrupt and checkpoint only at iteration boundaries: the
-		// in-memory state here is exactly what a resumed run needs to
-		// replay the rest of the search deterministically.
+		// Interrupt only at iteration boundaries: the checkpoint already
+		// holds this boundary, so a resumed run replays the rest of the
+		// search deterministically.
 		if reason := interrupted(); reason != "" {
 			interruptReason = reason
-			if cfg.CheckpointPath != "" && iter != startIter {
-				if err := saveCk(iter); err != nil {
-					return nil, err
-				}
-			}
 			break
-		}
-		if cfg.CheckpointPath != "" && iter != startIter && (iter-startIter)%cfg.CheckpointEvery == 0 {
-			if err := saveCk(iter); err != nil {
-				return nil, err
-			}
 		}
 		stats.Iterations = iter + 1
 		m.iterations.Inc()
@@ -455,12 +435,9 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 		if tl != nil {
 			iterSpan = tl.Span("miner.iteration", trace.Attrs{"iter": iter + 1})
 		}
-
-		lab := label(q, cfg.K, cfg.MinLen, cfg.MaxHigh)
+		// miner.high.capped sums capped over the two labelings an
+		// iteration reads: this one for generation, the next for pruning.
 		m.highCapped.Add(int64(lab.capped))
-		m.highSize.Set(int64(len(lab.high)))
-		m.lowSize.Set(int64(len(q) - len(lab.high)))
-		m.ansSize.Set(int64(len(lab.ansKey)))
 
 		// Termination: the high set and the answer set did not change
 		// during the last iteration, and the search is saturated — the
@@ -545,10 +522,12 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 					return nil, err
 				}
 				// Cancelled mid-iteration. Q already absorbed this
-				// iteration's readmissions but that is still a valid
-				// pattern set for a best-so-far answer; the last
-				// boundary checkpoint (if any) remains the resume
-				// point, so resuming replays this iteration in full.
+				// iteration's readmissions, but a readmitted pattern was
+				// pruned outside the answer set and can never re-enter
+				// it, so lab's answer is still Q's best-so-far answer.
+				// The last boundary checkpoint (if any) remains the
+				// resume point, so resuming replays this iteration in
+				// full.
 				interruptReason = interrupted()
 				iterSpan.Attr("interrupted", true).End()
 				stopIter()
@@ -576,31 +555,36 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 		// answer patterns, and low patterns satisfying the 1-extension
 		// property with respect to the new high set (Definition 5 /
 		// Lemma 1), up to the MaxLowQ cap.
-		newLab := label(q, cfg.K, cfg.MinLen, cfg.MaxHigh)
-		m.highCapped.Add(int64(newLab.capped))
-		m.highSize.Set(int64(len(newLab.high)))
-		m.ansSize.Set(int64(len(newLab.ansKey)))
+		lab = label(q, cfg.K, cfg.MinLen)
+		m.highCapped.Add(int64(lab.capped))
+		m.highSize.Set(int64(len(lab.high)))
+		m.ansSize.Set(int64(len(lab.ansKey)))
 		protected := func(k string) bool {
-			if _, ok := newLab.highKey[k]; ok {
+			if _, ok := lab.highKey[k]; ok {
 				return true
 			}
-			_, ok := newLab.ansKey[k]
+			_, ok := lab.ansKey[k]
 			return ok
+		}
+		// drop prunes e from Q. An unprotected pattern with NM >= ω is
+		// one the cap left out of H, so lab.capped follows Q.
+		drop := func(e *entry, reason string) {
+			delete(q, e.key)
+			if e.nm >= lab.omega {
+				lab.capped--
+			}
+			if tl != nil {
+				tl.Event("miner.candidate.pruned", trace.Attrs{"pattern": e.key, "nm": e.nm, "reason": reason, "iter": iter + 1})
+			}
 		}
 		if !cfg.DisablePrune {
 			for k, e := range q {
-				if protected(k) || len(e.pat) == 1 {
+				if protected(k) || len(e.pat) == 1 || isOneExtension(e.pat, lab.highKey) {
 					continue
 				}
-				if isOneExtension(e.pat, newLab.highKey) {
-					continue
-				}
-				delete(q, k)
+				drop(e, "extension")
 				stats.Pruned++
 				m.prunedExt.Inc()
-				if tl != nil {
-					tl.Event("miner.candidate.pruned", trace.Attrs{"pattern": k, "nm": e.nm, "reason": "extension", "iter": iter + 1})
-				}
 			}
 		}
 		if cfg.MaxLowQ > 0 {
@@ -613,25 +597,39 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 			if len(lows) > cfg.MaxLowQ {
 				sortEntries(lows)
 				for _, e := range lows[cfg.MaxLowQ:] {
-					delete(q, e.key)
+					drop(e, "lowcap")
 					stats.LowCapped++
 					m.prunedCap.Inc()
-					if tl != nil {
-						tl.Event("miner.candidate.pruned", trace.Attrs{"pattern": e.key, "nm": e.nm, "reason": "lowcap", "iter": iter + 1})
-					}
 				}
 			}
 		}
-		m.lowSize.Set(int64(len(q) - len(newLab.high)))
-		iterSpan.Attr("q", len(q)).Attr("high", len(newLab.high)).Attr("fresh", lastFresh).End()
+		m.lowSize.Set(int64(len(q) - len(lab.high)))
+		iterSpan.Attr("q", len(q)).Attr("high", len(lab.high)).Attr("fresh", lastFresh).End()
 		stopIter()
+
+		// Checkpoint the completed boundary: iter+1 is the next iteration
+		// to execute. A failed write is a hard error — continuing would
+		// let a crash lose far more work than the caller asked us to
+		// protect.
+		if cfg.CheckpointPath != "" {
+			cks := stats
+			cks.NMEvaluations = resumeBaseNM + s.NMEvaluations()
+			snap := snapshot(fp, iter+1, lastFresh, cks, q, evaluated, prevHigh, prevAns)
+			if err := SaveCheckpoint(cfg.CheckpointFS, cfg.CheckpointPath, snap); err != nil {
+				return nil, fmt.Errorf("core: checkpoint: %w", err)
+			}
+			m.checkpoints.Inc()
+			if tl != nil {
+				tl.Event("miner.checkpoint", trace.Attrs{"iter": iter + 1, "q": len(q)})
+			}
+		}
 		if cfg.OnProgress != nil {
 			cfg.OnProgress(Progress{
 				Iteration:  iter + 1,
 				MaxIters:   cfg.MaxIters,
 				QSize:      len(q),
-				HighSize:   len(newLab.high),
-				AnswerSize: len(newLab.ansKey),
+				HighSize:   len(lab.high),
+				AnswerSize: len(lab.ansKey),
 				K:          cfg.K,
 				Candidates: stats.Candidates,
 				Elapsed:    time.Since(start), //trajlint:allow determinism -- Progress.Elapsed is UI feedback, not mined output
@@ -649,7 +647,10 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 	runSpan.Attr("iterations", stats.Iterations).Attr("q_final", len(q))
 
 	stats.NMEvaluations = resumeBaseNM + s.NMEvaluations()
-	res := &Result{Patterns: topK(q, cfg.K, cfg.MinLen), Stats: stats}
+	res := &Result{Patterns: make([]ScoredPattern, len(lab.ans)), Stats: stats}
+	for i, e := range lab.ans {
+		res.Patterns[i] = ScoredPattern{Pattern: e.pat, NM: e.nm}
+	}
 	if cfg.CaptureFinalState {
 		res.FinalState = snapshot(fp, stats.Iterations, lastFresh, stats, q, evaluated, prevHigh, prevAns)
 	}
@@ -661,12 +662,12 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 	return res, nil
 }
 
-// label computes the current high set and answer set of Q. The high
-// threshold ω is the Kth largest NM over all patterns (-Inf when Q holds
-// fewer than K), the high set is capped at maxHigh entries (ties at ω can
+// label computes the high set and answer set of Q. The high threshold ω
+// is the Kth largest NM over all patterns (-Inf when Q holds fewer than
+// K), the high set is capped at highCapPerK·K entries (ties at ω can
 // otherwise flood it), and the answer set is the top-K patterns of length
 // >= minLen, which are always marked high as well so they keep extending.
-func label(q map[string]*entry, k, minLen, maxHigh int) labeling {
+func label(q map[string]*entry, k, minLen int) labeling {
 	all := make([]*entry, 0, len(q))
 	for _, e := range q {
 		all = append(all, e)
@@ -689,7 +690,7 @@ func label(q map[string]*entry, k, minLen, maxHigh int) labeling {
 			lab.highKey[e.key] = struct{}{}
 		}
 	}
-	if maxHigh > 0 && len(lab.high) > maxHigh {
+	if maxHigh := highCapPerK * k; len(lab.high) > maxHigh {
 		lab.capped = len(lab.high) - maxHigh
 		for _, e := range lab.high[maxHigh:] {
 			delete(lab.highKey, e.key)
@@ -700,16 +701,15 @@ func label(q map[string]*entry, k, minLen, maxHigh int) labeling {
 	// the top-K of Q (a subset of the high set); for the Section 5
 	// variant it is the top-K among patterns of length >= minLen, which
 	// are additionally marked high so they keep extending.
-	count := 0
 	for _, e := range all {
 		if len(e.pat) >= minLen {
+			lab.ans = append(lab.ans, e)
 			lab.ansKey[e.key] = struct{}{}
 			if _, ok := lab.highKey[e.key]; !ok {
 				lab.high = append(lab.high, e)
 				lab.highKey[e.key] = struct{}{}
 			}
-			count++
-			if count == k {
+			if len(lab.ans) == k {
 				break
 			}
 		}
@@ -755,25 +755,4 @@ func sortEntries(es []*entry) {
 		}
 		return es[i].key < es[j].key
 	})
-}
-
-// topK extracts the final answer from Q: the k best patterns of length >=
-// minLen. If Q holds fewer than k eligible patterns, all of them are
-// returned.
-func topK(q map[string]*entry, k, minLen int) []ScoredPattern {
-	var es []*entry
-	for _, e := range q {
-		if len(e.pat) >= minLen {
-			es = append(es, e)
-		}
-	}
-	sortEntries(es)
-	if len(es) > k {
-		es = es[:k]
-	}
-	out := make([]ScoredPattern, len(es))
-	for i, e := range es {
-		out[i] = ScoredPattern{Pattern: e.pat, NM: e.nm}
-	}
-	return out
 }

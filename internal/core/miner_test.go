@@ -286,33 +286,6 @@ func TestMinerStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestMinerMaxHighUnlimited(t *testing.T) {
-	// MaxHigh < 0 (the paper's literal rule) must agree with the default
-	// cap on a small instance without pathological ties.
-	g := grid.NewSquare(2)
-	data := patternedDatasetPts(23, g, []int{0, 1, 3}, 5, 3, 0.05, 0.02)
-	run := func(maxHigh int) []ScoredPattern {
-		s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Mine(context.Background(), s, MinerConfig{K: 6, MaxLen: 4, MaxHigh: maxHigh, Seeds: s.AllCells()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Patterns
-	}
-	capped, unlimited := run(0), run(-1)
-	if len(capped) != len(unlimited) {
-		t.Fatalf("result sizes differ: %d vs %d", len(capped), len(unlimited))
-	}
-	for i := range capped {
-		if math.Abs(capped[i].NM-unlimited[i].NM) > 1e-9 {
-			t.Errorf("rank %d NM differs: %v vs %v", i, capped[i].NM, unlimited[i].NM)
-		}
-	}
-}
-
 func TestMinerMaxLowQCap(t *testing.T) {
 	g := grid.NewSquare(3)
 	data := patternedDatasetPts(29, g, []int{0, 4, 8}, 6, 3, 0.05, 0.02)
@@ -335,7 +308,7 @@ func TestMinerMaxLowQCap(t *testing.T) {
 func TestMinerSurvivesDegenerateTies(t *testing.T) {
 	// Every snapshot dead-center of the same cell with a huge δ: every
 	// touched pattern has NM exactly 0 and ties flood the high set. The
-	// default MaxHigh cap must keep the run bounded.
+	// default high-set cap must keep the run bounded.
 	g := grid.NewSquare(3)
 	var tr traj.Trajectory
 	for i := 0; i < 12; i++ {
@@ -345,7 +318,8 @@ func TestMinerSurvivesDegenerateTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Mine(context.Background(), s, MinerConfig{K: 5, MaxLen: 6})
+	reg := obs.New()
+	res, err := Mine(context.Background(), s, MinerConfig{K: 5, MaxLen: 6, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,6 +328,13 @@ func TestMinerSurvivesDegenerateTies(t *testing.T) {
 	}
 	if res.Stats.Candidates > 200000 {
 		t.Errorf("tie explosion not contained: %d candidates", res.Stats.Candidates)
+	}
+	// Each iteration counts the ties the cap leaves out of H twice: in
+	// the labeling it generates from, and in the one it prunes against.
+	// Pruning removes some of them in between, so the pin also checks
+	// that the carried labeling's count follows Q.
+	if got := reg.Snapshot().Counter("miner.high.capped"); got != 1175 {
+		t.Errorf("miner.high.capped = %d, want 1175", got)
 	}
 }
 

@@ -130,6 +130,9 @@ type Scorer struct {
 	// replaced, so a loaded vector is immutable.
 	cells   []atomic.Pointer[[]float64]
 	nmEvals atomic.Int64 // number of NM evaluations (for MinerStats)
+	// zeros returns the all-zero vector a Wildcard position reads (log
+	// 1 everywhere), built on first use.
+	zeros func() []float64
 
 	m  scorerMetrics
 	tl *trace.Local // batch-span recorder; nil when Config.Tracer is nil
@@ -195,6 +198,7 @@ func NewScorer(data traj.Dataset, cfg Config) (*Scorer, error) {
 	for _, t := range data {
 		s.flat = append(s.flat, t...)
 	}
+	s.zeros = sync.OnceValue(func() []float64 { return make([]float64, len(s.flat)) })
 	return s, nil
 }
 
@@ -408,9 +412,13 @@ func (s *Scorer) CacheSize() int {
 func (s *Scorer) NMEvaluations() int { return int(s.nmEvals.Load()) }
 
 // vectors appends the cached log-prob vector of each pattern position to
-// dst.
+// dst; a Wildcard position (a WildPattern's) gets the all-zero vector.
 func (s *Scorer) vectors(p Pattern, dst [][]float64) [][]float64 {
 	for _, cell := range p {
+		if cell == Wildcard {
+			dst = append(dst, s.zeros())
+			continue
+		}
 		dst = append(dst, s.cellLogProbs(cell))
 	}
 	return dst

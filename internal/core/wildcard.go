@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,42 +61,27 @@ func (p WildPattern) validate() error {
 	return nil
 }
 
-// NMWild returns the normalized match of a wild-card pattern: the window
-// scan treats wildcard positions as probability 1 (log 0 contribution) and
-// normalizes by the number of specified positions. Boundary wildcards are
-// rejected because they never change the score.
+// NMWild returns the normalized match of a wild-card pattern: the
+// shared-prefix walk scans it with an all-zero vector (log 1) at each
+// wildcard position, and each trajectory's best window is normalized by
+// the number of specified positions; a trajectory shorter than the
+// pattern contributes DefaultLogFloor. Boundary wildcards are rejected
+// because they never change the score.
 func (s *Scorer) NMWild(p WildPattern) (float64, error) {
 	if err := p.validate(); err != nil {
 		return 0, err
 	}
-	spec := p.SpecifiedLen()
-	vecs := make([][]float64, len(p))
-	for j, cell := range p {
-		if cell != Wildcard {
-			vecs[j] = s.cellLogProbs(cell)
-		}
-	}
+	spec := float64(p.SpecifiedLen())
+	w := s.walkOne(Pattern(p))
+	defer w.release()
 	var total float64
-	m := len(p)
 	for ti := range s.data {
-		start, end := s.offsets[ti], s.offsets[ti+1]
-		if end-start < m {
+		if s.shorter(ti, len(p)) {
 			total += DefaultLogFloor
 			continue
 		}
-		best := math.Inf(-1)
-		for w := start; w+m <= end; w++ {
-			var sum float64
-			for j := 0; j < m; j++ {
-				if vecs[j] != nil {
-					sum += vecs[j][w+j]
-				}
-			}
-			if sum > best {
-				best = sum
-			}
-		}
-		total += best / float64(spec)
+		w.trajectory(ti)
+		total += w.logM[0] / spec
 	}
 	return total, nil
 }

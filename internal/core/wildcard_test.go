@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"trajpattern/internal/grid"
+	"trajpattern/internal/stat"
 	"trajpattern/internal/traj"
 )
 
@@ -42,6 +43,80 @@ func TestNMWildNoWildcardsMatchesNM(t *testing.T) {
 	}
 	if want := s.NM(p); math.Abs(got-want) > 1e-12 {
 		t.Errorf("NMWild = %v, NM = %v", got, want)
+	}
+}
+
+// nmWildScan is the reference NMWild: a window-by-window scan that adds
+// the specified positions' log-probs in pattern order, skipping wildcards,
+// normalizes each trajectory's best window by the specified length, and
+// adds DefaultLogFloor for a trajectory shorter than the pattern.
+func nmWildScan(s *Scorer, p WildPattern) float64 {
+	vecs := make([][]float64, len(p))
+	for j, cell := range p {
+		if cell != Wildcard {
+			vecs[j] = s.cellLogProbs(cell)
+		}
+	}
+	var total float64
+	m := len(p)
+	for ti := range s.data {
+		start, end := s.offsets[ti], s.offsets[ti+1]
+		if end-start < m {
+			total += DefaultLogFloor
+			continue
+		}
+		best := math.Inf(-1)
+		for w := start; w+m <= end; w++ {
+			var sum float64
+			for j := 0; j < m; j++ {
+				if vecs[j] != nil {
+					sum += vecs[j][w+j]
+				}
+			}
+			if sum > best {
+				best = sum
+			}
+		}
+		total += best / float64(p.SpecifiedLen())
+	}
+	return total
+}
+
+// TestNMWildMatchesWindowScan checks NMWild, which scores through the
+// shared-prefix walk, against the window-by-window reference bit for bit
+// on random wildcard patterns, over trajectories both longer and shorter
+// than the pattern.
+func TestNMWildMatchesWindowScan(t *testing.T) {
+	rng := stat.NewRNG(23)
+	g := grid.NewSquare(4)
+	for inst := 0; inst < 20; inst++ {
+		data := make(traj.Dataset, 2+rng.Intn(5))
+		for i := range data {
+			data[i] = make(traj.Trajectory, 1+rng.Intn(12))
+			for j := range data[i] {
+				data[i][j] = traj.P(rng.Float64(), rng.Float64(), 0.02+0.2*rng.Float64())
+			}
+		}
+		s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 30; k++ {
+			p := make(WildPattern, 1+rng.Intn(8))
+			for j := range p {
+				p[j] = rng.Intn(g.NumCells())
+				if j > 0 && j < len(p)-1 && rng.Bool(0.4) {
+					p[j] = Wildcard
+				}
+			}
+			got, err := s.NMWild(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := nmWildScan(s, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("instance %d, %s: NMWild %v, window scan %v", inst, p, got, want)
+			}
+		}
 	}
 }
 

@@ -3,8 +3,8 @@ package core
 import "sync"
 
 // The window-scan kernels and the shared-prefix walk built on them. Every
-// window scan (NM, LogMatches, LogMatchesAll, the match measures and
-// ScoreAll) runs through these kernels. They unroll across windows, four
+// window scan (NM, NMWild, LogMatches, LogMatchesAll, the match measures
+// and ScoreAll) runs through these kernels. They unroll across windows, four
 // at a time, never across the terms of one window sum, so each sum takes
 // its terms in the order of the caller's passes and is the same float a
 // plain loop would produce. The unrolled bodies carry no bounds checks;

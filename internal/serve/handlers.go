@@ -141,14 +141,15 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.writeMineError(w, r, err)
 		return
 	}
-	// An ingest-enabled server mines continuously and serves
-	// best-so-far: once the re-mining loop has completed a generation,
-	// /v1/mine answers with at most k of its patterns, best first —
-	// flagged degraded while a newer generation is still being mined —
-	// instead of re-running the search in the request path. Before the
-	// first generation (or with ingest off) the on-demand path below
-	// still applies. The loop answers one problem, so a request for
-	// another is refused before and after the first generation alike.
+	// An ingest-enabled server mines its ingest windows continuously and
+	// serves best-so-far: /v1/mine answers with at most k of the latest
+	// generation's patterns, best first — flagged degraded while a newer
+	// generation is still being mined — instead of re-running the search
+	// in the request path. The loop answers one problem on one dataset,
+	// so a request for another problem is refused, and until the first
+	// generation exists the answer is 503 + Retry-After rather than a
+	// mine of the -in dataset. With ingest off the on-demand path below
+	// applies.
 	if s.ingestEnabled() {
 		if req.K > DefaultIngestMineK || req.MinLen > 1 || (req.MaxLen != 0 && req.MaxLen != core.DefaultMaxLen) {
 			s.writeError(w, http.StatusBadRequest, "ingest_fixed_problem", fmt.Sprintf(
@@ -176,6 +177,10 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, resp)
 			return
 		}
+		retryAfterHeader(w, s.cfg.RetryAfter)
+		s.writeError(w, http.StatusServiceUnavailable, "no_generation",
+			"the ingest re-mining loop has not completed a generation yet")
+		return
 	}
 	res, err := core.Mine(r.Context(), s.scorer, mcfg)
 	if err != nil {

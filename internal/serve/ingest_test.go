@@ -311,11 +311,13 @@ func TestMineOnGenerationValidatesAndCutsToK(t *testing.T) {
 // ingest server answers only the problem its re-mining loop solves (top
 // DefaultIngestMineK, every length up to DefaultMaxLen): other k, min_len
 // and max_len values get 400 ingest_fixed_problem, before the first
-// generation and after it.
+// generation and after it. The loop's own problem gets 503 no_generation
+// with Retry-After until the first generation exists, never a mine of the
+// server's -in dataset, and 200 after it.
 func TestMineOnIngestServerRefusesOtherProblems(t *testing.T) {
 	t.Cleanup(leakcheck.Check(t))
 	s, url := newIngestServer(t, t.TempDir(), nil)
-	check := func(when string) {
+	check := func(when string, want int) {
 		t.Helper()
 		for _, req := range []MineRequest{
 			{K: DefaultIngestMineK + 1},
@@ -334,15 +336,23 @@ func TestMineOnIngestServerRefusesOtherProblems(t *testing.T) {
 			{K: DefaultIngestMineK},
 			{K: 1, MinLen: 1, MaxLen: core.DefaultMaxLen},
 		} {
-			if resp := postJSON(t, url+"/v1/mine", req); resp.StatusCode != http.StatusOK {
-				t.Errorf("%s, %+v: status %d, want 200", when, req, resp.StatusCode)
+			resp := postJSON(t, url+"/v1/mine", req)
+			if resp.StatusCode != want {
+				t.Errorf("%s, %+v: status %d, want %d", when, req, resp.StatusCode, want)
+			} else if want == http.StatusServiceUnavailable {
+				if resp.Header.Get("Retry-After") == "" {
+					t.Errorf("%s, %+v: 503 without Retry-After", when, req)
+				}
+				if eb := decode[errorBody](t, resp); eb.Error.Code != "no_generation" {
+					t.Errorf("%s, %+v: code %q, want no_generation", when, req, eb.Error.Code)
+				}
 			}
 		}
 	}
-	check("before the first generation")
+	check("before the first generation", http.StatusServiceUnavailable)
 	feedTwoObjects(t, url)
 	waitGeneration(t, s, 24)
-	check("after a generation")
+	check("after a generation", http.StatusOK)
 }
 
 // TestGenerationMinesOnServerGrid checks that each generation is mined on

@@ -181,13 +181,17 @@ func TestMineEndpointAndPredict(t *testing.T) {
 
 func TestMineRejectsBadConfig(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	resp := postJSON(t, ts.URL+"/v1/mine", MineRequest{K: -1})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("k=-1 status = %d, want 400", resp.StatusCode)
-	}
-	eb := decode[errorBody](t, resp)
-	if eb.Error.Code != "bad_config" {
-		t.Errorf("code = %q, want bad_config", eb.Error.Code)
+	// A min_len above the default max_len (24) is as bad as one above an
+	// explicit max_len.
+	for _, req := range []MineRequest{{K: -1}, {K: 5, MinLen: core.DefaultMaxLen + 1}} {
+		resp := postJSON(t, ts.URL+"/v1/mine", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%+v: status = %d, want 400", req, resp.StatusCode)
+		}
+		eb := decode[errorBody](t, resp)
+		if eb.Error.Code != "bad_config" {
+			t.Errorf("%+v: code = %q, want bad_config", req, eb.Error.Code)
+		}
 	}
 }
 
