@@ -159,12 +159,3 @@ func BenchmarkA2ProbModes(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkA3CacheAblation measures the per-cell log-prob cache effect.
-func BenchmarkA3CacheAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunA3(context.Background(), benchSweep()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -18,7 +18,7 @@
 //
 // Experiments: e1 (§6.1 pattern lengths), e2 (Figure 3), e3–e6
 // (Figure 4a–d), e7 (Figure 4e), e8 (§6.1 on posture data), e9 (pattern
-// classifier), a1–a6 (ablations).
+// classifier), a1, a2 and a4–a6 (ablations).
 //
 // The -check gate compares the deterministic work counters (NM
 // evaluations, candidates, prunes — identical across machines for a fixed

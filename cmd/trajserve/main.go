@@ -43,14 +43,11 @@ func main() {
 		patterns = flag.String("patterns", "", "preload mined patterns (JSON) so /v1/predict works immediately")
 		gridN    = flag.Int("gridn", 12, "grid side (G = gridn²)")
 		deltaMul = flag.Float64("delta", 1, "indifferent threshold δ as a multiple of the cell size")
-		capacity = flag.Int64("capacity", serve.DefaultCapacity, "admission capacity in weight units (mine costs -mine-weight)")
+		capacity = flag.Int64("capacity", serve.DefaultCapacity, "admission capacity in weight units (score and predict cost 1, mine 4, clamped to -capacity)")
 		queue    = flag.Int("queue", serve.DefaultMaxQueue, "admission wait-queue bound; beyond it requests are shed with 429")
-		mineWt   = flag.Int64("mine-weight", serve.DefaultMineWeight, "admission weight of one /v1/mine request (clamped to -capacity)")
-		deadline = flag.Duration("deadline", serve.DefaultDeadline, "per-request deadline (queue wait included)")
+		deadline = flag.Duration("deadline", serve.DefaultDeadline, "per-request deadline (queue wait included); also bounds each /v1/mine run and re-mine generation")
 		ingWAL   = flag.String("ingest-wal", "", "enable durable streaming ingest (POST /v1/ingest) with the write-ahead log in this directory")
 		ingWin   = flag.Int("ingest-window", 0, "per-object sliding-window record cap for ingest (0 = default)")
-		ingFsync = flag.Int("ingest-fsync-every", 0, "max reports per ingest WAL group commit (0 = default)")
-		maxWall  = flag.Duration("mine-maxwall", 0, "cap on a mine request's wall-clock budget (0 = 80% of -deadline)")
 		grace    = flag.Duration("grace", serve.DefaultGrace, "drain grace for in-flight requests on SIGTERM")
 		trcPath  = flag.String("trace", "", "record request/miner spans and write the journal here at exit")
 		metOut   = flag.String("metricsout", "", "write the provenance-stamped metrics report (JSON) here at exit")
@@ -78,17 +75,14 @@ func main() {
 		DataPath:     *in,
 		PatternsPath: *patterns,
 		Server: serve.Config{
-			GridN:            *gridN,
-			DeltaMul:         *deltaMul,
-			Capacity:         *capacity,
-			MaxQueue:         *queue,
-			MineWeight:       *mineWt,
-			Deadline:         *deadline,
-			MaxMineWallTime:  *maxWall,
-			IngestWALDir:     *ingWAL,
-			IngestWindow:     *ingWin,
-			IngestFsyncEvery: *ingFsync,
-			Logger:           logger,
+			GridN:        *gridN,
+			DeltaMul:     *deltaMul,
+			Capacity:     *capacity,
+			MaxQueue:     *queue,
+			Deadline:     *deadline,
+			IngestWALDir: *ingWAL,
+			IngestWindow: *ingWin,
+			Logger:       logger,
 		},
 		Grace:      *grace,
 		TracePath:  *trcPath,

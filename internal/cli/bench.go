@@ -28,7 +28,7 @@ const DefaultBenchTolerance = 15
 // benchExperiments is the canonical experiment order of the trajbench tool.
 var benchExperiments = []string{
 	"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9",
-	"a1", "a2", "a3", "a4", "a5", "a6",
+	"a1", "a2", "a4", "a5", "a6",
 }
 
 // BenchOptions parameterizes a trajbench run.
@@ -304,8 +304,6 @@ func runExperiment(ctx context.Context, id string, bus exp.BusOptions, sweep exp
 		return derefTable(exp.RunA1(ctx, sweep))
 	case "a2":
 		return derefTable(exp.RunA2(ctx, sweep))
-	case "a3":
-		return derefTable(exp.RunA3(ctx, sweep))
 	case "a4":
 		return derefTable(exp.RunA4(ctx, sweep))
 	case "a5":

@@ -90,8 +90,10 @@ type MineOptions struct {
 	// MaxIters bounds the miner's grow iterations (0 = miner default).
 	// NM measure only.
 	MaxIters int
-	// MaxWallTime bounds the run's wall-clock duration; the miner then
-	// reports its best-so-far top-k as an interrupted result. NM only.
+	// MaxWallTime, when > 0, bounds the run's wall-clock duration through
+	// ctx: when it elapses, the batch in flight is cancelled and the miner
+	// reports the last completed boundary's top-k as an interrupted
+	// result. NM only.
 	MaxWallTime time.Duration
 	// CheckpointPath, when non-empty, makes the miner write crash-safe
 	// checkpoints there (see core.MinerConfig.CheckpointPath). NM only.
@@ -121,6 +123,17 @@ func FitGrid(ds traj.Dataset, n int) *grid.Grid {
 	return grid.New(square, n, n)
 }
 
+// WithWallBudget bounds ctx by the wall-clock budget d, whose expiry a
+// mining run reports as "max wall time <d> elapsed"; d <= 0 leaves ctx
+// unbounded. The context is a run's only wall-clock bound, so this is how
+// trajmine's -maxwall and trajserve's deadlines reach the miner.
+func WithWallBudget(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if d <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeoutCause(ctx, d, fmt.Errorf("max wall time %v elapsed", d))
+}
+
 // Mine runs the requested miner over the dataset and writes a human
 // readable report to w. It returns the mined patterns for further use.
 //
@@ -148,6 +161,9 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 	if o.Measure != "nm" && (o.CheckpointPath != "" || o.Resume || o.MaxWallTime != 0) {
 		return nil, fmt.Errorf("cli: checkpoint/resume/deadline options support the nm measure only, not %q", o.Measure)
 	}
+	if o.MaxWallTime < 0 {
+		return nil, fmt.Errorf("cli: max wall time must be >= 0, got %v", o.MaxWallTime)
+	}
 
 	var patterns []core.Pattern
 	var scored []core.ScoredPattern
@@ -155,7 +171,7 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 	case "nm":
 		mcfg := core.MinerConfig{
 			K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen,
-			MaxIters: o.MaxIters, MaxWallTime: o.MaxWallTime, CheckpointPath: o.CheckpointPath,
+			MaxIters: o.MaxIters, CheckpointPath: o.CheckpointPath,
 			Metrics: reg, Tracer: o.Tracer, OnProgress: o.OnProgress,
 		}
 		if o.Resume {
@@ -174,6 +190,8 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 			}
 			mcfg.Resume = ck
 		}
+		ctx, cancel := WithWallBudget(ctx, o.MaxWallTime)
+		defer cancel()
 		res, err := core.Mine(ctx, s, mcfg)
 		if err != nil {
 			return nil, err

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"trajpattern/internal/core"
 )
@@ -186,6 +187,39 @@ func TestMineResume(t *testing.T) {
 	}
 	if _, err := mine(3, 0); err == nil {
 		t.Error("resume from a corrupt checkpoint succeeded")
+	}
+}
+
+// TestMineInterruptNotice: both run bounds end an nm run early, and the
+// report names which one: -maxiters through the miner, -maxwall through
+// a deadline on the context.
+func TestMineInterruptNotice(t *testing.T) {
+	ds, err := Generate(GenOptions{Kind: "zebra", N: 6, Len: 20, U: 0.02, C: 2, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		opts MineOptions
+		want string
+	}{
+		{MineOptions{MaxIters: 1}, "interrupted (max iterations 1 reached)"},
+		{MineOptions{MaxWallTime: time.Nanosecond}, "interrupted (max wall time 1ns elapsed)"},
+	} {
+		o := tc.opts
+		o.K, o.GridN, o.MaxLen, o.DeltaMul, o.Measure = 3, 8, 3, 1, "nm"
+		var buf bytes.Buffer
+		if _, err := Mine(context.Background(), &buf, ds, o); err != nil {
+			t.Fatalf("%+v: %v", tc.opts, err)
+		}
+		if !strings.Contains(buf.String(), tc.want) {
+			t.Errorf("%+v: report lacks %q:\n%s", tc.opts, tc.want, buf.String())
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := Mine(context.Background(), &buf, ds, MineOptions{
+		K: 3, GridN: 8, MaxLen: 3, DeltaMul: 1, Measure: "nm", MaxWallTime: -time.Second,
+	}); err == nil {
+		t.Error("negative wall budget accepted")
 	}
 }
 

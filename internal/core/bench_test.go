@@ -36,14 +36,13 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-func benchScorer(b *testing.B, mode ProbMode, cache bool) *Scorer {
+func benchScorer(b *testing.B, mode ProbMode) *Scorer {
 	b.Helper()
 	g := grid.NewSquare(12)
 	s, err := NewScorer(benchDataset(50, 100), Config{
-		Grid:         g,
-		Delta:        g.CellWidth(),
-		Mode:         mode,
-		DisableCache: !cache,
+		Grid:  g,
+		Delta: g.CellWidth(),
+		Mode:  mode,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -52,13 +51,16 @@ func benchScorer(b *testing.B, mode ProbMode, cache bool) *Scorer {
 }
 
 // BenchmarkNMColdCache measures a single NM evaluation including the
-// log-probability computation for its cells.
+// log-probability computation for its cells: each iteration scores on a
+// fresh scorer, built with the timer stopped.
 func BenchmarkNMColdCache(b *testing.B) {
-	s := benchScorer(b, ProbBox, false)
 	p := Pattern{50, 51, 62, 63}
-	b.ResetTimer()
+	b.StopTimer()
 	for i := 0; i < b.N; i++ {
+		s := benchScorer(b, ProbBox)
+		b.StartTimer()
 		s.NM(p)
+		b.StopTimer()
 	}
 }
 
@@ -66,7 +68,7 @@ func BenchmarkNMColdCache(b *testing.B) {
 // windowed sums over cached per-cell vectors — the inner loop of the
 // miner's complexity O(k²MNG).
 func BenchmarkNMWarmCache(b *testing.B) {
-	s := benchScorer(b, ProbBox, true)
+	s := benchScorer(b, ProbBox)
 	p := Pattern{50, 51, 62, 63}
 	s.NM(p) // warm
 	b.ResetTimer()
@@ -77,7 +79,7 @@ func BenchmarkNMWarmCache(b *testing.B) {
 
 // BenchmarkLogProbBox measures the per-snapshot box probability.
 func BenchmarkLogProbBox(b *testing.B) {
-	s := benchScorer(b, ProbBox, true)
+	s := benchScorer(b, ProbBox)
 	pt := traj.P(0.4, 0.4, 0.02)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,7 +90,7 @@ func BenchmarkLogProbBox(b *testing.B) {
 // BenchmarkLogProbDisk measures the per-snapshot Rice-distribution disk
 // probability (Simpson integration of the scaled Bessel integrand).
 func BenchmarkLogProbDisk(b *testing.B) {
-	s := benchScorer(b, ProbDisk, true)
+	s := benchScorer(b, ProbDisk)
 	pt := traj.P(0.4, 0.4, 0.02)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -99,7 +101,7 @@ func BenchmarkLogProbDisk(b *testing.B) {
 // BenchmarkScoreAllBatch measures batched parallel NM evaluation, the
 // miner's candidate-scoring path.
 func BenchmarkScoreAllBatch(b *testing.B) {
-	s := benchScorer(b, ProbBox, true)
+	s := benchScorer(b, ProbBox)
 	rng := stat.NewRNG(3)
 	patterns := make([]Pattern, 200)
 	for i := range patterns {

@@ -37,9 +37,10 @@ type Checkpoint struct {
 	// Fingerprint identifies the mining problem (config + scoring +
 	// dataset shape). Resume refuses a checkpoint whose fingerprint does
 	// not match the current run — replaying someone else's state would
-	// silently produce wrong patterns. Run bounds (MaxIters,
-	// MaxWallTime, checkpoint settings) are deliberately excluded: a run
-	// interrupted under a tight bound may be resumed under a looser one.
+	// silently produce wrong patterns. Run bounds (MaxIters, the
+	// context's deadline, checkpoint settings) are deliberately excluded:
+	// a run interrupted under a tight bound may be resumed under a looser
+	// one.
 	Fingerprint string `json:"fingerprint"`
 	// Iteration is the next grow iteration to execute (0-based): the
 	// snapshot was taken after Iteration-many iterations completed.
@@ -195,11 +196,11 @@ func (c MinerConfig) fingerprint(s *Scorer, seeds []int) string {
 		fmt.Fprintf(h, "%d,", sd)
 	}
 	sc := s.cfg
-	// The floor is a constant, but its "floor=-700" text stays in the
-	// hash so checkpoints written while it was a Config field still
-	// resume.
-	fmt.Fprintf(h, ";grid=%dx%d bounds=%v delta=%v mode=%v floor=%v cache=%t;",
-		sc.Grid.NX(), sc.Grid.NY(), sc.Grid.Bounds(), sc.Delta, sc.Mode, float64(DefaultLogFloor), !sc.DisableCache)
+	// The floor is a constant and the cache is always on, but their
+	// "floor=-700" and "cache=true" texts stay in the hash so checkpoints
+	// written while they were Config fields still resume.
+	fmt.Fprintf(h, ";grid=%dx%d bounds=%v delta=%v mode=%v floor=%v cache=true;",
+		sc.Grid.NX(), sc.Grid.NY(), sc.Grid.Bounds(), sc.Delta, sc.Mode, float64(DefaultLogFloor))
 	fmt.Fprintf(h, "data=%d/%d", len(s.data), len(s.flat))
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -273,7 +273,7 @@ func TestMineResumeEqualsUninterrupted(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if how == "cancel" && !resB.Interrupted {
+			if !resB.Interrupted {
 				t.Fatalf("%s: run not interrupted", name)
 			}
 
@@ -298,6 +298,13 @@ func TestMineResumeEqualsUninterrupted(t *testing.T) {
 			if resC.Stats.Iterations != resA.Stats.Iterations {
 				t.Errorf("%s: resumed run took %d iterations, uninterrupted took %d",
 					name, resC.Stats.Iterations, resA.Stats.Iterations)
+			}
+			// The memo restores every score the stopped run made, so the
+			// resumed run scores only what the uninterrupted run scored
+			// after the boundary: nothing twice.
+			if got := sC.NMEvaluations() + len(ck.Evaluated); got != resA.Stats.Candidates {
+				t.Errorf("%s: resumed NM evaluations %d + checkpointed %d = %d, uninterrupted run scored %d",
+					name, sC.NMEvaluations(), len(ck.Evaluated), got, resA.Stats.Candidates)
 			}
 
 			gotPath := filepath.Join(dir, fmt.Sprintf("resume-%s%d.json", how, stopAt))

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"trajpattern/internal/grid"
 	"trajpattern/internal/traj"
@@ -73,7 +72,6 @@ func TestMinerConfigTypedErrors(t *testing.T) {
 		{"negative k", MinerConfig{K: -3}, "K"},
 		{"negative maxlen", MinerConfig{K: 1, MaxLen: -1}, "MaxLen"},
 		{"negative maxiters", MinerConfig{K: 1, MaxIters: -1}, "MaxIters"},
-		{"negative wall time", MinerConfig{K: 1, MaxWallTime: -time.Second}, "MaxWallTime"},
 		{"minlen over maxlen", MinerConfig{K: 1, MinLen: 9, MaxLen: 4}, "MinLen"},
 		{"minlen over default maxlen", MinerConfig{K: 1, MinLen: DefaultMaxLen + 1}, "MinLen"},
 	}

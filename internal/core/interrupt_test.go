@@ -112,16 +112,41 @@ func TestMineCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestMineMaxWallTime: a wall budget is a context deadline with a cause,
+// as trajmine's -maxwall sets it. A budget already spent stops the run
+// before seeding, and the cause is the reported reason.
 func TestMineMaxWallTime(t *testing.T) {
 	s := testScorer(t, randomDataset(7, 8, 20, 0.1), 5)
-	res, err := Mine(context.Background(), s, MinerConfig{K: 5, MaxLen: 6, MaxWallTime: time.Nanosecond})
+	ctx, cancel := context.WithTimeoutCause(context.Background(), time.Nanosecond,
+		errors.New("max wall time 1ns elapsed"))
+	defer cancel()
+	<-ctx.Done()
+	res, err := Mine(ctx, s, MinerConfig{K: 5, MaxLen: 6})
 	if err != nil {
 		t.Fatalf("wall-time-bounded Mine errored: %v", err)
 	}
-	if !res.Interrupted || !strings.Contains(res.InterruptReason, "max wall time") {
+	if !res.Interrupted || res.InterruptReason != "max wall time 1ns elapsed" {
 		t.Errorf("wall-time bound not reported: %+v", res)
 	}
-	if _, err := Mine(context.Background(), s, MinerConfig{K: 5, MaxWallTime: -time.Second}); err == nil {
-		t.Error("negative MaxWallTime accepted")
+	if len(res.Patterns) != 0 {
+		t.Errorf("expired Mine returned %d patterns, want 0", len(res.Patterns))
+	}
+}
+
+// TestMineMaxIters: a run the MaxIters bound stops is reported as
+// interrupted, with the bound as its reason, like any other early stop.
+func TestMineMaxIters(t *testing.T) {
+	s := testScorer(t, randomDataset(7, 8, 20, 0.1), 5)
+	res, err := Mine(context.Background(), s, MinerConfig{K: 5, MaxLen: 6, MaxIters: 1})
+	if err != nil {
+		t.Fatalf("MaxIters-bounded Mine errored: %v", err)
+	}
+	if !res.Interrupted || res.InterruptReason != "max iterations 1 reached" {
+		t.Errorf("MaxIters stop reported as Interrupted %t, reason %q; want true, %q",
+			res.Interrupted, res.InterruptReason, "max iterations 1 reached")
+	}
+	if res.Stats.Iterations != 1 || len(res.Patterns) != 5 {
+		t.Errorf("MaxIters 1 ran %d iterations for %d patterns, want 1 and 5",
+			res.Stats.Iterations, len(res.Patterns))
 	}
 }

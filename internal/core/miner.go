@@ -38,7 +38,8 @@ type MinerConfig struct {
 	// DefaultMaxLen.
 	MaxLen int
 	// MaxIters bounds the number of grow iterations as a safety net on
-	// top of the termination test. Zero means DefaultMaxIters.
+	// top of the termination test; a run it stops is reported as
+	// interrupted. Zero means DefaultMaxIters.
 	MaxIters int
 	// MaxLowQ caps how many low 1-extension patterns are retained in Q
 	// as extension partners, keeping the best by NM. The paper retains
@@ -76,14 +77,6 @@ type MinerConfig struct {
 	// runs on the mining goroutine — keep it fast (the CLIs install a
 	// throttled printer).
 	OnProgress func(Progress)
-	// MaxWallTime, when > 0, bounds the run's wall-clock duration on top
-	// of any deadline carried by the Context: the miner stops at the
-	// first iteration boundary past the budget and returns its
-	// best-so-far answer with Result.Interrupted set. Like context
-	// cancellation this is graceful degradation, not an error — but it
-	// trades the determinism of the result for the bound, so leave it
-	// zero when reproducibility matters.
-	MaxWallTime time.Duration
 	// CheckpointPath, when non-empty, makes the miner persist a
 	// crash-safe snapshot of its state (see Checkpoint) after every
 	// completed grow iteration, so the path holds the last completed
@@ -172,9 +165,6 @@ func (c MinerConfig) Validate() error {
 	if c.MaxIters < 0 {
 		return cfgErr("MinerConfig", "MaxIters", "must be >= 0, got %d", c.MaxIters)
 	}
-	if c.MaxWallTime < 0 {
-		return cfgErr("MinerConfig", "MaxWallTime", "must be >= 0, got %v", c.MaxWallTime)
-	}
 	if c.Resume != nil && c.Resume.Version != CheckpointVersion {
 		return fmt.Errorf("core: resume checkpoint version %d, want %d", c.Resume.Version, CheckpointVersion)
 	}
@@ -202,14 +192,14 @@ type Result struct {
 	Patterns []ScoredPattern
 	Stats    MinerStats
 	// Interrupted reports that the run stopped before the algorithm's
-	// own termination test fired: the context was cancelled or
-	// MaxWallTime elapsed. The running answer set is always a valid
-	// partial answer, so Patterns still holds the best-so-far top-k —
-	// graceful degradation, not an error.
+	// own termination test fired: the context ended or MaxIters was
+	// reached. Patterns then holds the answer of the last completed
+	// iteration boundary, a valid best-so-far top-k — graceful
+	// degradation, not an error.
 	Interrupted bool
-	// InterruptReason says why the run was interrupted ("context
-	// canceled", "max wall time 5s elapsed", ...); empty when
-	// Interrupted is false.
+	// InterruptReason says why the run was interrupted (the context's
+	// cause, such as "context canceled", or "max iterations 3 reached");
+	// empty when Interrupted is false.
 	InterruptReason string
 	// FinalState is the terminal boundary snapshot of the run (Q, the
 	// NM memo, stability witnesses), present only when
@@ -254,7 +244,7 @@ type minerMetrics struct {
 	termStable    *obs.Counter // terminations: high+answer sets stable, answer full
 	termDry       *obs.Counter // terminations: stable and no fresh candidates left
 	termMaxIter   *obs.Counter // terminations: MaxIters safety net hit
-	termInterrupt *obs.Counter // terminations: context cancelled or MaxWallTime elapsed
+	termInterrupt *obs.Counter // terminations: context ended
 	checkpoints   *obs.Counter // checkpoint files written
 	qFinal        *obs.Gauge   // |Q| when the loop ended
 	qPeak         *obs.Gauge   // peak |Q| across iterations
@@ -300,12 +290,11 @@ func newMinerMetrics(r *obs.Registry) minerMetrics {
 // MinLen 1 the generation also skips every pair whose concatenations the
 // LM bound keeps below ω (DESIGN §4, deviation 4).
 //
-// ctx cancellation (and MinerConfig.MaxWallTime) interrupt the run
-// gracefully: the miner drains its scoring workers and returns its
-// best-so-far top-k with Result.Interrupted set — not an error; the
-// checkpoint, if any, already holds the last completed boundary. Real
-// failures (invalid config, a scoring panic, a checkpoint write error) are
-// errors.
+// ctx is the run's only wall-clock bound. When it ends, or MaxIters is
+// reached, the miner drains its scoring workers and returns the last
+// completed boundary's top-k with Result.Interrupted set — not an error;
+// the checkpoint, if any, already holds that boundary. Real failures
+// (invalid config, a scoring panic, a checkpoint write error) are errors.
 func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -325,7 +314,7 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 	m := newMinerMetrics(cfg.Metrics)
 	defer m.total.Start()()
 
-	start := time.Now() //trajlint:allow determinism -- feeds Progress.Elapsed (UI) and the opt-in MaxWallTime bound; never part of the mined result otherwise
+	start := time.Now() //trajlint:allow determinism -- feeds Progress.Elapsed (UI) only; never part of the mined result
 	tl := cfg.Tracer.Local()
 	var runSpan *trace.Span
 	if tl != nil {
@@ -337,16 +326,18 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 	}
 	defer runSpan.End()
 
-	// interrupted reports why the run should stop early, or "".
-	interrupted := func() string {
-		if ctx.Err() != nil {
-			return context.Cause(ctx).Error()
-		}
-		if cfg.MaxWallTime > 0 && time.Since(start) >= cfg.MaxWallTime { //trajlint:allow determinism -- implements the opt-in MaxWallTime bound
-			return fmt.Sprintf("max wall time %v elapsed", cfg.MaxWallTime)
-		}
-		return ""
+	// stop says why the run ended before its termination test fired, ""
+	// while it has not. Every early stop goes through halt, and the loop
+	// ends once stop is set.
+	stop := ""
+	halt := func(reason string, term *obs.Counter) {
+		stop = reason
+		term.Inc()
+		runSpan.Attr("interrupted", reason)
 	}
+	// cancelled halts on ctx, which ended a scoring batch or was found
+	// ended at an iteration boundary.
+	cancelled := func() { halt(context.Cause(ctx).Error(), m.termInterrupt) }
 
 	// Q and the evaluation memo. The memo survives pruning so a pattern
 	// regenerated in a later iteration is never rescored.
@@ -395,17 +386,16 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 			if errors.As(err, &pe) {
 				return nil, err
 			}
-			// Cancelled before any miner state exists: the empty answer
-			// is the only valid partial result.
-			m.termInterrupt.Inc()
-			return &Result{Stats: stats, Interrupted: true, InterruptReason: interrupted()}, nil
+			// Cancelled before any miner state exists: nms is nil, and
+			// the empty answer is the only valid partial result.
+			cancelled()
 		}
 		for i, nm := range nms {
 			evaluated[seedPats[i].Key()] = nm
 			insert(seedPats[i], nm)
 		}
-		stats.Candidates += len(seedPats)
-		m.seeds.Add(int64(len(seedPats)))
+		stats.Candidates += len(nms)
+		m.seeds.Add(int64(len(nms)))
 	}
 
 	// lab is the labeling of Q at the current iteration boundary. Each
@@ -418,14 +408,15 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 	m.lowSize.Set(int64(len(q) - len(lab.high)))
 	m.ansSize.Set(int64(len(lab.ansKey)))
 
-	terminated := false
-	interruptReason := ""
-	for iter := startIter; iter < cfg.MaxIters; iter++ {
-		// Interrupt only at iteration boundaries: the checkpoint already
-		// holds this boundary, so a resumed run replays the rest of the
-		// search deterministically.
-		if reason := interrupted(); reason != "" {
-			interruptReason = reason
+	for iter := startIter; stop == ""; iter++ {
+		if iter >= cfg.MaxIters {
+			halt(fmt.Sprintf("max iterations %d reached", cfg.MaxIters), m.termMaxIter)
+			break
+		}
+		// The checkpoint already holds this boundary, so a resumed run
+		// replays the rest of the search deterministically.
+		if ctx.Err() != nil {
+			cancelled()
 			break
 		}
 		stats.Iterations = iter + 1
@@ -455,7 +446,6 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 			} else {
 				m.termDry.Inc()
 			}
-			terminated = true
 			iterSpan.Attr("q", len(q)).Attr("high", len(lab.high)).Attr("terminated", true).End()
 			stopIter()
 			break
@@ -528,7 +518,7 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 				// The last boundary checkpoint (if any) remains the
 				// resume point, so resuming replays this iteration in
 				// full.
-				interruptReason = interrupted()
+				cancelled()
 				iterSpan.Attr("interrupted", true).End()
 				stopIter()
 				break
@@ -636,28 +626,22 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 			})
 		}
 	}
-	switch {
-	case interruptReason != "":
-		m.termInterrupt.Inc()
-	case !terminated:
-		m.termMaxIter.Inc()
-	}
 	m.qFinal.Set(int64(len(q)))
 	m.retained.Add(int64(len(q)))
 	runSpan.Attr("iterations", stats.Iterations).Attr("q_final", len(q))
 
 	stats.NMEvaluations = resumeBaseNM + s.NMEvaluations()
-	res := &Result{Patterns: make([]ScoredPattern, len(lab.ans)), Stats: stats}
+	res := &Result{
+		Patterns:        make([]ScoredPattern, len(lab.ans)),
+		Stats:           stats,
+		Interrupted:     stop != "",
+		InterruptReason: stop,
+	}
 	for i, e := range lab.ans {
 		res.Patterns[i] = ScoredPattern{Pattern: e.pat, NM: e.nm}
 	}
 	if cfg.CaptureFinalState {
 		res.FinalState = snapshot(fp, stats.Iterations, lastFresh, stats, q, evaluated, prevHigh, prevAns)
-	}
-	if interruptReason != "" {
-		res.Interrupted = true
-		res.InterruptReason = interruptReason
-		runSpan.Attr("interrupted", interruptReason)
 	}
 	return res, nil
 }

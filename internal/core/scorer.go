@@ -63,9 +63,6 @@ type Config struct {
 	// Workers bounds the parallelism of batch NM evaluation. Zero means
 	// GOMAXPROCS.
 	Workers int
-	// DisableCache turns off the per-cell log-probability cache (used by
-	// the A3 ablation benchmark). Scoring results are identical either way.
-	DisableCache bool
 	// Metrics, when non-nil, receives scorer instrumentation (NM
 	// evaluation, cache, scratch-pool and batch accounting under
 	// "scorer.*" names). Nil disables collection at the cost of one
@@ -309,12 +306,8 @@ func (s *Scorer) build(cells []int) [][]float64 {
 	return out
 }
 
-// cached returns cell's installed vector, or nil if it has none or the
-// cache is disabled.
+// cached returns cell's installed vector, or nil if it has none.
 func (s *Scorer) cached(cell int) []float64 {
-	if s.cfg.DisableCache {
-		return nil
-	}
 	if v := s.cells[cell].Load(); v != nil {
 		return *v
 	}
@@ -323,10 +316,10 @@ func (s *Scorer) cached(cell int) []float64 {
 
 // cellVectors returns the log-prob vector of each cell, building all the
 // missing ones in one pass, and how many it built. Each requested cell
-// counts as one build or one cache hit; with the cache on, a cell repeated
-// in the call is built once. Goroutines that build the same cell at once
-// all count the build, but only the first vector installed is kept and
-// returned to every caller. Callers must not mutate the vectors.
+// counts as one build or one cache hit; a cell repeated in the call is
+// built once. Goroutines that build the same cell at once all count the
+// build, but only the first vector installed is kept and returned to
+// every caller. Callers must not mutate the vectors.
 func (s *Scorer) cellVectors(cells []int) (vecs [][]float64, built int) {
 	vecs = make([][]float64, len(cells))
 	var miss []int // indices into cells
@@ -343,19 +336,11 @@ func (s *Scorer) cellVectors(cells []int) (vecs [][]float64, built int) {
 	for j, i := range miss {
 		need[j] = cells[i]
 	}
-	if !s.cfg.DisableCache {
-		slices.Sort(need)
-		need = slices.Compact(need)
-	}
+	slices.Sort(need)
+	need = slices.Compact(need)
 	fresh := s.build(need)
 	s.m.cellsBuilt.Add(int64(len(need)))
 	s.m.cacheHits.Add(int64(len(cells) - len(need)))
-	if s.cfg.DisableCache {
-		for j, i := range miss {
-			vecs[i] = fresh[j]
-		}
-		return vecs, len(need)
-	}
 	for j, c := range need {
 		v := fresh[j]
 		s.cells[c].CompareAndSwap(nil, &v)
@@ -606,10 +591,8 @@ func (s *Scorer) ScoreAll(ctx context.Context, patterns []Pattern) ([]float64, e
 const yieldSteps = 1024
 
 // scoreChunk writes into out the NM of every pattern chunk indexes. It
-// walks the chunk in blocks of walkBlock patterns, one pattern at a time
-// when the cache is disabled, since then every vector a walk holds is a
-// fresh build. It stops early when ctx ends or a pattern panics; the panic
-// comes back as a *ScorePanicError.
+// walks the chunk in blocks of walkBlock patterns. It stops early when ctx
+// ends or a pattern panics; the panic comes back as a *ScorePanicError.
 func (s *Scorer) scoreChunk(ctx context.Context, patterns []Pattern, chunk []int, out []float64) (pe *ScorePanicError) {
 	w := s.newWalk()
 	defer w.release()
@@ -619,14 +602,10 @@ func (s *Scorer) scoreChunk(ctx context.Context, patterns []Pattern, chunk []int
 			pe = &ScorePanicError{Index: block[w.at], Value: r, Stack: string(debug.Stack())}
 		}
 	}()
-	size := walkBlock
-	if s.cfg.DisableCache {
-		size = 1
-	}
-	nm := make([]float64, min(size, len(chunk)))
+	nm := make([]float64, min(walkBlock, len(chunk)))
 	steps := 0 // (pattern, trajectory) scans since the last yield
 	for len(chunk) > 0 {
-		block, chunk = chunk[:min(size, len(chunk))], chunk[min(size, len(chunk)):]
+		block, chunk = chunk[:min(walkBlock, len(chunk))], chunk[min(walkBlock, len(chunk)):]
 		w.reset()
 		for k, i := range block {
 			w.at = k

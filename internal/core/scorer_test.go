@@ -333,29 +333,6 @@ func TestLongPatternScratchBounded(t *testing.T) {
 	}
 }
 
-func TestCacheTransparency(t *testing.T) {
-	data := randomDataset(6, 3, 10, 0.1)
-	g := grid.NewSquare(4)
-	withCache, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	noCache, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), DisableCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Pattern{3, 7, 11}
-	if a, b := withCache.NM(p), noCache.NM(p); a != b {
-		t.Errorf("cache changed result: %v vs %v", a, b)
-	}
-	if withCache.CacheSize() == 0 {
-		t.Error("cache not populated")
-	}
-	if noCache.CacheSize() != 0 {
-		t.Error("disabled cache populated")
-	}
-}
-
 func TestProbModesBothValid(t *testing.T) {
 	data := randomDataset(7, 3, 10, 0.1)
 	g := grid.NewSquare(4)

@@ -111,7 +111,7 @@ type Result struct {
 	// accumulated in fixed shard order.
 	Patterns []core.ScoredPattern
 	// Interrupted reports that at least one shard stopped early (context
-	// cancelled or MaxWallTime elapsed) or that the merge's rescoring was
+	// ended or MaxIters reached) or that the merge's rescoring was
 	// cancelled. Patterns still holds the best answer derivable from the
 	// completed work — graceful degradation, not an error.
 	Interrupted bool
@@ -135,8 +135,8 @@ type Result struct {
 // merged into the global top-k.
 //
 // The engine neither writes nor resumes checkpoints: resume must be nil,
-// and cfg must leave CheckpointPath and Resume unset. cfg.MaxWallTime
-// bounds each shard's search individually.
+// and cfg must leave CheckpointPath and Resume unset. ctx bounds every
+// shard's search and the merge.
 func (e *Engine) Mine(ctx context.Context, cfg core.MinerConfig, resume []*core.Checkpoint) (*Result, error) {
 	if resume != nil || cfg.Resume != nil || cfg.CheckpointPath != "" {
 		return nil, fmt.Errorf("shard: the engine neither writes nor resumes checkpoints")
@@ -249,7 +249,7 @@ func (e *Engine) Mine(ctx context.Context, cfg core.MinerConfig, resume []*core.
 
 	states := make([]*core.Checkpoint, n)
 	for i, r := range results {
-		states[i] = r.FinalState // nil when shard i was cancelled before seeding
+		states[i] = r.FinalState // empty when shard i was cancelled before seeding
 	}
 	patterns, mstats, mreason, err := e.merge(ctx, cfg, states, parent, tl)
 	if err != nil {

@@ -113,44 +113,3 @@ func RunA2(ctx context.Context, o SweepOptions) (*Table, error) {
 		},
 	}, nil
 }
-
-// RunA3 is the log-prob cache ablation: identical results, different cost.
-func RunA3(ctx context.Context, o SweepOptions) (*Table, error) {
-	o, err := o.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	ds, err := o.dataset(o.S, o.L)
-	if err != nil {
-		return nil, err
-	}
-	g := grid.NewSquare(o.GridN)
-
-	run := func(disable bool) (float64, error) {
-		s, err := core.NewScorer(ds, core.Config{Grid: g, Delta: g.CellWidth(), DisableCache: disable})
-		if err != nil {
-			return 0, err
-		}
-		elapsed := stopwatch()
-		if _, err := core.Mine(ctx, s, core.MinerConfig{K: o.K, MaxLen: o.MaxLen}); err != nil {
-			return 0, err
-		}
-		return elapsed(), nil
-	}
-	cachedSec, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	uncachedSec, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return &Table{
-		Title:   "A3: per-cell log-prob cache ablation",
-		Columns: []string{"variant", "time (s)"},
-		Rows: [][]string{
-			{"cached", fmt.Sprintf("%.3f", cachedSec)},
-			{"uncached", fmt.Sprintf("%.3f", uncachedSec)},
-		},
-	}, nil
-}

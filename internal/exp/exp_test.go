@@ -183,12 +183,9 @@ func TestRunA1Shape(t *testing.T) {
 	}
 }
 
-func TestRunA2A3Shape(t *testing.T) {
+func TestRunA2Shape(t *testing.T) {
 	if tb, err := RunA2(context.Background(), tinySweep()); err != nil || len(tb.Rows) != 2 {
 		t.Fatalf("A2: %v, %+v", err, tb)
-	}
-	if tb, err := RunA3(context.Background(), tinySweep()); err != nil || len(tb.Rows) != 2 {
-		t.Fatalf("A3: %v, %+v", err, tb)
 	}
 }
 

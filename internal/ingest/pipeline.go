@@ -70,11 +70,6 @@ type Config struct {
 	// QueueDepth bounds the accept queue; a full queue sheds with
 	// OverloadError. Zero means DefaultQueueDepth.
 	QueueDepth int
-	// FsyncEvery caps how many records one group commit covers. The
-	// pipeline needs no timer: a batch is whatever accumulated while
-	// the previous fsync was in flight, up to this cap. Zero means
-	// DefaultFsyncEvery.
-	FsyncEvery int
 	// Metrics, when non-nil, receives ingest RED instrumentation.
 	Metrics *obs.Registry
 	// OnApply, when non-nil, runs on the commit goroutine after each
@@ -85,12 +80,14 @@ type Config struct {
 	OnApply func(applied int)
 }
 
-// Queue and batch defaults: deep enough to ride out one slow fsync,
-// bounded enough that shed latency stays visible.
-const (
-	DefaultQueueDepth = 256
-	DefaultFsyncEvery = 64
-)
+// DefaultQueueDepth is deep enough to ride out one slow fsync, bounded
+// enough that shed latency stays visible.
+const DefaultQueueDepth = 256
+
+// fsyncEvery caps how many records one group commit covers. The pipeline
+// needs no timer: a batch is whatever accumulated while the previous
+// fsync was in flight, up to this cap.
+const fsyncEvery = 64
 
 // ingestReq is one report waiting for durability; ack (buffered, length
 // 1) carries the outcome back to the waiting handler.
@@ -158,9 +155,6 @@ func Open(cfg Config) (*Pipeline, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.FsyncEvery <= 0 {
-		cfg.FsyncEvery = DefaultFsyncEvery
-	}
 	if cfg.WAL.Metrics == nil {
 		cfg.WAL.Metrics = cfg.Metrics
 	}
@@ -184,7 +178,7 @@ func Open(cfg Config) (*Pipeline, error) {
 	}
 	p.m.winRecords.Set(int64(win.Records()))
 	p.m.winObjects.Set(int64(win.Objects()))
-	go p.run(cfg.FsyncEvery)
+	go p.run()
 	return p, nil
 }
 
@@ -229,7 +223,7 @@ func (p *Pipeline) Ingest(ctx context.Context, obj string, t, x, y float64) erro
 }
 
 // run is the commit goroutine: one batch per iteration, no timers.
-func (p *Pipeline) run(fsyncEvery int) {
+func (p *Pipeline) run() {
 	defer close(p.done)
 	batch := make([]ingestReq, 0, fsyncEvery)
 	for {

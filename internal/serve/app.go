@@ -60,7 +60,7 @@ type Options struct {
 //     → 503, queued waiters shed) and the listener closes, so no new
 //     request enters.
 //  2. Finish or interrupt: in-flight requests get Grace to complete —
-//     mining requests self-interrupt via MaxWallTime and return degraded
+//     mining requests stop at their Deadline and return degraded
 //     partials — after which their contexts are cancelled and remaining
 //     connections closed.
 //

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
 	"trajpattern/internal/geom"
 	"trajpattern/internal/obs"
@@ -79,7 +80,7 @@ func (s *Server) writeScoreError(w http.ResponseWriter, r *http.Request, err err
 	switch {
 	case r.Context().Err() != nil ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		retryAfterHeader(w, s.cfg.RetryAfter)
+		retryAfterHeader(w)
 		s.writeError(w, http.StatusServiceUnavailable, "timeout", err.Error())
 	case errors.As(err, &pe):
 		s.metrics.panics.Inc()
@@ -97,15 +98,17 @@ type MineRequest struct {
 	K      int `json:"k"`
 	MinLen int `json:"min_len,omitempty"`
 	MaxLen int `json:"max_len,omitempty"`
-	// MaxWallMS bounds the run's wall time in milliseconds; the server
-	// clamps it to its own MaxMineWallTime. Zero means the server cap.
+	// MaxWallMS bounds the run's wall time in milliseconds, inside the
+	// route's Deadline, which bounds it anyway. Zero means the Deadline
+	// alone.
 	MaxWallMS int64 `json:"max_wall_ms,omitempty"`
 }
 
 // MineResponse carries the mined top-k. Degraded marks a partial answer:
-// the wall-time budget (or the caller's deadline) fired before the
-// algorithm's own termination test, so Patterns is the best-so-far top-k
-// rather than the converged answer — served as 200, not an error.
+// the request's wall budget or deadline, or the miner's iteration bound,
+// stopped the run before the algorithm's own termination test, so
+// Patterns is the best-so-far top-k rather than the converged answer —
+// served as 200, not an error.
 type MineResponse struct {
 	Patterns        []ScoredPatternJSON `json:"patterns"`
 	Degraded        bool                `json:"degraded"`
@@ -123,19 +126,12 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	wall := s.cfg.MaxMineWallTime
-	if req.MaxWallMS > 0 {
-		if asked := time.Duration(req.MaxWallMS) * time.Millisecond; wall <= 0 || asked < wall {
-			wall = asked
-		}
-	}
 	mcfg := core.MinerConfig{
-		K:           req.K,
-		MinLen:      req.MinLen,
-		MaxLen:      req.MaxLen,
-		MaxWallTime: wall,
-		Metrics:     s.cfg.Metrics,
-		Tracer:      s.cfg.Tracer,
+		K:       req.K,
+		MinLen:  req.MinLen,
+		MaxLen:  req.MaxLen,
+		Metrics: s.cfg.Metrics,
+		Tracer:  s.cfg.Tracer,
 	}
 	if err := mcfg.Validate(); err != nil {
 		s.writeMineError(w, r, err)
@@ -177,12 +173,14 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, resp)
 			return
 		}
-		retryAfterHeader(w, s.cfg.RetryAfter)
+		retryAfterHeader(w)
 		s.writeError(w, http.StatusServiceUnavailable, "no_generation",
 			"the ingest re-mining loop has not completed a generation yet")
 		return
 	}
-	res, err := core.Mine(r.Context(), s.scorer, mcfg)
+	ctx, cancel := cli.WithWallBudget(r.Context(), time.Duration(req.MaxWallMS)*time.Millisecond)
+	defer cancel()
+	res, err := core.Mine(ctx, s.scorer, mcfg)
 	if err != nil {
 		s.writeMineError(w, r, err)
 		return
@@ -303,7 +301,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // must not take traffic it would mis-order.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	notReady := func(reason string) {
-		retryAfterHeader(w, s.cfg.RetryAfter)
+		retryAfterHeader(w)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_ = json.NewEncoder(w).Encode(map[string]any{"ready": false, "reason": reason})

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 
+	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
 	"trajpattern/internal/geom"
 	"trajpattern/internal/ingest"
@@ -67,9 +68,8 @@ func (s *Server) StartIngest() error {
 			Metrics: s.cfg.Metrics,
 			Log:     s.cfg.Logger,
 		},
-		Limits:     ingest.WindowLimits{MaxRecords: s.cfg.IngestWindow},
-		FsyncEvery: s.cfg.IngestFsyncEvery,
-		Metrics:    s.cfg.Metrics,
+		Limits:  ingest.WindowLimits{MaxRecords: s.cfg.IngestWindow},
+		Metrics: s.cfg.Metrics,
 		OnApply: func(int) {
 			// Nudge, never block: the loop coalesces bursts into one
 			// re-mine, and a full nudge channel means one is already due.
@@ -142,7 +142,7 @@ func (s *Server) ingestEnabled() bool { return s.cfg.IngestWALDir != "" }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.ingestReady.Load() || s.ingestPipe == nil {
-		retryAfterHeader(w, s.cfg.RetryAfter)
+		retryAfterHeader(w)
 		s.writeError(w, http.StatusServiceUnavailable, "replaying",
 			"ingest is replaying its WAL; retry shortly")
 		return
@@ -177,14 +177,14 @@ func (s *Server) writeIngestError(w http.ResponseWriter, r *http.Request, err er
 		s.writeError(w, http.StatusBadRequest, "out_of_order", oe.Error())
 	case errors.As(err, &ove):
 		s.metrics.shed.Inc()
-		retryAfterHeader(w, s.cfg.RetryAfter)
+		retryAfterHeader(w)
 		s.writeError(w, http.StatusTooManyRequests, "ingest_overloaded", ove.Error())
 	case errors.As(err, &ue):
-		retryAfterHeader(w, s.cfg.RetryAfter)
+		retryAfterHeader(w)
 		s.writeError(w, http.StatusServiceUnavailable, "ingest_unavailable", ue.Error())
 	case r.Context().Err() != nil ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		retryAfterHeader(w, s.cfg.RetryAfter)
+		retryAfterHeader(w)
 		s.writeError(w, http.StatusServiceUnavailable, "timeout",
 			"deadline before durability was confirmed; the report may or may not have committed")
 	default:
@@ -231,9 +231,10 @@ func (s *Server) generation() ingestGeneration {
 	return s.gen
 }
 
-// remineOnce mines the current windows into the next generation. A crash
-// mid-mine needs no checkpoint: WAL replay rebuilds the windows and the
-// restarted server's first generation mines them.
+// remineOnce mines the current windows into the next generation, within
+// the server's Deadline. A crash mid-mine needs no checkpoint: WAL replay
+// rebuilds the windows and the restarted server's first generation mines
+// them.
 func (s *Server) remineOnce(ctx context.Context) error {
 	snap := s.ingestPipe.WindowSnapshot()
 	ds := s.windowsToDataset(snap)
@@ -252,11 +253,12 @@ func (s *Server) remineOnce(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("build scorer over ingest windows: %w", err)
 	}
+	ctx, cancel := cli.WithWallBudget(ctx, s.cfg.Deadline)
+	defer cancel()
 	res, err := core.Mine(ctx, scorer, core.MinerConfig{
-		K:           DefaultIngestMineK,
-		MaxWallTime: s.cfg.MaxMineWallTime,
-		Metrics:     s.cfg.Metrics,
-		Tracer:      s.cfg.Tracer,
+		K:       DefaultIngestMineK,
+		Metrics: s.cfg.Metrics,
+		Tracer:  s.cfg.Tracer,
 	})
 	if err != nil {
 		return err

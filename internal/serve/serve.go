@@ -43,12 +43,19 @@ import (
 
 // Defaults for Config fields left zero.
 const (
-	DefaultCapacity   = 8
-	DefaultMaxQueue   = 16
-	DefaultRetryAfter = 500 * time.Millisecond
-	DefaultDeadline   = 30 * time.Second
-	DefaultMineWeight = 4
+	DefaultCapacity = 8
+	DefaultMaxQueue = 16
+	DefaultDeadline = 30 * time.Second
 )
+
+// retryAfter is the backoff hint attached to 429/503 responses; the
+// Retry-After header rounds it up to whole seconds.
+const retryAfter = 500 * time.Millisecond
+
+// mineWeight is the admission weight of one /v1/mine request. It is
+// clamped to a positive Capacity, so a mine request can always be
+// admitted.
+const mineWeight = 4
 
 // DefaultMaxBodySize bounds every request body.
 const DefaultMaxBodySize = 8 << 20 // 8 MiB of JSON is far beyond any sane request
@@ -65,30 +72,18 @@ type Config struct {
 	DeltaMul float64
 
 	// Capacity is the admission controller's total in-flight weight
-	// (score and predict cost 1, mine costs MineWeight). Zero means
-	// DefaultCapacity; negative means unlimited.
+	// (score and predict cost 1, mine costs 4, clamped to a positive
+	// Capacity). Zero means DefaultCapacity; negative means unlimited.
 	Capacity int64
 	// MaxQueue bounds the admission wait queue. Zero means
 	// DefaultMaxQueue; negative means unbounded.
 	MaxQueue int
-	// RetryAfter is the backoff hint attached to 429/503 responses.
-	// Zero means DefaultRetryAfter.
-	RetryAfter time.Duration
-	// MineWeight is the admission weight of one /v1/mine request.
-	// Zero means DefaultMineWeight. It is clamped to a positive
-	// Capacity, so a mine request can always be admitted.
-	MineWeight int64
 
 	// Deadline bounds every guarded route's wall time, queue wait
-	// included. Zero means DefaultDeadline; negative disables it.
+	// included; a /v1/mine request mines under it, and so does each
+	// ingest re-mining generation. Zero means DefaultDeadline; negative
+	// disables it.
 	Deadline time.Duration
-
-	// MaxMineWallTime caps the miner's in-request wall-clock budget.
-	// A request asking for more (or for nothing) gets this value, so a
-	// mine request can never hold its admission weight longer than
-	// MaxMineWallTime plus one iteration. Zero means 80% of the
-	// effective Deadline (leaving headroom to encode the answer).
-	MaxMineWallTime time.Duration
 
 	// IngestWALDir, when non-empty, enables durable streaming ingest:
 	// POST /v1/ingest appends reports to a segmented write-ahead log in
@@ -99,9 +94,6 @@ type Config struct {
 	// IngestWindow caps each object's sliding window in records. Zero
 	// means ingest.DefaultMaxRecords.
 	IngestWindow int
-	// IngestFsyncEvery caps how many reports one WAL group commit
-	// covers. Zero means ingest.DefaultFsyncEvery.
-	IngestFsyncEvery int
 	// IngestSyncInterval, IngestSyncCount, IngestSyncU and IngestSyncC
 	// define the snapshot schedule the re-mining loop superimposes on
 	// the windowed reports (traj.SyncConfig). Zeros mean 1, 16, 1, 2.
@@ -139,20 +131,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue == 0 {
 		c.MaxQueue = DefaultMaxQueue
 	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = DefaultRetryAfter
-	}
-	if c.MineWeight <= 0 {
-		c.MineWeight = DefaultMineWeight
-	}
-	if c.Capacity > 0 && c.MineWeight > c.Capacity {
-		c.MineWeight = c.Capacity
-	}
 	if c.Deadline == 0 {
 		c.Deadline = DefaultDeadline
-	}
-	if c.MaxMineWallTime == 0 && c.Deadline > 0 {
-		c.MaxMineWallTime = c.Deadline * 8 / 10
 	}
 	if c.IngestSyncInterval <= 0 {
 		c.IngestSyncInterval = 1
@@ -283,7 +263,7 @@ func NewServer(cfg Config) (*Server, error) {
 		grid:      g,
 		delta:     delta,
 		sigma:     sigma,
-		admission: guard.NewAdmission(cfg.Capacity, cfg.MaxQueue, cfg.RetryAfter),
+		admission: guard.NewAdmission(cfg.Capacity, cfg.MaxQueue, retryAfter),
 		mux:       http.NewServeMux(),
 		metrics:   newServeMetrics(cfg.Metrics),
 	}
@@ -297,7 +277,11 @@ func NewServer(cfg Config) (*Server, error) {
 		Wait:     cfg.Metrics.Histogram("serve.queue.wait"),
 	})
 	s.mux.Handle("POST "+routeScore, s.guarded(routeScore, 1, s.handleScore))
-	s.mux.Handle("POST "+routeMine, s.guarded(routeMine, cfg.MineWeight, s.handleMine))
+	mineWt := int64(mineWeight)
+	if cfg.Capacity > 0 {
+		mineWt = min(mineWt, cfg.Capacity)
+	}
+	s.mux.Handle("POST "+routeMine, s.guarded(routeMine, mineWt, s.handleMine))
 	s.mux.Handle("POST "+routePredict, s.guarded(routePredict, 1, s.handlePredict))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -461,7 +445,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string)
 // *ShedError → 429 + Retry-After, *DrainError → 503 + Retry-After,
 // context expiry while queued → 503.
 func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
-	retryAfterHeader(w, s.cfg.RetryAfter)
+	retryAfterHeader(w)
 	var shed *guard.ShedError
 	var drain *guard.DrainError
 	switch {
@@ -477,11 +461,8 @@ func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
 	}
 }
 
-func retryAfterHeader(w http.ResponseWriter, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second) // ceil: "Retry-After: 0" means hammer away
-	if secs < 1 {
-		secs = 1
-	}
+func retryAfterHeader(w http.ResponseWriter) {
+	secs := int64((retryAfter + time.Second - 1) / time.Second) // ceil: "Retry-After: 0" means hammer away
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 }
 

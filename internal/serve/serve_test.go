@@ -195,9 +195,13 @@ func TestMineRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestMineWallTimeDegrades: /v1/mine mines under the route deadline.
+// Admission's fast path admits without looking at the context, so a
+// nanosecond deadline starts the mine expired, and the answer is a 200
+// flagged degraded with the deadline as its reason.
 func TestMineWallTimeDegrades(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) {
-		c.MaxMineWallTime = time.Nanosecond // force interruption at the first boundary
+		c.Deadline = time.Nanosecond
 	})
 	resp := postJSON(t, ts.URL+"/v1/mine", MineRequest{K: 5})
 	if resp.StatusCode != http.StatusOK {
@@ -205,10 +209,10 @@ func TestMineWallTimeDegrades(t *testing.T) {
 	}
 	mined := decode[MineResponse](t, resp)
 	if !mined.Degraded {
-		t.Fatal("nanosecond budget did not degrade the answer")
+		t.Fatal("nanosecond deadline did not degrade the answer")
 	}
-	if mined.InterruptReason == "" {
-		t.Error("degraded answer carries no interrupt reason")
+	if !strings.Contains(mined.InterruptReason, "deadline") {
+		t.Errorf("degraded answer's reason %q does not name the deadline", mined.InterruptReason)
 	}
 }
 

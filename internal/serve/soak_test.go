@@ -34,13 +34,12 @@ func TestSoakOverloadedServer(t *testing.T) {
 
 	reg := obs.New()
 	s, err := NewServer(Config{
-		Dataset:    testDataset(),
-		GridN:      6,
-		Capacity:   4,
-		MaxQueue:   4,
-		RetryAfter: 10 * time.Millisecond,
-		Deadline:   5 * time.Second,
-		Metrics:    reg,
+		Dataset:  testDataset(),
+		GridN:    6,
+		Capacity: 4,
+		MaxQueue: 4,
+		Deadline: 5 * time.Second,
+		Metrics:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,13 +181,12 @@ func TestSoakMetricsConformance(t *testing.T) {
 	defer leakcheck.Check(t)()
 	reg := obs.New()
 	s, err := NewServer(Config{
-		Dataset:    testDataset(),
-		GridN:      6,
-		Capacity:   2,
-		MaxQueue:   2,
-		RetryAfter: 10 * time.Millisecond,
-		Deadline:   5 * time.Second,
-		Metrics:    reg,
+		Dataset:  testDataset(),
+		GridN:    6,
+		Capacity: 2,
+		MaxQueue: 2,
+		Deadline: 5 * time.Second,
+		Metrics:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)

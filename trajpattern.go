@@ -140,10 +140,11 @@ const Wildcard = core.Wildcard
 // NewScorer indexes a dataset for match/NM evaluation.
 func NewScorer(d Dataset, cfg ScorerConfig) (*Scorer, error) { return core.NewScorer(d, cfg) }
 
-// Mine runs the TrajPattern algorithm: top-k patterns by NM. Cancelling
-// ctx (or setting MinerConfig.MaxWallTime) interrupts the run gracefully:
-// the result carries the best-so-far top-k with MineResult.Interrupted
-// set rather than an error. See MinerConfig.CheckpointPath and
+// Mine runs the TrajPattern algorithm: top-k patterns by NM. ctx is the
+// run's wall-clock bound: cancelling it, or a deadline on it, interrupts
+// the run gracefully, as does reaching MinerConfig.MaxIters. The result
+// then carries the best-so-far top-k with MineResult.Interrupted set
+// rather than an error. See MinerConfig.CheckpointPath and
 // MinerConfig.Resume for crash-safe checkpointing of long runs.
 func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*MineResult, error) {
 	return core.Mine(ctx, s, cfg)
