@@ -64,6 +64,34 @@ func BenchmarkNMColdCache(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepare measures the cell build: every observed cell of a
+// fresh scorer (ring 1, the miner's default seed set), each iteration on
+// a scorer built with the timer stopped. The sub-benchmarks build on one
+// worker and on GOMAXPROCS, so their ratio is the build's parallel
+// speed-up.
+func BenchmarkPrepare(b *testing.B) {
+	g := grid.NewSquare(16)
+	ds := benchDataset(160, 120)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=GOMAXPROCS", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := NewScorer(ds, Config{Grid: g, Delta: g.CellWidth(), Workers: bc.workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells := s.ObservedCells(1)
+				b.StartTimer()
+				s.Prepare(cells)
+				b.StopTimer()
+			}
+		})
+	}
+}
+
 // BenchmarkNMWarmCache measures the steady-state cost of NM evaluation:
 // windowed sums over cached per-cell vectors — the inner loop of the
 // miner's complexity O(k²MNG).

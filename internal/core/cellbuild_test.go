@@ -1,8 +1,11 @@
 package core_test
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"trajpattern/internal/cli"
@@ -14,55 +17,95 @@ import (
 	"trajpattern/internal/traj"
 )
 
-// cellBuildData is a dataset with more positions than one build block,
-// trajectories of uneven length (one empty), σ = 0 points on and off cell
-// boundaries, and points far outside the grid whose probabilities
-// underflow to the floor.
-func cellBuildData(seed uint64) traj.Dataset {
+// cellBuildData is a dataset of nTraj random trajectories of uneven
+// length (13, 20, 27, … snapshots), one empty trajectory, and one of σ = 0
+// points on and off cell boundaries and points far outside the grid whose
+// probabilities underflow to the floor. Nine random trajectories make 375
+// positions, two build blocks; twenty-five make 2,431, ten blocks.
+func cellBuildData(seed uint64, nTraj int) traj.Dataset {
 	rng := stat.NewRNG(seed)
 	var d traj.Dataset
-	for i := 0; i < 9; i++ {
+	for i := 0; i < nTraj; i++ {
 		tr := make(traj.Trajectory, 13+i*7)
 		for j := range tr {
 			tr[j] = traj.P(rng.Float64(), rng.Float64(), 0.01+0.2*rng.Float64())
 		}
 		d = append(d, tr)
 	}
-	d = append(d, traj.Trajectory{}, traj.Trajectory{
+	return append(d, traj.Trajectory{}, traj.Trajectory{
 		traj.P(0.5, 0.5, 0), traj.P(0.25, 0.75, 0), traj.P(1.0/7, 0.3, 0),
 		traj.P(0.93, 0.06, 0), traj.P(40, -40, 0.05), traj.P(-3, 0.5, 0.001),
 	})
-	return d
 }
 
-// checkCells checks every cell's vector against logProb at every flat
-// position, bit for bit.
-func checkCells(t *testing.T, s *core.Scorer, data traj.Dataset) {
-	t.Helper()
-	for c := 0; c < s.Config().Grid.NumCells(); c++ {
-		v := s.CellVector(c)
-		p := 0
-		for ti, tr := range data {
-			for j, pt := range tr {
-				if got, want := v[p], s.LogProb(pt, c); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("cell %d, traj %d snapshot %d: built %v, logProb %v", c, ti, j, got, want)
-				}
-				p++
+// refVectors returns logProb of every cell at every flat position, the
+// reference every built vector must equal.
+func refVectors(s *core.Scorer, data traj.Dataset) [][]float64 {
+	ref := make([][]float64, s.Config().Grid.NumCells())
+	for c := range ref {
+		for _, tr := range data {
+			for _, pt := range tr {
+				ref[c] = append(ref[c], s.LogProb(pt, c))
 			}
 		}
-		if p != len(v) {
-			t.Fatalf("cell %d: vector has %d positions, dataset %d", c, len(v), p)
+	}
+	return ref
+}
+
+// checkVector checks cell c's vector v against the reference, bit for bit.
+func checkVector(t *testing.T, ref [][]float64, c int, v []float64) {
+	t.Helper()
+	if len(v) != len(ref[c]) {
+		t.Fatalf("cell %d: vector has %d positions, dataset %d", c, len(v), len(ref[c]))
+	}
+	for p, want := range ref[c] {
+		if math.Float64bits(v[p]) != math.Float64bits(want) {
+			t.Fatalf("cell %d, flat position %d: built %v, logProb %v", c, p, v[p], want)
 		}
 	}
 }
 
-// TestCellBuildMatchesLogProb checks that the batch cell build reproduces
+// checkCells checks every cell's vector, building it if needed, against
+// the reference.
+func checkCells(t *testing.T, s *core.Scorer, ref [][]float64) {
+	t.Helper()
+	for c := range ref {
+		checkVector(t, ref, c, s.CellVector(c))
+	}
+}
+
+// countdownCtx is a context whose Err turns to context.Canceled on its
+// n+1st call and stays so: a cancellation that lands after exactly n
+// checks, whichever goroutines make them.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func cancelAfter(n int) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.left.Store(int64(n))
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCellBuildMatchesLogProb checks that the cell build reproduces
 // logProb at every position, bit for bit: on non-square and fitted grids,
-// in both modes, when Prepare builds every cell at once and when
-// overlapping Prepare calls race to build them.
+// in both modes, on datasets of fewer and more build blocks than workers,
+// at 1, 2, 3 and 8 workers, when Prepare builds cells in two calls and
+// when overlapping Prepare calls race to build them. The cells built and
+// the cache hits must not depend on the worker count. A ScoreAll
+// cancelled at any point must leave only whole vectors installed, and a
+// later Prepare must build the rest.
 func TestCellBuildMatchesLogProb(t *testing.T) {
-	data := cellBuildData(11)
-	fitted := cli.FitGrid(data[:9], 9)
+	small, large := cellBuildData(11, 9), cellBuildData(11, 25)
+	fitted := cli.FitGrid(small[:9], 9)
 	cases := []struct {
 		name  string
 		g     *grid.Grid
@@ -74,47 +117,121 @@ func TestCellBuildMatchesLogProb(t *testing.T) {
 		{"fitted 9x9", fitted, fitted.CellWidth(), core.ProbBox},
 		{"disk 4x3", grid.New(geom.UnitSquare(), 4, 3), 0.25, core.ProbDisk},
 	}
+	workerCounts := []int{1, 2, 3, 8}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.Config{Grid: tc.g, Delta: tc.delta, Mode: tc.mode}
-			all, err := core.NewScorer(data, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all.Prepare(all.AllCells())
-			checkCells(t, all, data)
+			for _, data := range []traj.Dataset{small, large} {
+				t.Run(fmt.Sprintf("%d positions", data.TotalSnapshots()), func(t *testing.T) {
+					cfg := core.Config{Grid: tc.g, Delta: tc.delta, Mode: tc.mode}
+					n := tc.g.NumCells()
+					var ref [][]float64
+					var want [2]int64 // cells built and cache hits at one worker
+					for _, workers := range workerCounts {
+						cfg.Workers = workers
+						reg := obs.New()
+						cfg.Metrics = reg
+						all, err := core.NewScorer(data, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ref == nil {
+							ref = refVectors(all, data)
+						}
+						half := make([]int, 0, n)
+						for c := 0; c < n; c += 2 {
+							half = append(half, c)
+						}
+						all.Prepare(half)
+						all.Prepare(all.AllCells())
+						checkCells(t, all, ref)
+						snap := reg.Snapshot()
+						got := [2]int64{snap.Counter("scorer.cells.built"), snap.Counter("scorer.cache.hits")}
+						if workers == workerCounts[0] {
+							want = got
+						} else if got != want {
+							t.Errorf("workers %d: cells built, cache hits = %v, want %v as at %d worker", workers, got, want, workerCounts[0])
+						}
 
-			reg := obs.New()
-			cfg.Metrics = reg
-			raced, err := core.NewScorer(data, cfg)
-			if err != nil {
-				t.Fatal(err)
+						reg = obs.New()
+						cfg.Metrics = reg
+						raced, err := core.NewScorer(data, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						const goroutines = 4
+						requested := 0
+						var wg sync.WaitGroup
+						for w := 0; w < goroutines; w++ {
+							cells := make([]int, 0, n)
+							for c := w % 3; c < n; c += 1 + w%2 {
+								cells = append(cells, c)
+							}
+							requested += len(cells)
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								raced.Prepare(cells)
+							}()
+						}
+						wg.Wait()
+						snap = reg.Snapshot()
+						if got := snap.Counter("scorer.cells.built") + snap.Counter("scorer.cache.hits"); got != int64(requested) {
+							t.Errorf("workers %d: cells built + cache hits = %d, want %d requested", workers, got, requested)
+						}
+						if got := raced.CacheSize(); got != n {
+							t.Errorf("workers %d: CacheSize = %d after overlapping Prepare calls, want %d", workers, got, n)
+						}
+						checkCells(t, raced, ref)
+					}
+				})
 			}
-			n := tc.g.NumCells()
-			const goroutines = 4
-			requested := 0
-			var wg sync.WaitGroup
-			for w := 0; w < goroutines; w++ {
-				cells := make([]int, 0, n)
-				for c := w % 3; c < n; c += 1 + w%2 {
-					cells = append(cells, c)
-				}
-				requested += len(cells)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					raced.Prepare(cells)
-				}()
-			}
-			wg.Wait()
-			snap := reg.Snapshot()
-			if got := snap.Counter("scorer.cells.built") + snap.Counter("scorer.cache.hits"); got != int64(requested) {
-				t.Errorf("cells built + cache hits = %d, want %d requested", got, requested)
-			}
-			if got := raced.CacheSize(); got != n {
-				t.Errorf("CacheSize = %d after overlapping Prepare calls, want %d", got, n)
-			}
-			checkCells(t, raced, data)
 		})
 	}
+
+	// The cancellation lands after n context checks: every build-block
+	// count of the ten-block dataset, before and after the build's own
+	// check that follows its last block, and during the scan.
+	t.Run("cancelled ScoreAll", func(t *testing.T) {
+		g := grid.New(geom.UnitSquare(), 7, 4)
+		nc := g.NumCells()
+		singles := make([]core.Pattern, nc)
+		for c := range singles {
+			singles[c] = core.Pattern{c}
+		}
+		var ref [][]float64
+		for _, workers := range workerCounts {
+			for _, after := range []int{0, 1, 2, 5, 9, 10, 11, 12, 20} {
+				reg := obs.New()
+				s, err := core.NewScorer(large, core.Config{Grid: g, Delta: 1.0 / 7, Workers: workers, Metrics: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = refVectors(s, large)
+				}
+				if _, err := s.ScoreAll(cancelAfter(after), singles); err == nil {
+					t.Fatalf("workers %d, cancelled after %d checks: ScoreAll returned no error", workers, after)
+				}
+				installed := 0
+				for c := range ref {
+					if v := s.InstalledVector(c); v != nil {
+						installed++
+						checkVector(t, ref, c, v)
+					}
+				}
+				if installed != 0 && installed != nc {
+					t.Errorf("workers %d, cancelled after %d checks: %d of %d cells installed by one build", workers, after, installed, nc)
+				}
+				built := reg.Snapshot().Counter("scorer.cells.built")
+				if built != int64(installed) {
+					t.Errorf("workers %d, cancelled after %d checks: scorer.cells.built %d, %d vectors installed", workers, after, built, installed)
+				}
+				s.Prepare(s.AllCells())
+				if got := reg.Snapshot().Counter("scorer.cells.built") - built; got != int64(nc-installed) {
+					t.Errorf("workers %d, cancelled after %d checks: later Prepare built %d cells, want %d", workers, after, got, nc-installed)
+				}
+				checkCells(t, s, ref)
+			}
+		}
+	})
 }

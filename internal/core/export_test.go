@@ -6,5 +6,9 @@ import "trajpattern/internal/traj"
 // building it if needed, for the external tests.
 func (s *Scorer) CellVector(cell int) []float64 { return s.cellLogProbs(cell) }
 
+// InstalledVector returns cell's installed log-prob vector, or nil if it
+// has none, without building it.
+func (s *Scorer) InstalledVector(cell int) []float64 { return s.cached(cell) }
+
 // LogProb is the per-position reference the cell build must reproduce.
 func (s *Scorer) LogProb(pt traj.Point, cell int) float64 { return s.logProb(pt, cell) }

@@ -60,8 +60,9 @@ type Config struct {
 	Delta float64
 	// Mode selects box or disk probability. Default ProbBox.
 	Mode ProbMode
-	// Workers bounds the parallelism of batch NM evaluation. Zero means
-	// GOMAXPROCS.
+	// Workers bounds the parallelism of every scorer pass: the cell
+	// build (Prepare, BestSingularLogProb and ScoreAll's), LogMatchesAll
+	// and ScoreAll's NM evaluation. Zero means GOMAXPROCS.
 	Workers int
 	// Metrics, when non-nil, receives scorer instrumentation (NM
 	// evaluation, cache, scratch-pool and batch accounting under
@@ -232,78 +233,143 @@ func (s *Scorer) clampLog(prob float64) float64 {
 	return lp
 }
 
-// buildBlock is how many flat positions one pass of the box-mode build
+// buildBlock is how many flat positions one block of the cell build
 // covers: the per-axis probabilities of one block stay in cache while
 // every cell of the call reads them.
 const buildBlock = 256
 
+// fanOut splits [0, n) into at most cfg.Workers contiguous chunks. It
+// calls start(lo, hi) for each chunk on the calling goroutine, in chunk
+// order, then runs every function start returned on a goroutine of its
+// own (the calling one when there is one chunk) and returns once all
+// have. Every scorer pass runs through it: the cell build, LogMatchesAll
+// and ScoreAll.
+func (s *Scorer) fanOut(n int, start func(lo, hi int) func()) {
+	workers := min(s.cfg.Workers, n)
+	runs := make([]func(), workers)
+	for w := range runs {
+		runs[w] = start(n*w/workers, n*(w+1)/workers)
+	}
+	if workers == 1 {
+		runs[0]()
+		return
+	}
+	var wg sync.WaitGroup
+	for _, run := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
+}
+
 // build computes the log-prob vector of each cell over every flat
-// position. Box mass factorizes over the axes (stat.BoxProb2D is the
-// product of two interval probabilities), so a box-mode build makes one
-// blocked, position-major pass: per block it computes each needed column's
-// and row's interval probability once per position, then forms every
-// cell's product. That is about NX+NY interval probabilities per position
-// instead of two per cell, and each product, hence each log, is the float
-// logProb returns. Disk mode calls logProb per position. No per-axis
-// scratch outlives the call.
-func (s *Scorer) build(cells []int) [][]float64 {
+// position. It splits the positions into blocks of buildBlock and gives
+// each worker a contiguous run of them (fanOut); a worker checks ctx
+// before each block and yields after it, as scoreChunk does. Box mass
+// factorizes over the axes (stat.BoxProb2D is the product of two interval
+// probabilities), so a box-mode block computes each needed column's and
+// row's interval probability once per position, in scratch of its
+// worker's own, then forms every cell's product. That is about NX+NY
+// interval probabilities per position instead of two per cell, and each
+// product, hence each log, is the float logProb returns. Disk mode calls
+// logProb per position. Either way a position's value comes from the
+// same code whichever worker computes it. If ctx ends before the build
+// returns, build returns ctx's cause and no vector. No scratch outlives
+// the call.
+func (s *Scorer) build(ctx context.Context, cells []int) ([][]float64, error) {
 	out := make([][]float64, len(cells))
 	for i := range out {
 		out[i] = make([]float64, len(s.flat))
 	}
-	if s.cfg.Mode == ProbDisk {
-		for i, c := range cells {
-			for p, pt := range s.flat {
-				out[i][p] = s.logProb(pt, c)
+	var ax *boxAxes
+	if s.cfg.Mode != ProbDisk {
+		ax = s.boxAxes(cells)
+	}
+	n := len(s.flat)
+	s.fanOut((n+buildBlock-1)/buildBlock, func(first, last int) func() {
+		var fx, fy []float64 // this worker's per-axis scratch
+		if ax != nil {
+			blk := min(buildBlock, n)
+			fx, fy = make([]float64, len(ax.xs)*blk), make([]float64, len(ax.ys)*blk)
+		}
+		return func() {
+			for b := first; b < last && ctx.Err() == nil; b++ {
+				lo, hi := b*buildBlock, min((b+1)*buildBlock, n)
+				if ax != nil {
+					s.boxBlock(ax, out, lo, hi, fx, fy)
+				} else {
+					for i, c := range cells {
+						for p := lo; p < hi; p++ {
+							out[i][p] = s.logProb(s.flat[p], c)
+						}
+					}
+				}
+				runtime.Gosched()
 			}
 		}
-		return out
+	})
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
+	return out, nil
+}
+
+// boxAxes is a box-mode build's per-axis plan: the center coordinate of
+// each distinct column and row its cells lie in, and each cell's column
+// and row slot.
+type boxAxes struct {
+	xs, ys []float64
+	slots  [][2]int
+}
+
+// boxAxes plans the box-mode build of cells.
+func (s *Scorer) boxAxes(cells []int) *boxAxes {
 	g := s.cfg.Grid
-	// Each distinct column and row gets a scratch slot; colOf and rowOf
-	// hold 1 + the slot, 0 until assigned.
+	// colOf and rowOf hold 1 + a column's or row's slot, 0 until assigned.
 	colOf, rowOf := make([]int, g.NX()), make([]int, g.NY())
-	var xs, ys []float64 // each slot's cell-center coordinate
-	slots := make([][2]int, len(cells))
+	ax := &boxAxes{slots: make([][2]int, len(cells))}
 	for i, c := range cells {
 		cell := g.CellAt(c)
 		center := g.Center(cell)
 		if colOf[cell.X] == 0 {
-			xs = append(xs, center.X)
-			colOf[cell.X] = len(xs)
+			ax.xs = append(ax.xs, center.X)
+			colOf[cell.X] = len(ax.xs)
 		}
 		if rowOf[cell.Y] == 0 {
-			ys = append(ys, center.Y)
-			rowOf[cell.Y] = len(ys)
+			ax.ys = append(ax.ys, center.Y)
+			rowOf[cell.Y] = len(ax.ys)
 		}
-		slots[i] = [2]int{colOf[cell.X] - 1, rowOf[cell.Y] - 1}
+		ax.slots[i] = [2]int{colOf[cell.X] - 1, rowOf[cell.Y] - 1}
 	}
-	blk := min(buildBlock, len(s.flat))
-	fx, fy := make([]float64, len(xs)*blk), make([]float64, len(ys)*blk)
-	d := s.cfg.Delta
-	for lo := 0; lo < len(s.flat); lo += blk {
-		pts := s.flat[lo:min(lo+blk, len(s.flat))]
-		for k, x := range xs {
-			f := fx[k*blk:][:len(pts)]
-			for p, pt := range pts {
-				f[p] = stat.NormalIntervalProb(x-d, x+d, pt.Mean.X, pt.Sigma)
-			}
-		}
-		for k, y := range ys {
-			f := fy[k*blk:][:len(pts)]
-			for p, pt := range pts {
-				f[p] = stat.NormalIntervalProb(y-d, y+d, pt.Mean.Y, pt.Sigma)
-			}
-		}
-		for i, sl := range slots {
-			px, py := fx[sl[0]*blk:][:len(pts)], fy[sl[1]*blk:][:len(pts)]
-			dst := out[i][lo:][:len(pts)]
-			for p := range dst {
-				dst[p] = s.clampLog(px[p] * py[p])
-			}
+	return ax
+}
+
+// boxBlock fills positions [lo, hi) of every cell's vector in out. fx and
+// fy are scratch of at least hi−lo floats per column and per row slot.
+func (s *Scorer) boxBlock(ax *boxAxes, out [][]float64, lo, hi int, fx, fy []float64) {
+	pts, m, d := s.flat[lo:hi], hi-lo, s.cfg.Delta
+	for k, x := range ax.xs {
+		f := fx[k*m:][:m]
+		for p, pt := range pts {
+			f[p] = stat.NormalIntervalProb(x-d, x+d, pt.Mean.X, pt.Sigma)
 		}
 	}
-	return out
+	for k, y := range ax.ys {
+		f := fy[k*m:][:m]
+		for p, pt := range pts {
+			f[p] = stat.NormalIntervalProb(y-d, y+d, pt.Mean.Y, pt.Sigma)
+		}
+	}
+	for i, sl := range ax.slots {
+		px, py := fx[sl[0]*m:][:m], fy[sl[1]*m:][:m]
+		dst := out[i][lo:hi]
+		for p := range dst {
+			dst[p] = s.clampLog(px[p] * py[p])
+		}
+	}
 }
 
 // cached returns cell's installed vector, or nil if it has none.
@@ -319,8 +385,10 @@ func (s *Scorer) cached(cell int) []float64 {
 // counts as one build or one cache hit; a cell repeated in the call is
 // built once. Goroutines that build the same cell at once all count the
 // build, but only the first vector installed is kept and returned to
-// every caller. Callers must not mutate the vectors.
-func (s *Scorer) cellVectors(cells []int) (vecs [][]float64, built int) {
+// every caller. If ctx ends during the build, cellVectors returns its
+// cause, installs no vector and counts nothing. Callers must not mutate
+// the vectors.
+func (s *Scorer) cellVectors(ctx context.Context, cells []int) (vecs [][]float64, built int, err error) {
 	vecs = make([][]float64, len(cells))
 	var miss []int // indices into cells
 	for i, c := range cells {
@@ -330,7 +398,7 @@ func (s *Scorer) cellVectors(cells []int) (vecs [][]float64, built int) {
 	}
 	if len(miss) == 0 {
 		s.m.cacheHits.Add(int64(len(cells)))
-		return vecs, 0
+		return vecs, 0, nil
 	}
 	need := make([]int, len(miss))
 	for j, i := range miss {
@@ -338,7 +406,10 @@ func (s *Scorer) cellVectors(cells []int) (vecs [][]float64, built int) {
 	}
 	slices.Sort(need)
 	need = slices.Compact(need)
-	fresh := s.build(need)
+	fresh, err := s.build(ctx, need)
+	if err != nil {
+		return nil, 0, err
+	}
 	s.m.cellsBuilt.Add(int64(len(need)))
 	s.m.cacheHits.Add(int64(len(cells) - len(need)))
 	for j, c := range need {
@@ -348,37 +419,42 @@ func (s *Scorer) cellVectors(cells []int) (vecs [][]float64, built int) {
 	for _, i := range miss {
 		vecs[i] = *s.cells[cells[i]].Load()
 	}
-	return vecs, len(need)
+	return vecs, len(need), nil
 }
 
 // cellLogProbs returns the per-flat-position log-prob vector for cell,
 // computing and caching it on first use. Callers must not mutate the
-// result.
+// result. Its callers take no context, so the build cannot be cancelled
+// and cannot fail.
 func (s *Scorer) cellLogProbs(cell int) []float64 {
 	if v := s.cached(cell); v != nil {
 		s.m.cacheHits.Inc()
 		return v
 	}
-	vecs, _ := s.cellVectors([]int{cell})
+	vecs, _, _ := s.cellVectors(context.TODO(), []int{cell})
 	return vecs[0]
 }
 
 // Prepare precomputes the log-prob vectors for the given cells, building
-// every missing one in one pass, so that later scoring only reads the
-// cache. Each cell counts as one build or one cache hit. It is idempotent.
-func (s *Scorer) Prepare(cells []int) { s.prepare(cells) }
+// every missing one in one pass on up to cfg.Workers goroutines, so that
+// later scoring only reads the cache. Each cell counts as one build or
+// one cache hit. It is idempotent, and it takes no context, so it cannot
+// be cancelled.
+func (s *Scorer) Prepare(cells []int) { s.prepare(context.TODO(), cells) }
 
-// prepare is Prepare returning the cells' vectors. It runs under the
-// scorer.time.prepare timer and records a scorer.prepare span.
-func (s *Scorer) prepare(cells []int) [][]float64 {
+// prepare is Prepare under ctx, returning the cells' vectors; if ctx ends
+// during the build it returns ctx's cause and builds nothing (see
+// cellVectors). It runs under the scorer.time.prepare timer and records a
+// scorer.prepare span.
+func (s *Scorer) prepare(ctx context.Context, cells []int) ([][]float64, error) {
 	defer s.m.prepTime.Start()()
 	var sp *trace.Span
 	if s.tl != nil {
 		sp = s.tl.Span("scorer.prepare", trace.Attrs{"cells": len(cells)})
 	}
-	vecs, built := s.cellVectors(cells)
+	vecs, built, err := s.cellVectors(ctx, cells)
 	sp.Attr("built", built).End()
-	return vecs
+	return vecs, err
 }
 
 // CacheSize returns the number of cells with materialized log-prob vectors.
@@ -443,27 +519,38 @@ func (s *Scorer) LogMatches(p Pattern) []float64 {
 
 // LogMatchesAll returns LogMatches of every pattern, pattern k's values at
 // [k·|𝒟|, (k+1)·|𝒟|), reusing dst's storage when it is large enough. It
-// walks the patterns together (see walk), so each pays only for the
-// positions past the prefix it shares with the pattern before it: PB
-// scores a prefix's one-cell children this way.
+// splits the patterns into up to cfg.Workers contiguous chunks (fanOut)
+// and walks each chunk's patterns together (see walk), so each pays only
+// for the positions past the prefix it shares with the pattern before it:
+// PB scores a prefix's one-cell children this way. The calling goroutine
+// checks every pattern, then fetches each chunk's vectors in pattern
+// order, so a pattern's vectors are fetched once whatever the worker
+// count; the workers only scan.
 func (s *Scorer) LogMatchesAll(patterns []Pattern, dst []float64) []float64 {
 	nt := len(s.data)
 	dst = slices.Grow(dst[:0], len(patterns)*nt)[:len(patterns)*nt]
-	w := s.newWalk()
-	defer w.release()
 	for _, p := range patterns {
 		if len(p) == 0 {
 			panic("core: log-match of empty pattern")
 		}
-		w.add(p)
 	}
-	w.ready()
-	for ti := range nt {
-		w.trajectory(ti)
-		for k, lm := range w.logM {
-			dst[k*nt+ti] = lm
+	s.fanOut(len(patterns), func(lo, hi int) func() {
+		w := s.newWalk()
+		for _, p := range patterns[lo:hi] {
+			w.add(p)
 		}
-	}
+		w.ready()
+		return func() {
+			defer w.release()
+			out := dst[lo*nt : hi*nt]
+			for ti := range nt {
+				w.trajectory(ti)
+				for k, lm := range w.logM {
+					out[k*nt+ti] = lm
+				}
+			}
+		}
+	})
 	return dst
 }
 
@@ -504,19 +591,21 @@ func (e *ScorePanicError) Error() string {
 
 // ScoreAll evaluates NM for every pattern concurrently and returns the
 // values in input order, each the float NM returns. It first builds the
-// log-prob vectors of all touched cells in one pass (Prepare), then sorts
+// log-prob vectors of all touched cells in one pass (prepare), then sorts
 // the batch by cells, keeping input indices, and gives each of up to
-// cfg.Workers goroutines one contiguous chunk. A worker walks its chunk
-// trajectory by trajectory (see walk), so neighbouring patterns share
-// their common prefix's window sums.
+// cfg.Workers goroutines one contiguous chunk (fanOut). A worker walks its
+// chunk trajectory by trajectory (see walk), so neighbouring patterns
+// share their common prefix's window sums.
 //
-// Workers check ctx before every trajectory; on cancellation they stop,
-// and the call returns ctx's cause wrapped in an error. A panic in a
-// worker is recovered and surfaces as a *ScorePanicError once every worker
-// has returned. The empty pattern sorts first and panics, so a batch
-// holding empty patterns reports the smallest such index. Either way no
-// goroutine is left behind. On success the returned error is nil and the
-// values are deterministic for a given dataset/config.
+// The build's workers check ctx before every block of positions and the
+// scan's before every trajectory; on cancellation they stop, the build
+// installs no vector, and the call returns ctx's cause wrapped in an
+// error. A panic in a worker is recovered and surfaces as a
+// *ScorePanicError once every worker has returned. The empty pattern
+// sorts first and panics, so a batch holding empty patterns reports the
+// smallest such index. Either way no goroutine is left behind. On success
+// the returned error is nil and the values are deterministic for a given
+// dataset/config.
 func (s *Scorer) ScoreAll(ctx context.Context, patterns []Pattern) ([]float64, error) {
 	defer s.m.batchTime.Start()()
 	s.m.batches.Inc()
@@ -540,7 +629,9 @@ func (s *Scorer) ScoreAll(ctx context.Context, patterns []Pattern) ([]float64, e
 	}
 	sort.Ints(order)
 	sp.Attr("cells", len(order))
-	s.Prepare(order)
+	if _, err := s.prepare(ctx, order); err != nil {
+		return nil, fmt.Errorf("core: scoring cancelled: %w", err)
+	}
 
 	byCells := make([]int, len(patterns))
 	for i := range byCells {
@@ -554,26 +645,20 @@ func (s *Scorer) ScoreAll(ctx context.Context, patterns []Pattern) ([]float64, e
 	})
 	out := make([]float64, len(patterns))
 	var (
-		wg       sync.WaitGroup
 		panicMu  sync.Mutex
 		panicErr *ScorePanicError
 	)
-	workers := min(s.cfg.Workers, len(patterns))
-	for w := 0; w < workers; w++ {
-		chunk := byCells[len(patterns)*w/workers : len(patterns)*(w+1)/workers]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if pe := s.scoreChunk(ctx, patterns, chunk, out); pe != nil {
+	s.fanOut(len(patterns), func(lo, hi int) func() {
+		return func() {
+			if pe := s.scoreChunk(ctx, patterns, byCells[lo:hi], out); pe != nil {
 				panicMu.Lock()
 				if panicErr == nil || pe.Index < panicErr.Index {
 					panicErr = pe
 				}
 				panicMu.Unlock()
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	if panicErr != nil {
 		return nil, panicErr
 	}
@@ -647,7 +732,8 @@ func (s *Scorer) BestSingularLogProb(cells []int) []float64 {
 	for ti := range s.data {
 		out[ti] = math.Inf(-1)
 	}
-	for _, v := range s.prepare(cells) {
+	vecs, _ := s.prepare(context.TODO(), cells) // an uncancellable build cannot fail
+	for _, v := range vecs {
 		for ti := range s.data {
 			for w := s.offsets[ti]; w < s.offsets[ti+1]; w++ {
 				if v[w] > out[ti] {

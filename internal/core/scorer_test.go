@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -558,6 +559,55 @@ func TestNMEmptyPatternPanics(t *testing.T) {
 				}
 			}()
 			f()
+		}()
+	}
+}
+
+// TestLogMatchesAllWorkers checks LogMatchesAll's split of its patterns
+// across workers: at 1 to 4 workers every log-match is the bits of the
+// pattern's own LogMatches, and the vector lookups, so the cells built and
+// the cache hits, do not depend on the worker count. A batch holding an
+// empty pattern panics on the calling goroutine, where recover sees it.
+func TestLogMatchesAllWorkers(t *testing.T) {
+	data := walkData()
+	g := grid.NewSquare(4)
+	ref := testScorer(t, data, 4)
+	batch := walkBatch(7, 6, walkDepth+4)
+	nt := len(data)
+	var want [2]int64 // cells built and cache hits at one worker
+	for workers := 1; workers <= 4; workers++ {
+		reg := obs.New()
+		s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), Workers: workers, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := s.LogMatchesAll(batch, nil)
+		for k, p := range batch {
+			for ti, lm := range ref.LogMatches(p) {
+				if math.Float64bits(got[k*nt+ti]) != math.Float64bits(lm) {
+					t.Fatalf("workers %d, pattern %d %v, traj %d: LogMatchesAll %v, LogMatches %v", workers, k, p, ti, got[k*nt+ti], lm)
+				}
+			}
+		}
+		snap := reg.Snapshot()
+		counts := [2]int64{snap.Counter("scorer.cells.built"), snap.Counter("scorer.cache.hits")}
+		if workers == 1 {
+			want = counts
+		} else if counts != want {
+			t.Errorf("workers %d: cells built, cache hits = %v, want %v as at 1 worker", workers, counts, want)
+		}
+		if s.NMEvaluations() != 0 {
+			t.Errorf("workers %d: LogMatchesAll counted %d NM evaluations", workers, s.NMEvaluations())
+		}
+
+		withEmpty := slices.Insert(slices.Clone(batch), len(batch)/2, Pattern{})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers %d: no panic on a batch holding an empty pattern", workers)
+				}
+			}()
+			s.LogMatchesAll(withEmpty, nil)
 		}()
 	}
 }
