@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ import (
 // the seed cells, scoring R·c only if LM(R) + LM(c) ≥ t(|R| + 1) and
 // keeping a scored pattern for the next level only if its LM reaches t of
 // its length. It returns the best k of everything it scored in
-// sortScored order, each NM summed as Σ_T (log M_T / m) in trajectory
+// core.CompareRank order, each NM summed as Σ_T (log M_T / m) in trajectory
 // order (Scorer.NM's bits), and how many patterns it scored.
 func lmCompletion(s *core.Scorer, seeds []int, k, maxLen int, omegaD float64) ([]core.ScoredPattern, int) {
 	var sumBeta float64
@@ -100,7 +101,7 @@ func lmCompletion(s *core.Scorer, seeds []int, k, maxLen int, omegaD float64) ([
 		level = next
 	}
 	evals := len(all)
-	sortScored(all)
+	slices.SortFunc(all, compareScored)
 	return all[:min(k, len(all))], evals
 }
 

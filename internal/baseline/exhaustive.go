@@ -20,9 +20,9 @@ func ExhaustiveNM(s *core.Scorer, seeds []int, k, minLen, maxLen int) ([]core.Sc
 	}
 	top := newTopK(k)
 	enumerate(seeds, minLen, maxLen, func(p core.Pattern) {
-		top.offer(core.ScoredPattern{Pattern: p.Clone(), NM: s.NM(p)})
+		top.offer(p, s.NM(p))
 	})
-	return top.sorted(), nil
+	return top.items, nil
 }
 
 // ExhaustiveMatch is ExhaustiveNM for the match measure.
@@ -32,9 +32,9 @@ func ExhaustiveMatch(s *core.Scorer, seeds []int, k, minLen, maxLen int) ([]Scor
 	}
 	top := newTopMatch(k)
 	enumerate(seeds, minLen, maxLen, func(p core.Pattern) {
-		top.offer(ScoredMatch{Pattern: p.Clone(), Match: s.Match(p)})
+		top.offer(p, s.Match(p))
 	})
-	return top.sorted(), nil
+	return top.items, nil
 }
 
 func checkExhaustive(seeds []int, k, minLen, maxLen int) error {

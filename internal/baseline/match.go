@@ -3,6 +3,7 @@ package baseline
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"trajpattern/internal/core"
@@ -81,7 +82,7 @@ func MineMatch(s *core.Scorer, cfg MatchConfig) (*MatchResult, error) {
 		sm := ScoredMatch{Pattern: p, Match: s.Match(p)}
 		stats.Candidates++
 		if cfg.MinLen <= 1 {
-			top.offer(sm)
+			top.offer(p, sm.Match)
 		}
 		level = append(level, sm)
 	}
@@ -165,7 +166,7 @@ func MineMatch(s *core.Scorer, cfg MatchConfig) (*MatchResult, error) {
 			sm := ScoredMatch{Pattern: p, Match: s.Match(p)}
 			stats.Candidates++
 			if j >= cfg.MinLen {
-				top.offer(sm)
+				top.offer(p, sm.Match)
 			}
 			next = append(next, sm)
 		}
@@ -173,7 +174,7 @@ func MineMatch(s *core.Scorer, cfg MatchConfig) (*MatchResult, error) {
 		stats.Levels = j
 	}
 
-	return &MatchResult{Patterns: top.sorted(), Stats: stats}, nil
+	return &MatchResult{Patterns: top.items, Stats: stats}, nil
 }
 
 // primeMatchThreshold grows a small beam of prefixes to length MinLen,
@@ -185,7 +186,7 @@ func primeMatchThreshold(s *core.Scorer, cfg MatchConfig, singulars []ScoredMatc
 	scored := 0
 
 	beam := append([]ScoredMatch(nil), singulars...)
-	sortScoredMatch(beam)
+	slices.SortFunc(beam, compareMatch)
 	if len(beam) > beamWidth {
 		beam = beam[:beamWidth]
 	}
@@ -203,12 +204,12 @@ func primeMatchThreshold(s *core.Scorer, cfg MatchConfig, singulars []ScoredMatc
 				sm := ScoredMatch{Pattern: p, Match: s.Match(p)}
 				scored++
 				if length >= cfg.MinLen {
-					top.offer(sm)
+					top.offer(p, sm.Match)
 				}
 				next = append(next, sm)
 			}
 		}
-		sortScoredMatch(next)
+		slices.SortFunc(next, compareMatch)
 		if len(next) > beamWidth {
 			next = next[:beamWidth]
 		}
@@ -217,32 +218,36 @@ func primeMatchThreshold(s *core.Scorer, cfg MatchConfig, singulars []ScoredMatc
 	return scored
 }
 
-// topMatch maintains the running k-best set under the match measure,
-// deduplicating by pattern key (the beam primer and the level-wise phase
-// can both score the same pattern).
+// topMatch holds the running k best patterns under the match measure in
+// rank order (core.CompareRank), deduplicating by pattern key: the beam
+// primer and the level-wise phase can both score the same pattern.
 type topMatch struct {
 	k     int
 	items []ScoredMatch
-	seen  map[string]bool
+	held  map[string]bool // the keys of items
 }
 
 func newTopMatch(k int) *topMatch {
-	return &topMatch{k: k, seen: make(map[string]bool)}
+	return &topMatch{k: k, held: make(map[string]bool)}
 }
 
-func (t *topMatch) offer(sm ScoredMatch) {
-	if t.seen[sm.Pattern.Key()] {
+// offer inserts a copy of p, scored match, at its rank when it is not held
+// and ranks among the k best, dropping the item it pushes past rank k.
+func (t *topMatch) offer(p core.Pattern, match float64) {
+	key := p.Key()
+	if t.held[key] {
 		return
 	}
-	t.items = append(t.items, sm)
-	sortScoredMatch(t.items)
-	if len(t.items) > t.k {
-		t.items = t.items[:t.k]
+	i, _ := slices.BinarySearchFunc(t.items, ScoredMatch{Pattern: p, Match: match}, compareMatch)
+	if i == t.k {
+		return
 	}
-	t.seen = make(map[string]bool, len(t.items))
-	for _, held := range t.items {
-		t.seen[held.Pattern.Key()] = true
+	if len(t.items) == t.k {
+		delete(t.held, t.items[t.k-1].Pattern.Key())
+		t.items = t.items[:t.k-1]
 	}
+	t.items = slices.Insert(t.items, i, ScoredMatch{Pattern: p.Clone(), Match: match})
+	t.held[key] = true
 }
 
 func (t *topMatch) threshold() (float64, bool) {
@@ -252,20 +257,6 @@ func (t *topMatch) threshold() (float64, bool) {
 	return t.items[len(t.items)-1].Match, true
 }
 
-func (t *topMatch) sorted() []ScoredMatch {
-	out := append([]ScoredMatch(nil), t.items...)
-	sortScoredMatch(out)
-	return out
-}
-
-func sortScoredMatch(sms []ScoredMatch) {
-	sort.Slice(sms, func(i, j int) bool {
-		if sms[i].Match != sms[j].Match {
-			return sms[i].Match > sms[j].Match
-		}
-		if len(sms[i].Pattern) != len(sms[j].Pattern) {
-			return len(sms[i].Pattern) < len(sms[j].Pattern)
-		}
-		return sms[i].Pattern.Key() < sms[j].Pattern.Key()
-	})
+func compareMatch(a, b ScoredMatch) int {
+	return core.CompareRank(a.Match, a.Pattern, b.Match, b.Pattern)
 }

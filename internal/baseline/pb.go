@@ -21,7 +21,7 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"trajpattern/internal/core"
 )
@@ -123,7 +123,7 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 
 	admit := func(f frame) {
 		if len(f.pat) >= cfg.MinLen {
-			top.offer(core.ScoredPattern{Pattern: f.pat.Clone(), NM: f.nm})
+			top.offer(f.pat, f.nm)
 		}
 	}
 
@@ -178,10 +178,10 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 		}
 	}
 
-	return &PBResult{Patterns: top.sorted(), Stats: stats}, nil
+	return &PBResult{Patterns: top.items, Stats: stats}, nil
 }
 
-// topK maintains the running k-best set with the miner's tie-breaking.
+// topK holds the running k best patterns in rank order (core.CompareRank).
 type topK struct {
 	k     int
 	items []core.ScoredPattern
@@ -189,12 +189,17 @@ type topK struct {
 
 func newTopK(k int) *topK { return &topK{k: k} }
 
-func (t *topK) offer(sp core.ScoredPattern) {
-	t.items = append(t.items, sp)
-	sortScored(t.items)
-	if len(t.items) > t.k {
-		t.items = t.items[:t.k]
+// offer inserts a copy of p, scored nm, at its rank when it ranks among
+// the k best, dropping the item it pushes past rank k.
+func (t *topK) offer(p core.Pattern, nm float64) {
+	i, _ := slices.BinarySearchFunc(t.items, core.ScoredPattern{Pattern: p, NM: nm}, compareScored)
+	if i == t.k {
+		return
 	}
+	if len(t.items) == t.k {
+		t.items = t.items[:t.k-1]
+	}
+	t.items = slices.Insert(t.items, i, core.ScoredPattern{Pattern: p.Clone(), NM: nm})
 }
 
 // threshold returns the current kth-best NM and whether k items are held.
@@ -205,22 +210,6 @@ func (t *topK) threshold() (float64, bool) {
 	return t.items[len(t.items)-1].NM, true
 }
 
-func (t *topK) sorted() []core.ScoredPattern {
-	out := append([]core.ScoredPattern(nil), t.items...)
-	sortScored(out)
-	return out
-}
-
-// sortScored orders by NM descending, then length ascending, then key —
-// identical to core.Mine's ordering.
-func sortScored(sps []core.ScoredPattern) {
-	sort.Slice(sps, func(i, j int) bool {
-		if sps[i].NM != sps[j].NM {
-			return sps[i].NM > sps[j].NM
-		}
-		if len(sps[i].Pattern) != len(sps[j].Pattern) {
-			return len(sps[i].Pattern) < len(sps[j].Pattern)
-		}
-		return sps[i].Pattern.Key() < sps[j].Pattern.Key()
-	})
+func compareScored(a, b core.ScoredPattern) int {
+	return core.CompareRank(a.NM, a.Pattern, b.NM, b.Pattern)
 }

@@ -131,6 +131,22 @@ func TestMineErrors(t *testing.T) {
 	if _, err := Mine(context.Background(), &buf, ds, MineOptions{K: 0, GridN: 4, MaxLen: 2, DeltaMul: 1, Measure: "nm"}); err == nil {
 		t.Error("K=0 accepted")
 	}
+	// The run bounds and checkpoints belong to the NM miner; the baselines
+	// refuse each of them rather than ignore it.
+	nmOnly := map[string]MineOptions{
+		"CheckpointPath": {CheckpointPath: filepath.Join(t.TempDir(), "ck")},
+		"Resume":         {Resume: true},
+		"MaxWallTime":    {MaxWallTime: time.Second},
+		"MaxIters":       {MaxIters: 1},
+	}
+	for _, measure := range []string{"pb", "match"} {
+		for name, o := range nmOnly {
+			o.K, o.GridN, o.MaxLen, o.DeltaMul, o.Measure = 1, 4, 2, 1, measure
+			if _, err := Mine(context.Background(), &buf, ds, o); err == nil || !strings.Contains(err.Error(), "nm measure only") {
+				t.Errorf("-measure %s with %s: err = %v, want the nm-only refusal", measure, name, err)
+			}
+		}
+	}
 }
 
 func TestMineSavePatterns(t *testing.T) {

@@ -726,8 +726,8 @@ func sameKeySet(a, b map[string]struct{}) bool {
 	return true
 }
 
-// sortEntries orders entries by NM descending, then length ascending, then
-// key, for fully deterministic iteration.
+// sortEntries orders entries as CompareRank does, reading the cached keys,
+// for fully deterministic iteration.
 func sortEntries(es []*entry) {
 	sort.Slice(es, func(i, j int) bool {
 		//trajlint:allow floatcmp -- comparator tie-break: exact inequality is what makes the order total and deterministic

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -119,4 +120,19 @@ func (p Pattern) Format(g *grid.Grid) string {
 type ScoredPattern struct {
 	Pattern Pattern
 	NM      float64
+}
+
+// CompareRank orders scored patterns the way Mine answers: score
+// descending, then length ascending, then key ascending. It returns a
+// negative number when (scoreA, a) ranks before (scoreB, b), zero when
+// they tie on all three, and a positive number otherwise. The baselines
+// and the shard merge rank with it, whatever their score measures.
+func CompareRank(scoreA float64, a Pattern, scoreB float64, b Pattern) int {
+	if c := cmp.Compare(scoreB, scoreA); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Key(), b.Key())
 }

@@ -24,6 +24,27 @@ func TestPatternKeyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompareRank pins Mine's answer order: score descending, then
+// length ascending, then key ascending as strings, so "10" ranks before
+// "9".
+func TestCompareRank(t *testing.T) {
+	ranked := []ScoredPattern{
+		{Pattern{4, 4}, -1},
+		{Pattern{10}, -2},
+		{Pattern{9}, -2},
+		{Pattern{1, 2}, -2},
+		{Pattern{0}, -3},
+	}
+	for i, a := range ranked {
+		for j, b := range ranked {
+			got := CompareRank(a.NM, a.Pattern, b.NM, b.Pattern)
+			if (got < 0) != (i < j) || (got == 0) != (i == j) {
+				t.Errorf("CompareRank(%s, %s) = %d, want the sign of %d", a.Pattern.Key(), b.Pattern.Key(), got, i-j)
+			}
+		}
+	}
+}
+
 func TestPatternEqual(t *testing.T) {
 	if !(Pattern{1, 2}).Equal(Pattern{1, 2}) {
 		t.Error("equal patterns unequal")

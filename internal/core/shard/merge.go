@@ -5,38 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
+	"slices"
+	"sync"
 
 	"trajpattern/internal/core"
-	"trajpattern/internal/obs"
-	"trajpattern/internal/trace"
 )
 
-// MergeStats reports the work of merging per-shard candidate sets into
-// the global top-k.
-type MergeStats struct {
-	// Candidates is the number of distinct length-eligible patterns in
-	// the union of the shards' NM memos — every pattern any shard ever
-	// scored, not just those surviving in its final Q. A pattern that is
-	// globally strong but locally mediocre gets pruned from every shard's
-	// Q, yet its evaluations stay in the memos; merging over the memos is
-	// what keeps the sharded top-k equal to the single-partition one.
-	Candidates int
-	// Exact counts candidates whose NM was already known exactly in every
-	// shard's memo — no merge-time scoring needed.
-	Exact int
-	// BoundPruned counts candidates eliminated by the min-max upper bound
-	// without ever being scored on their missing shards.
-	BoundPruned int
-	// Rescored counts the (pattern, shard) evaluations the merge ran to
-	// complete the survivors' global NMs.
-	Rescored int
-}
-
-// cand is one merge candidate: a pattern from some shard's final set,
-// with its global NM assembled from per-shard exact values and, until
-// rescoring fills them in, min-max upper bounds for the missing shards.
+// cand is one merge candidate: a pattern from some shard's memo, with its
+// global NM assembled from per-shard exact values and, until rescoring
+// fills them in, min-max upper bounds for the missing shards.
 type cand struct {
 	key     string
 	pat     core.Pattern
@@ -64,32 +41,20 @@ type cand struct {
 //  3. The k-th best among fully-known candidates is the global floor; any
 //     candidate whose upper bound falls below it cannot reach the top-k
 //     and is pruned unscored.
-//  4. Survivors are batch-rescored on exactly their missing shards, in
-//     parallel across shards, and global NMs are summed in fixed shard
-//     order so the result is deterministic for a given shard count.
+//  4. Survivors are batch-rescored on exactly their missing shards, one
+//     goroutine per shard, and global NMs are summed in fixed shard order
+//     so the result is deterministic for a given shard count.
 //
 // Cancellation during rescoring degrades to the fully-known candidates
 // (reason non-empty); a scoring panic is a hard error.
-func (e *Engine) merge(ctx context.Context, cfg core.MinerConfig, states []*core.Checkpoint,
-	parent *obs.Registry, tl *trace.Local) ([]core.ScoredPattern, MergeStats, string, error) {
+func (e *Engine) merge(ctx context.Context, cfg core.MinerConfig, states []*core.Checkpoint) ([]core.ScoredPattern, string, error) {
 	n := len(states)
 	k := cfg.K
-	minLen := cfg.MinLen
-	if minLen < 1 {
-		minLen = 1
-	}
-	var stats MergeStats
-	var sp *trace.Span
-	if tl != nil {
-		sp = tl.Span("shard.merge", trace.Attrs{"shards": n, "k": k})
-	}
-	defer sp.End()
-	defer parent.Timer("shard.time.merge").Start()()
+	minLen := max(cfg.MinLen, 1)
 
 	// Build the per-shard memos and, in the same pass, the candidate union:
-	// every length-eligible pattern any shard ever scored. Evaluated slices
-	// are sorted within each checkpoint, so first-seen order is already
-	// deterministic; sorting makes it independent of shard order too.
+	// every length-eligible pattern any shard ever scored. Sorting the keys
+	// makes the candidate order independent of shard order.
 	memos := make([]map[string]float64, n)
 	seen := make(map[string]core.Pattern)
 	var keys []string
@@ -112,8 +77,7 @@ func (e *Engine) merge(ctx context.Context, cfg core.MinerConfig, states []*core
 			keys = append(keys, key)
 		}
 	}
-	sort.Strings(keys)
-	stats.Candidates = len(keys)
+	slices.Sort(keys)
 
 	var exact, partial []*cand
 	for _, key := range keys {
@@ -133,8 +97,7 @@ func (e *Engine) merge(ctx context.Context, cfg core.MinerConfig, states []*core
 			partial = append(partial, c)
 		}
 	}
-	stats.Exact = len(exact)
-	sortCands(exact)
+	slices.SortFunc(exact, compareCands)
 
 	// Global floor: with k fully-known candidates in hand, the true top-k
 	// all have NM ≥ exact[k-1].exact, so any upper bound below it is out.
@@ -145,14 +108,13 @@ func (e *Engine) merge(ctx context.Context, cfg core.MinerConfig, states []*core
 	survivors := partial[:0]
 	for _, c := range partial {
 		if c.ub < floor {
-			stats.BoundPruned++
 			continue
 		}
 		survivors = append(survivors, c)
 	}
 
-	// Rescore each survivor on exactly its missing shards, batched per
-	// shard and run concurrently on the same pool as the searches.
+	// Rescore each survivor on exactly its missing shards, one batch and
+	// one goroutine per shard.
 	reason := ""
 	if len(survivors) > 0 {
 		byShard := make([][]core.Pattern, n)
@@ -163,25 +125,25 @@ func (e *Engine) merge(ctx context.Context, cfg core.MinerConfig, states []*core
 		}
 		vals := make([][]float64, n)
 		errs := make([]error, n)
-		tasks := make([]func(), 0, n)
-		for s := 0; s < n; s++ {
-			if len(byShard[s]) == 0 {
+		var wg sync.WaitGroup
+		for s, pats := range byShard {
+			if len(pats) == 0 {
 				continue
 			}
-			s := s
-			stats.Rescored += len(byShard[s])
-			tasks = append(tasks, func() {
-				vals[s], errs[s] = e.scorers[s].ScoreAll(ctx, byShard[s])
-			})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				vals[s], errs[s] = e.scorers[s].ScoreAll(ctx, pats)
+			}()
 		}
-		runTasks(e.workers, tasks, newPoolMetrics(parent))
-		for s := 0; s < n; s++ {
-			if errs[s] == nil {
+		wg.Wait()
+		for s, err := range errs {
+			if err == nil {
 				continue
 			}
 			var pe *core.ScorePanicError
-			if errors.As(errs[s], &pe) {
-				return nil, stats, "", fmt.Errorf("shard %d/%d: merge rescoring: %w", s, n, errs[s])
+			if errors.As(err, &pe) {
+				return nil, "", fmt.Errorf("shard %d/%d: merge rescoring: %w", s, n, err)
 			}
 			// Cancelled: the partial candidates cannot be completed, so
 			// the fully-known set is the best answer still derivable.
@@ -202,8 +164,8 @@ func (e *Engine) merge(ctx context.Context, cfg core.MinerConfig, states []*core
 		}
 	}
 
-	final := append(append([]*cand{}, exact...), survivors...)
-	sortCands(final)
+	final := append(exact, survivors...)
+	slices.SortFunc(final, compareCands)
 	if len(final) > k {
 		final = final[:k]
 	}
@@ -211,18 +173,7 @@ func (e *Engine) merge(ctx context.Context, cfg core.MinerConfig, states []*core
 	for i, c := range final {
 		out[i] = core.ScoredPattern{Pattern: c.pat, NM: c.exact}
 	}
-
-	if parent != nil {
-		parent.Counter("shard.merge.candidates").Add(int64(stats.Candidates))
-		parent.Counter("shard.merge.exact").Add(int64(stats.Exact))
-		parent.Counter("shard.merge.pruned").Add(int64(stats.BoundPruned))
-		parent.Counter("shard.merge.rescored").Add(int64(stats.Rescored))
-	}
-	sp.Attr("candidates", stats.Candidates).Attr("pruned", stats.BoundPruned).Attr("rescored", stats.Rescored)
-	if reason != "" {
-		sp.Attr("interrupted", reason)
-	}
-	return out, stats, reason, nil
+	return out, reason, nil
 }
 
 // singularBound returns a sound upper bound on a pattern's NM in the
@@ -235,42 +186,17 @@ func (e *Engine) merge(ctx context.Context, cfg core.MinerConfig, states []*core
 // 0, the global maximum of any NM contribution.
 func singularBound(memo map[string]float64, pat core.Pattern) float64 {
 	best := 0.0
-	found := false
-	for _, cell := range pat {
-		nm1, ok := memo[strconv.Itoa(cell)]
+	for i, cell := range pat {
+		nm1, ok := memo[core.Pattern{cell}.Key()]
 		if !ok {
 			return 0
 		}
-		if !found || nm1 < best {
+		if i == 0 || nm1 < best {
 			best = nm1
-			found = true
 		}
 	}
 	return best / float64(len(pat))
 }
 
-// sortCands orders candidates exactly like core.Mine orders its answer:
-// NM descending, then length ascending, then key ascending.
-func sortCands(cs []*cand) {
-	sort.Slice(cs, func(i, j int) bool {
-		//trajlint:allow floatcmp -- comparator tie-break: exact inequality keeps the order total and deterministic
-		if cs[i].exact != cs[j].exact {
-			return cs[i].exact > cs[j].exact
-		}
-		if len(cs[i].pat) != len(cs[j].pat) {
-			return len(cs[i].pat) < len(cs[j].pat)
-		}
-		return cs[i].key < cs[j].key
-	})
-}
-
-// sortedNames returns the keys of a snapshot map in sorted order, so
-// flushes and dumps iterate deterministically.
-func sortedNames[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+// compareCands ranks candidates as core.Mine ranks its answer.
+func compareCands(a, b *cand) int { return core.CompareRank(a.exact, a.pat, b.exact, b.pat) }

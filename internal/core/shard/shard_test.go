@@ -4,8 +4,9 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"slices"
 	"strconv"
-	"sync/atomic"
+	"strings"
 	"testing"
 
 	"trajpattern/internal/core"
@@ -47,6 +48,7 @@ func patternKeys(ps []core.ScoredPattern) []string {
 // across k values and shard counts, including counts that do not divide
 // the object count evenly.
 func TestShardedTopKMatchesUnsharded(t *testing.T) {
+	defer leakcheck.Check(t)()
 	for _, seed := range []uint64{3, 17} {
 		s := zebraScorer(t, seed, 11, 24, 10)
 		for _, shards := range []int{1, 2, 3, 8} {
@@ -125,25 +127,21 @@ func TestShardEngineClamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Shards() != 7 {
-		t.Fatalf("Shards() = %d, want clamp to 7", eng.Shards())
+	if len(eng.scorers) != 7 {
+		t.Fatalf("%d shards, want clamp to 7", len(eng.scorers))
 	}
 	eng, err = NewEngine(s, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, min, max := 0, eng.sizes[0], eng.sizes[0]
-	for _, sz := range eng.sizes {
-		total += sz
-		if sz < min {
-			min = sz
-		}
-		if sz > max {
-			max = sz
-		}
+	sizes := make([]int, len(eng.scorers))
+	total := 0
+	for i, sc := range eng.scorers {
+		sizes[i] = sc.NumTrajectories()
+		total += sizes[i]
 	}
-	if total != 7 || max-min > 1 {
-		t.Fatalf("partition sizes %v do not cover 7 trajectories near-evenly", eng.sizes)
+	if total != 7 || slices.Max(sizes)-slices.Min(sizes) > 1 {
+		t.Fatalf("partition sizes %v do not cover 7 trajectories near-evenly", sizes)
 	}
 	if _, err := NewEngine(nil, 2); err == nil {
 		t.Fatal("nil scorer accepted")
@@ -153,6 +151,7 @@ func TestShardEngineClamps(t *testing.T) {
 // TestShardMineCancelledContextDegrades: a cancelled context must yield a
 // best-so-far (possibly empty) result with Interrupted set, not an error.
 func TestShardMineCancelledContextDegrades(t *testing.T) {
+	defer leakcheck.Check(t)()
 	s := zebraScorer(t, 2, 8, 16, 8)
 	eng, err := NewEngine(s, 4)
 	if err != nil {
@@ -169,27 +168,48 @@ func TestShardMineCancelledContextDegrades(t *testing.T) {
 	}
 }
 
-// TestShardMetricsFlushPrefixed: per-shard miner counters land under
-// "shard.NN.miner.*", merge counters under "shard.merge.*", and no
-// unprefixed miner counters leak from the shard searches.
-func TestShardMetricsFlushPrefixed(t *testing.T) {
-	s := zebraScorer(t, 4, 8, 16, 8)
-	eng, err := NewEngine(s, 2)
+// TestShardMineKeepsNoMetrics: a sharded run leaves no "shard.*" metric
+// and no miner counter in the caller's registry; the shard scorers still
+// count their NM evaluations there under the plain "scorer.*" names.
+func TestShardMineKeepsNoMetrics(t *testing.T) {
+	ds, err := datagen.ZebraDataset(datagen.ZebraConfig{NumZebras: 8, NumGroups: 3, AvgLen: 16, Seed: 4}, 0.01, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.New()
+	g := grid.NewSquare(8)
+	s, err := core.NewScorer(ds, core.Config{Grid: g, Delta: g.CellWidth(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Mine(context.Background(), core.MinerConfig{K: 4, Metrics: reg}, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	for _, name := range []string{"shard.00.miner.iterations", "shard.01.miner.iterations", "shard.merge.candidates"} {
-		if snap.Counters[name] == 0 {
-			t.Errorf("counter %q missing or zero; have %v", name, snap.Counters)
-		}
+	if snap.Counters["scorer.nm.evals"] == 0 {
+		t.Errorf("shard scorers did not count into the caller's registry: %v", snap.Counters)
 	}
-	if _, ok := snap.Counters["miner.iterations"]; ok {
-		t.Error("unprefixed miner.iterations leaked from a shard search")
+	var names []string
+	for name := range snap.Counters {
+		names = append(names, name)
+	}
+	for name := range snap.Gauges {
+		names = append(names, name)
+	}
+	for name := range snap.Timers {
+		names = append(names, name)
+	}
+	for name := range snap.Histograms {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		if strings.HasPrefix(name, "shard.") || strings.HasPrefix(name, "miner.") {
+			t.Errorf("sharded run left metric %q", name)
+		}
 	}
 }
 
@@ -212,13 +232,12 @@ func TestShardSingleDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shards != 1 || len(eng.scorers) != 0 {
-		t.Fatalf("one-shard engine built shard scorers: %+v", got)
+	if len(eng.scorers) != 0 {
+		t.Fatalf("one-shard engine built %d shard scorers", len(eng.scorers))
 	}
 	wk, gk := patternKeys(want.Patterns), patternKeys(got.Patterns)
 	for i := range wk {
-		//trajlint:allow floatcmp -- delegation must be bit-identical
-		if wk[i] != gk[i] || want.Patterns[i].NM != got.Patterns[i].NM {
+		if wk[i] != gk[i] || math.Float64bits(want.Patterns[i].NM) != math.Float64bits(got.Patterns[i].NM) {
 			t.Fatalf("delegated result differs at rank %d", i)
 		}
 	}
@@ -230,48 +249,6 @@ func TestShardSingleDelegates(t *testing.T) {
 		if len(name) >= 6 && name[:6] == "shard." {
 			t.Errorf("one-shard engine emitted sharded counter %q", name)
 		}
-	}
-}
-
-// TestShardPoolExecutesEveryTask: every task runs exactly once for any
-// worker/task-count combination, including stealing-heavy shapes.
-func TestShardPoolExecutesEveryTask(t *testing.T) {
-	defer leakcheck.Check(t)()
-	for _, tc := range []struct{ workers, tasks int }{
-		{1, 5}, {2, 2}, {3, 10}, {8, 3}, {4, 64}, {2, 0},
-	} {
-		ran := make([]int32, tc.tasks)
-		tasks := make([]func(), tc.tasks)
-		for i := range tasks {
-			i := i
-			tasks[i] = func() { atomic.AddInt32(&ran[i], 1) }
-		}
-		runTasks(tc.workers, tasks, poolMetrics{})
-		for i, c := range ran {
-			if c != 1 {
-				t.Errorf("workers=%d tasks=%d: task %d ran %d times", tc.workers, tc.tasks, i, c)
-			}
-		}
-	}
-}
-
-// TestShardPoolSteals drives the deque state machine directly: a worker
-// with an empty deque must take the oldest entry of the next non-empty
-// peer, and local pops must come from the back.
-func TestShardPoolSteals(t *testing.T) {
-	defer leakcheck.Check(t)()
-	d := &deques{queues: [][]int{{0, 2}, {1}, {}}}
-	if i, stolen, ok := d.next(0); !ok || i != 2 || stolen {
-		t.Fatalf("local pop = %d (stolen=%v), want back entry 2, not stolen", i, stolen)
-	}
-	if i, stolen, ok := d.next(2); !ok || i != 0 || !stolen {
-		t.Fatalf("steal = %d (stolen=%v), want front of first non-empty peer (0), stolen", i, stolen)
-	}
-	if i, stolen, ok := d.next(2); !ok || i != 1 || !stolen {
-		t.Fatalf("second steal = %d (stolen=%v), want 1, stolen", i, stolen)
-	}
-	if _, _, ok := d.next(1); ok {
-		t.Fatal("drained deques still yielded work")
 	}
 }
 

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"trajpattern/internal/core"
 	"trajpattern/internal/grid"
@@ -65,7 +66,8 @@ func RunA4(ctx context.Context, o SweepOptions) (*Table, error) {
 
 // RunA5 measures the Section 5 wildcard refinement: how many of the top-k
 // patterns improve when up to d wild cards may be inserted, and by how
-// much on average.
+// much on average. The top-k does not depend on d, so it is mined once
+// and refined once per budget.
 func RunA5(ctx context.Context, o SweepOptions) (*Table, error) {
 	o, err := o.withDefaults()
 	if err != nil {
@@ -76,26 +78,32 @@ func RunA5(ctx context.Context, o SweepOptions) (*Table, error) {
 		return nil, err
 	}
 	g := grid.NewSquare(o.GridN)
+	s, err := core.NewScorer(ds, core.Config{Grid: g, Delta: g.CellWidth()})
+	if err != nil {
+		return nil, err
+	}
+	plain, err := core.Mine(ctx, s, core.MinerConfig{K: o.K, MinLen: 2, MaxLen: o.MaxLen})
+	if err != nil {
+		return nil, err
+	}
 
 	table := &Table{
 		Title:   "A5: §5 wildcard refinement of the top-k",
 		Columns: []string{"budget d", "patterns improved", "mean NM gain"},
 	}
 	for _, d := range []int{1, 2, 3} {
-		s, err := core.NewScorer(ds, core.Config{Grid: g, Delta: g.CellWidth()})
-		if err != nil {
-			return nil, err
+		wild := make([]core.ScoredWildPattern, len(plain.Patterns))
+		for i, sp := range plain.Patterns {
+			wp, nm, err := s.ExpandWithWildcards(sp.Pattern, d)
+			if err != nil {
+				return nil, err
+			}
+			wild[i] = core.ScoredWildPattern{Pattern: wp, NM: nm}
 		}
-		wild, plain, err := core.MineWithWildcards(ctx, s, core.MinerConfig{
-			K: o.K, MinLen: 2, MaxLen: o.MaxLen,
-		}, d)
-		if err != nil {
-			return nil, err
-		}
-		// Compare each refined pattern against its plain origin (same
-		// index before re-ranking is lost, so compare multisets: count
-		// refined entries that contain at least one wildcard, and the
-		// total NM gain of the refined set over the plain set).
+		// Re-rank the refined set as MineWithWildcards does. Count refined
+		// entries that contain at least one wildcard, and sum the NM gain
+		// of the refined set over the plain set rank by rank.
+		sort.SliceStable(wild, func(i, j int) bool { return wild[i].NM > wild[j].NM })
 		improved := 0
 		for _, w := range wild {
 			if w.Pattern.SpecifiedLen() != len(w.Pattern) {

@@ -2,7 +2,12 @@ package exp
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
+
+	"trajpattern/internal/core"
+	"trajpattern/internal/grid"
 )
 
 func TestRunE8Shape(t *testing.T) {
@@ -29,6 +34,51 @@ func TestRunA4A5Shape(t *testing.T) {
 	}
 	if tb, err := RunA5(context.Background(), tinySweep()); err != nil || len(tb.Rows) != 3 {
 		t.Fatalf("A5: %v %+v", err, tb)
+	}
+}
+
+// TestRunA5Shape: A5 mines once and refines per budget; each row must
+// equal the row built from MineWithWildcards run for that budget alone.
+func TestRunA5Shape(t *testing.T) {
+	tb, err := RunA5(context.Background(), tinySweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := tinySweep().withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := o.dataset(o.S, o.L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := grid.NewSquare(o.GridN)
+	var want [][]string
+	for _, d := range []int{1, 2, 3} {
+		s, err := core.NewScorer(ds, core.Config{Grid: g, Delta: g.CellWidth()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wild, plain, err := core.MineWithWildcards(context.Background(), s, core.MinerConfig{K: o.K, MinLen: 2, MaxLen: o.MaxLen}, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		improved := 0
+		var gain float64
+		for i, w := range wild {
+			if w.Pattern.SpecifiedLen() != len(w.Pattern) {
+				improved++
+			}
+			gain += w.NM - plain.Patterns[i].NM
+		}
+		want = append(want, []string{
+			fmt.Sprintf("%d", d),
+			fmt.Sprintf("%d / %d", improved, len(wild)),
+			fmt.Sprintf("%.3f", gain/float64(len(wild))),
+		})
+	}
+	if !reflect.DeepEqual(tb.Rows, want) {
+		t.Fatalf("A5 rows %v, want %v", tb.Rows, want)
 	}
 }
 
