@@ -43,7 +43,7 @@ func main() {
 		metrics = flag.Bool("metrics", false, "collect and print miner/scorer metrics")
 		metOut  = flag.String("metricsout", "", "write the provenance-stamped metrics report (JSON) to this file")
 		trcPath = flag.String("trace", "", "write a span/event journal (JSONL) here and a Chrome trace to <file>.json")
-		prog    = flag.Bool("progress", false, "print a live one-line progress status to stderr")
+		prog    = flag.Bool("progress", false, "print a live one-line progress status to stderr (nm only)")
 		dbgAddr = flag.String("debug-addr", "", "serve pprof, expvar, /metrics and /trace/status on this address")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file")
@@ -96,17 +96,7 @@ func main() {
 		defer stop() //nolint:errcheck // process is exiting anyway
 		logger.Info("debug server up", slog.String("url", url))
 	}
-	var printer *cli.ProgressPrinter
-	if *prog {
-		printer = cli.NewProgressPrinter(os.Stderr, 0)
-	}
-
-	// First SIGINT/SIGTERM drains the run gracefully (best-so-far report,
-	// partial saves, trace journal); a second aborts.
-	ctx, stopSignals := cli.SignalContext(context.Background(), logger, "trajmine")
-	defer stopSignals()
-
-	_, err = cli.Mine(ctx, os.Stdout, ds, cli.MineOptions{
+	opts := cli.MineOptions{
 		K:              *k,
 		GridN:          *gridN,
 		MinLen:         *minLen,
@@ -120,12 +110,25 @@ func main() {
 		MetricsOut:     *metOut,
 		Registry:       reg,
 		Tracer:         tracer,
-		OnProgress:     printer.Update,
 		MaxIters:       *maxIter,
 		MaxWallTime:    *maxWall,
 		CheckpointPath: *ckpt,
 		Resume:         *resume,
-	})
+	}
+	// OnProgress stays nil without -progress, so cli.Mine can refuse the
+	// flag for the measures that report no progress.
+	var printer *cli.ProgressPrinter
+	if *prog {
+		printer = cli.NewProgressPrinter(os.Stderr, 0)
+		opts.OnProgress = printer.Update
+	}
+
+	// First SIGINT/SIGTERM drains the run gracefully (best-so-far report,
+	// partial saves, trace journal); a second aborts.
+	ctx, stopSignals := cli.SignalContext(context.Background(), logger, "trajmine")
+	defer stopSignals()
+
+	_, err = cli.Mine(ctx, os.Stdout, ds, opts)
 	stopSignals()
 	printer.Done()
 	if terr := cli.SaveTrace(*trcPath, tracer); terr != nil {

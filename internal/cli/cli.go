@@ -84,7 +84,8 @@ type MineOptions struct {
 	// (the caller writes the journal; see SaveTrace).
 	Tracer *trace.Tracer
 	// OnProgress, when non-nil, receives the miner's per-iteration state
-	// (install a ProgressPrinter's Update for -progress). NM measure only.
+	// (install a ProgressPrinter's Update for -progress). NM measure
+	// only: the pb and match measures refuse a non-nil OnProgress.
 	OnProgress func(core.Progress)
 
 	// MaxIters bounds the miner's grow iterations (0 = miner default).
@@ -158,8 +159,8 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 	fmt.Fprintf(w, "dataset: %d trajectories, avg length %.1f, grid %d×%d over %v\n",
 		ds.NumTrajectories(), ds.AvgLength(), g.NX(), g.NY(), g.Bounds())
 
-	if o.Measure != "nm" && (o.CheckpointPath != "" || o.Resume || o.MaxWallTime != 0 || o.MaxIters != 0) {
-		return nil, fmt.Errorf("cli: checkpoint/resume/deadline/iteration options support the nm measure only, not %q", o.Measure)
+	if o.Measure != "nm" && (o.CheckpointPath != "" || o.Resume || o.MaxWallTime != 0 || o.MaxIters != 0 || o.OnProgress != nil) {
+		return nil, fmt.Errorf("cli: checkpoint/resume/deadline/iteration/progress options support the nm measure only, not %q", o.Measure)
 	}
 	if o.MaxWallTime < 0 {
 		return nil, fmt.Errorf("cli: max wall time must be >= 0, got %v", o.MaxWallTime)

@@ -138,6 +138,7 @@ func TestMineErrors(t *testing.T) {
 		"Resume":         {Resume: true},
 		"MaxWallTime":    {MaxWallTime: time.Second},
 		"MaxIters":       {MaxIters: 1},
+		"OnProgress":     {OnProgress: func(core.Progress) {}},
 	}
 	for _, measure := range []string{"pb", "match"} {
 		for name, o := range nmOnly {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"trajpattern/internal/datagen"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/obs"
 	"trajpattern/internal/stat"
@@ -66,29 +67,45 @@ func BenchmarkNMColdCache(b *testing.B) {
 
 // BenchmarkPrepare measures the cell build: every observed cell of a
 // fresh scorer (ring 1, the miner's default seed set), each iteration on
-// a scorer built with the timer stopped. The sub-benchmarks build on one
-// worker and on GOMAXPROCS, so their ratio is the build's parallel
+// a scorer built with the timer stopped. It builds a σ 0.02 random walk
+// on the unit 16×16 grid and perfbench's mine-cold dataset (160 zebras of
+// average length 120 in 5 herds, seed 1, U 0.02, c 2, so σ 0.01) on the
+// unit 16×16 and 12×12 grids, each at δ = one cell width. Each runs on
+// one worker and on GOMAXPROCS, so their ratio is the build's parallel
 // speed-up.
 func BenchmarkPrepare(b *testing.B) {
-	g := grid.NewSquare(16)
-	ds := benchDataset(160, 120)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"workers=1", 1}, {"workers=GOMAXPROCS", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.StopTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := NewScorer(ds, Config{Grid: g, Delta: g.CellWidth(), Workers: bc.workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cells := s.ObservedCells(1)
-				b.StartTimer()
-				s.Prepare(cells)
+	zebras, err := datagen.ZebraDataset(datagen.ZebraConfig{NumZebras: 160, AvgLen: 120, NumGroups: 5, Seed: 1}, 0.02, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, dc := range []struct {
+		name  string
+		ds    traj.Dataset
+		gridN int
+	}{
+		{"walk 16x16", benchDataset(160, 120), 16},
+		{"zebra 16x16", zebras, 16},
+		{"zebra 12x12", zebras, 12},
+	} {
+		g := grid.NewSquare(dc.gridN)
+		for _, wc := range []struct {
+			name    string
+			workers int
+		}{{"workers=1", 1}, {"workers=GOMAXPROCS", 0}} {
+			b.Run(dc.name+"/"+wc.name, func(b *testing.B) {
 				b.StopTimer()
-			}
-		})
+				for i := 0; i < b.N; i++ {
+					s, err := NewScorer(dc.ds, Config{Grid: g, Delta: g.CellWidth(), Workers: wc.workers})
+					if err != nil {
+						b.Fatal(err)
+					}
+					cells := s.ObservedCells(1)
+					b.StartTimer()
+					s.Prepare(cells)
+					b.StopTimer()
+				}
+			})
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
+	"trajpattern/internal/datagen"
 	"trajpattern/internal/geom"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/obs"
@@ -18,10 +19,9 @@ import (
 )
 
 // cellBuildData is a dataset of nTraj random trajectories of uneven
-// length (13, 20, 27, … snapshots), one empty trajectory, and one of σ = 0
-// points on and off cell boundaries and points far outside the grid whose
-// probabilities underflow to the floor. Nine random trajectories make 375
-// positions, two build blocks; twenty-five make 2,431, ten blocks.
+// length (13, 20, 27, … snapshots), one empty trajectory, and the edge
+// trajectory. Nine random trajectories make 375 positions, two build
+// blocks; twenty-five make 2,431, ten blocks.
 func cellBuildData(seed uint64, nTraj int) traj.Dataset {
 	rng := stat.NewRNG(seed)
 	var d traj.Dataset
@@ -32,10 +32,87 @@ func cellBuildData(seed uint64, nTraj int) traj.Dataset {
 		}
 		d = append(d, tr)
 	}
-	return append(d, traj.Trajectory{}, traj.Trajectory{
+	return append(d, traj.Trajectory{}, edgeTrajectory())
+}
+
+// edgeTrajectory holds σ = 0 points on and off cell boundaries and points
+// far outside the grid whose probabilities underflow to the floor.
+func edgeTrajectory() traj.Trajectory {
+	return traj.Trajectory{
 		traj.P(0.5, 0.5, 0), traj.P(0.25, 0.75, 0), traj.P(1.0/7, 0.3, 0),
 		traj.P(0.93, 0.06, 0), traj.P(40, -40, 0.05), traj.P(-3, 0.5, 0.001),
-	})
+	}
+}
+
+// zebraBuildData is a smaller copy of perfbench's mine-cold dataset (40
+// zebras of average length 30 in 5 herds, U 0.02, c 2, so σ 0.01) and
+// the edge trajectory.
+func zebraBuildData(t *testing.T) traj.Dataset {
+	t.Helper()
+	d, err := datagen.ZebraDataset(datagen.ZebraConfig{NumZebras: 40, AvgLen: 30, NumGroups: 5, Seed: 1}, 0.02, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(d, edgeTrajectory())
+}
+
+// boxBranches counts how often data reaches each branch of the box-mode
+// build on grid g at δ: positions where a bound value that two columns
+// (or rows) share to the bit bounds two non-zero masses, so both read its
+// one erfc term; cell entries whose mass is exactly 0, stored as the floor
+// without a log; entries whose mass is positive but whose log is below
+// the floor; and positions of σ = 0.
+func boxBranches(g *grid.Grid, delta float64, data traj.Dataset) (shared, zero, clamped, exact int) {
+	// pairs returns each pair of slots whose boxes around centers meet at
+	// one bound value.
+	pairs := func(centers []float64) [][2]float64 {
+		var out [][2]float64
+		for _, a := range centers {
+			for _, b := range centers {
+				if math.Float64bits(a+delta) == math.Float64bits(b-delta) {
+					out = append(out, [2]float64{a, b})
+				}
+			}
+		}
+		return out
+	}
+	var cx, cy []float64
+	for i := 0; i < g.NX(); i++ {
+		cx = append(cx, g.Center(grid.Cell{X: i}).X)
+	}
+	for j := 0; j < g.NY(); j++ {
+		cy = append(cy, g.Center(grid.Cell{Y: j}).Y)
+	}
+	px, py := pairs(cx), pairs(cy)
+	both := func(pairs [][2]float64, mu, sigma float64) bool {
+		for _, pr := range pairs {
+			if stat.NormalIntervalProb(pr[0]-delta, pr[0]+delta, mu, sigma) > 0 &&
+				stat.NormalIntervalProb(pr[1]-delta, pr[1]+delta, mu, sigma) > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for _, tr := range data {
+		for _, pt := range tr {
+			if pt.Sigma == 0 {
+				exact++
+			}
+			if both(px, pt.Mean.X, pt.Sigma) || both(py, pt.Mean.Y, pt.Sigma) {
+				shared++
+			}
+			for c := 0; c < g.NumCells(); c++ {
+				ctr := g.CenterAt(c)
+				switch p := stat.BoxProb2D(pt.Mean.X, pt.Mean.Y, pt.Sigma, ctr.X, ctr.Y, delta); {
+				case p == 0:
+					zero++
+				case math.Log(p) < core.DefaultLogFloor:
+					clamped++
+				}
+			}
+		}
+	}
+	return shared, zero, clamped, exact
 }
 
 // refVectors returns logProb of every cell at every flat position, the
@@ -100,27 +177,41 @@ func (c *countdownCtx) Err() error {
 // in both modes, on datasets of fewer and more build blocks than workers,
 // at 1, 2, 3 and 8 workers, when Prepare builds cells in two calls and
 // when overlapping Prepare calls race to build them. The cells built and
-// the cache hits must not depend on the worker count. A ScoreAll
-// cancelled at any point must leave only whole vectors installed, and a
-// later Prepare must build the rest.
+// the cache hits must not depend on the worker count. A case shaped like
+// perfbench's mine-cold op (zebra data, σ 0.01, unit 16×16 grid, δ one
+// cell width) must reach every branch of the box-mode build (see
+// boxBranches). A ScoreAll cancelled at any point must leave only whole
+// vectors installed, and a later Prepare must build the rest.
 func TestCellBuildMatchesLogProb(t *testing.T) {
 	small, large := cellBuildData(11, 9), cellBuildData(11, 25)
 	fitted := cli.FitGrid(small[:9], 9)
+	unit16 := grid.NewSquare(16)
 	cases := []struct {
 		name  string
 		g     *grid.Grid
 		delta float64
 		mode  core.ProbMode
+		data  traj.Dataset // nil: small and large
 	}{
-		{"unit 7x4", grid.New(geom.UnitSquare(), 7, 4), 1.0 / 7, core.ProbBox},
-		{"unit 3x8 wide delta", grid.New(geom.UnitSquare(), 3, 8), 0.4, core.ProbBox},
-		{"fitted 9x9", fitted, fitted.CellWidth(), core.ProbBox},
-		{"disk 4x3", grid.New(geom.UnitSquare(), 4, 3), 0.25, core.ProbDisk},
+		{"unit 7x4", grid.New(geom.UnitSquare(), 7, 4), 1.0 / 7, core.ProbBox, nil},
+		{"unit 3x8 wide delta", grid.New(geom.UnitSquare(), 3, 8), 0.4, core.ProbBox, nil},
+		{"fitted 9x9", fitted, fitted.CellWidth(), core.ProbBox, nil},
+		{"disk 4x3", grid.New(geom.UnitSquare(), 4, 3), 0.25, core.ProbDisk, nil},
+		{"zebra unit 16x16", unit16, unit16.CellWidth(), core.ProbBox, zebraBuildData(t)},
 	}
 	workerCounts := []int{1, 2, 3, 8}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, data := range []traj.Dataset{small, large} {
+			datasets := []traj.Dataset{small, large}
+			if tc.data != nil {
+				datasets = []traj.Dataset{tc.data}
+				shared, zero, clamped, exact := boxBranches(tc.g, tc.delta, tc.data)
+				t.Logf("shared bound %d positions, zero mass %d entries, clamped %d entries, σ = 0 %d positions", shared, zero, clamped, exact)
+				if shared == 0 || zero == 0 || clamped == 0 || exact == 0 {
+					t.Fatalf("a box-mode branch is not reached: shared bound %d, zero mass %d, clamped %d, σ = 0 %d", shared, zero, clamped, exact)
+				}
+			}
+			for _, data := range datasets {
 				t.Run(fmt.Sprintf("%d positions", data.TotalSnapshots()), func(t *testing.T) {
 					cfg := core.Config{Grid: tc.g, Delta: tc.delta, Mode: tc.mode}
 					n := tc.g.NumCells()

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"trajpattern/internal/geom"
 	"trajpattern/internal/grid"
+	"trajpattern/internal/traj"
 )
 
 // FuzzLoadPatterns checks that the pattern-file decoder never panics on
@@ -155,6 +157,58 @@ func FuzzScoreAllMatchesNM(f *testing.F) {
 		for i, p := range batch {
 			if want := ref.NM(p); math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("pattern %d %v: ScoreAll %v, NM %v", i, p, got[i], want)
+			}
+		}
+	})
+}
+
+// FuzzCellBuildMatchesLogProb checks that the box-mode cell build stores,
+// at every position of every cell, the bits logProb returns. Every three
+// input bytes are a point: its mean's x and y on a 1/128 lattice over
+// [−0.5, 1.5), so means fall on and off cell edges, inside and outside
+// the grid, and its σ, which is 0 when the byte is a multiple of 8. The
+// points repeat up to a drawn count of positions, at most 1,400 (six
+// build blocks), in trajectories of 37. The grid is nx×ny cells (1 to 16
+// each) over the unit square, δ is a drawn multiple (¼ to 2) of the cell
+// width, and 1 to 4 workers build.
+func FuzzCellBuildMatchesLogProb(f *testing.F) {
+	f.Add([]byte{40, 200, 10, 90, 91, 10, 150, 60, 10, 70, 140, 11}, uint8(16), uint8(16), uint8(3), uint8(1), uint16(700))
+	f.Add([]byte{128, 128, 0, 96, 160, 0, 64, 64, 8, 80, 100, 0, 0, 255, 3}, uint8(4), uint8(3), uint8(1), uint8(2), uint16(40))
+	f.Add([]byte{20, 30, 10, 230, 10, 9, 120, 121, 200}, uint8(12), uint8(12), uint8(3), uint8(3), uint16(1399))
+	f.Add([]byte{0, 0, 1, 255, 255, 255}, uint8(1), uint8(1), uint8(7), uint8(0), uint16(1))
+	f.Add([]byte{64, 192, 33, 5, 250, 16}, uint8(7), uint8(2), uint8(5), uint8(3), uint16(300))
+	f.Fuzz(func(t *testing.T, raw []byte, nx, ny, delta, workers uint8, n uint16) {
+		var pts []traj.Point
+		for i := 0; i+2 < len(raw); i += 3 {
+			sigma := float64(raw[i+2]) / 1024
+			if raw[i+2]%8 == 0 {
+				sigma = 0
+			}
+			pts = append(pts, traj.P(float64(raw[i])/128-0.5, float64(raw[i+1])/128-0.5, sigma))
+		}
+		if len(pts) == 0 {
+			return
+		}
+		var data traj.Dataset
+		for p := 0; p < 1+int(n)%1400; p++ {
+			if p%37 == 0 {
+				data = append(data, nil)
+			}
+			data[len(data)-1] = append(data[len(data)-1], pts[p%len(pts)])
+		}
+		g := grid.New(geom.UnitSquare(), 1+int(nx)%16, 1+int(ny)%16)
+		d := float64(1+delta%8) / 4 * g.CellWidth()
+		s, err := NewScorer(data, Config{Grid: g, Delta: d, Workers: 1 + int(workers)%4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Prepare(s.AllCells())
+		for c := 0; c < g.NumCells(); c++ {
+			v := s.cached(c)
+			for p, pt := range s.flat {
+				if want := s.logProb(pt, c); math.Float64bits(v[p]) != math.Float64bits(want) {
+					t.Fatalf("cell %d, flat position %d (mean %v, σ %v), δ %v: built %v, logProb %v", c, p, pt.Mean, pt.Sigma, d, v[p], want)
+				}
 			}
 		}
 	})

@@ -224,13 +224,12 @@ func (s *Scorer) logProb(pt traj.Point, cell int) float64 {
 }
 
 // clampLog returns log prob clamped from below to DefaultLogFloor; a
-// NaN logarithm also becomes the floor.
+// NaN logarithm fails the comparison and becomes the floor too.
 func (s *Scorer) clampLog(prob float64) float64 {
-	lp := math.Log(prob)
-	if lp < DefaultLogFloor || math.IsNaN(lp) {
-		return DefaultLogFloor
+	if lp := math.Log(prob); lp >= DefaultLogFloor {
+		return lp
 	}
-	return lp
+	return DefaultLogFloor
 }
 
 // buildBlock is how many flat positions one block of the cell build
@@ -266,40 +265,46 @@ func (s *Scorer) fanOut(n int, start func(lo, hi int) func()) {
 }
 
 // build computes the log-prob vector of each cell over every flat
-// position. It splits the positions into blocks of buildBlock and gives
-// each worker a contiguous run of them (fanOut); a worker checks ctx
-// before each block and yields after it, as scoreChunk does. Box mass
-// factorizes over the axes (stat.BoxProb2D is the product of two interval
-// probabilities), so a box-mode block computes each needed column's and
-// row's interval probability once per position, in scratch of its
-// worker's own, then forms every cell's product. That is about NX+NY
-// interval probabilities per position instead of two per cell, and each
-// product, hence each log, is the float logProb returns. Disk mode calls
-// logProb per position. Either way a position's value comes from the
-// same code whichever worker computes it. If ctx ends before the build
-// returns, build returns ctx's cause and no vector. No scratch outlives
-// the call.
+// position. The vectors are allocated, and so zeroed, on up to cfg.Workers
+// goroutines (fanOut). The positions are then split into blocks of
+// buildBlock, each worker taking a contiguous run of them (fanOut); a
+// worker checks ctx before each block and yields after it, as scoreChunk
+// does. Box mass factorizes over the axes (stat.BoxProb2D is the product
+// of two interval probabilities), so a box-mode block computes, per
+// position, one erfc term per distinct bound value of each axis (see
+// boxAxis), then each needed column's and row's mass from those terms
+// through stat.IntervalMass, in scratch of its worker's own, and then
+// every cell's product. That is one erfc per distinct bound instead of
+// two per column and row, and each product, hence each log, is the float
+// logProb returns. A zero product is stored as the floor without a log, which is
+// what clampLog makes of log 0 = −Inf. Disk mode calls logProb per
+// position. Either way a position's value comes from the same code
+// whichever worker computes it. If ctx ends before the build returns,
+// build returns ctx's cause and no vector. No scratch outlives the call.
 func (s *Scorer) build(ctx context.Context, cells []int) ([][]float64, error) {
+	n := len(s.flat)
 	out := make([][]float64, len(cells))
-	for i := range out {
-		out[i] = make([]float64, len(s.flat))
-	}
+	s.fanOut(len(cells), func(lo, hi int) func() {
+		return func() {
+			for i := lo; i < hi; i++ {
+				out[i] = make([]float64, n)
+			}
+		}
+	})
 	var ax *boxAxes
 	if s.cfg.Mode != ProbDisk {
 		ax = s.boxAxes(cells)
 	}
-	n := len(s.flat)
 	s.fanOut((n+buildBlock-1)/buildBlock, func(first, last int) func() {
-		var fx, fy []float64 // this worker's per-axis scratch
+		var sc boxScratch // this worker's per-axis scratch
 		if ax != nil {
-			blk := min(buildBlock, n)
-			fx, fy = make([]float64, len(ax.xs)*blk), make([]float64, len(ax.ys)*blk)
+			sc = ax.scratch(min(buildBlock, n))
 		}
 		return func() {
 			for b := first; b < last && ctx.Err() == nil; b++ {
 				lo, hi := b*buildBlock, min((b+1)*buildBlock, n)
 				if ax != nil {
-					s.boxBlock(ax, out, lo, hi, fx, fy)
+					s.boxBlock(ax, out, lo, hi, sc)
 				} else {
 					for i, c := range cells {
 						for p := lo; p < hi; p++ {
@@ -317,57 +322,107 @@ func (s *Scorer) build(ctx context.Context, cells []int) ([][]float64, error) {
 	return out, nil
 }
 
-// boxAxes is a box-mode build's per-axis plan: the center coordinate of
-// each distinct column and row its cells lie in, and each cell's column
-// and row slot.
+// boxAxes is a box-mode build's per-axis plan: the columns and rows its
+// cells lie in, and each cell's column and row slot.
 type boxAxes struct {
-	xs, ys []float64
-	slots  [][2]int
+	x, y  boxAxis
+	slots [][2]int
+}
+
+// boxAxis is one axis of a box-mode build: the distinct bound values,
+// bit for bit, of its columns' (or rows') boxes [center − δ, center + δ],
+// and each column's lower and upper bound as indices into them. At
+// δ = the cell width, column k's upper bound is column k+2's lower one,
+// often to the bit, and a shared bound's erfc term is computed once.
+type boxAxis struct {
+	bounds []float64
+	spans  [][2]int       // per column slot
+	index  map[uint64]int // a bound value's bits → its index in bounds
+}
+
+// add appends a column of the given center and returns its slot.
+func (a *boxAxis) add(center, d float64) int {
+	var sp [2]int
+	for j, v := range [2]float64{center - d, center + d} {
+		k, ok := a.index[math.Float64bits(v)]
+		if !ok {
+			k = len(a.bounds)
+			a.bounds = append(a.bounds, v)
+			a.index[math.Float64bits(v)] = k
+		}
+		sp[j] = k
+	}
+	a.spans = append(a.spans, sp)
+	return len(a.spans) - 1
+}
+
+// fill sets f[k*m+p], for every column slot k, to the column's mass at a
+// position of mean mu and deviation sigma on this axis. e is scratch of
+// at least len(a.bounds) floats.
+func (a *boxAxis) fill(f []float64, p, m int, mu, sigma float64, e []float64) {
+	for j, v := range a.bounds {
+		e[j] = stat.NormalErfc(v, mu, sigma)
+	}
+	for k, sp := range a.spans {
+		f[k*m+p] = stat.IntervalMass(a.bounds[sp[0]], a.bounds[sp[1]], mu, sigma, e[sp[0]], e[sp[1]])
+	}
 }
 
 // boxAxes plans the box-mode build of cells.
 func (s *Scorer) boxAxes(cells []int) *boxAxes {
-	g := s.cfg.Grid
+	g, d := s.cfg.Grid, s.cfg.Delta
 	// colOf and rowOf hold 1 + a column's or row's slot, 0 until assigned.
 	colOf, rowOf := make([]int, g.NX()), make([]int, g.NY())
-	ax := &boxAxes{slots: make([][2]int, len(cells))}
+	ax := &boxAxes{
+		x:     boxAxis{index: make(map[uint64]int)},
+		y:     boxAxis{index: make(map[uint64]int)},
+		slots: make([][2]int, len(cells)),
+	}
 	for i, c := range cells {
 		cell := g.CellAt(c)
 		center := g.Center(cell)
 		if colOf[cell.X] == 0 {
-			ax.xs = append(ax.xs, center.X)
-			colOf[cell.X] = len(ax.xs)
+			colOf[cell.X] = 1 + ax.x.add(center.X, d)
 		}
 		if rowOf[cell.Y] == 0 {
-			ax.ys = append(ax.ys, center.Y)
-			rowOf[cell.Y] = len(ax.ys)
+			rowOf[cell.Y] = 1 + ax.y.add(center.Y, d)
 		}
 		ax.slots[i] = [2]int{colOf[cell.X] - 1, rowOf[cell.Y] - 1}
 	}
 	return ax
 }
 
-// boxBlock fills positions [lo, hi) of every cell's vector in out. fx and
-// fy are scratch of at least hi−lo floats per column and per row slot.
-func (s *Scorer) boxBlock(ax *boxAxes, out [][]float64, lo, hi int, fx, fy []float64) {
-	pts, m, d := s.flat[lo:hi], hi-lo, s.cfg.Delta
-	for k, x := range ax.xs {
-		f := fx[k*m:][:m]
-		for p, pt := range pts {
-			f[p] = stat.NormalIntervalProb(x-d, x+d, pt.Mean.X, pt.Sigma)
-		}
+// boxScratch is one worker's scratch for boxBlock: each column's and
+// row's mass at each position of a block, and the erfc terms of one
+// position.
+type boxScratch struct{ fx, fy, e []float64 }
+
+// scratch returns scratch for blocks of up to blk positions.
+func (ax *boxAxes) scratch(blk int) boxScratch {
+	return boxScratch{
+		fx: make([]float64, len(ax.x.spans)*blk),
+		fy: make([]float64, len(ax.y.spans)*blk),
+		e:  make([]float64, max(len(ax.x.bounds), len(ax.y.bounds))),
 	}
-	for k, y := range ax.ys {
-		f := fy[k*m:][:m]
-		for p, pt := range pts {
-			f[p] = stat.NormalIntervalProb(y-d, y+d, pt.Mean.Y, pt.Sigma)
-		}
+}
+
+// boxBlock fills positions [lo, hi) of every cell's vector in out.
+func (s *Scorer) boxBlock(ax *boxAxes, out [][]float64, lo, hi int, sc boxScratch) {
+	pts, m := s.flat[lo:hi], hi-lo
+	for p, pt := range pts {
+		ax.x.fill(sc.fx, p, m, pt.Mean.X, pt.Sigma, sc.e)
+		ax.y.fill(sc.fy, p, m, pt.Mean.Y, pt.Sigma, sc.e)
 	}
 	for i, sl := range ax.slots {
-		px, py := fx[sl[0]*m:][:m], fy[sl[1]*m:][:m]
+		px, py := sc.fx[sl[0]*m:][:m], sc.fy[sl[1]*m:][:m]
 		dst := out[i][lo:hi]
 		for p := range dst {
-			dst[p] = s.clampLog(px[p] * py[p])
+			//trajlint:allow floatcmp -- exact-zero log skip: log 0 is −Inf, which clampLog clamps to the floor, so only a literal zero may skip it
+			if pr := px[p] * py[p]; pr == 0 {
+				dst[p] = DefaultLogFloor
+			} else {
+				dst[p] = s.clampLog(pr)
+			}
 		}
 	}
 }

@@ -13,6 +13,20 @@ var sqrt2 = math.Sqrt(2)
 // NormalIntervalProb returns P(a <= X <= b) for X ~ N(mu, sigma²).
 // It is exact (up to erfc accuracy) and returns 0 when b < a.
 func NormalIntervalProb(a, b, mu, sigma float64) float64 {
+	return IntervalMass(a, b, mu, sigma, NormalErfc(a, mu, sigma), NormalErfc(b, mu, sigma))
+}
+
+// NormalErfc returns erfc((x − mu)/(sigma·√2)), twice P(X > x) for
+// X ~ N(mu, sigma²): the term IntervalMass takes for each bound.
+func NormalErfc(x, mu, sigma float64) float64 {
+	return math.Erfc((x - mu) / (sigma * sqrt2))
+}
+
+// IntervalMass is NormalIntervalProb given the erfc terms of its bounds,
+// ea = NormalErfc(a, mu, sigma) and eb = NormalErfc(b, mu, sigma). It
+// reads them only when a <= b and sigma > 0, so intervals that share a
+// bound value can share that bound's term.
+func IntervalMass(a, b, mu, sigma, ea, eb float64) float64 {
 	if b < a {
 		return 0
 	}
@@ -22,11 +36,10 @@ func NormalIntervalProb(a, b, mu, sigma float64) float64 {
 		}
 		return 0
 	}
-	// Difference of erfc values keeps precision in the tails where two
-	// near-1 CDFs would cancel.
-	lo := (a - mu) / (sigma * sqrt2)
-	hi := (b - mu) / (sigma * sqrt2)
-	p := 0.5 * (math.Erfc(lo) - math.Erfc(hi))
+	// A difference of erfc values keeps precision when the interval lies
+	// above the mean, where two CDFs near 1 would cancel. Below the mean
+	// both terms are near 2 and cancel instead.
+	p := 0.5 * (ea - eb)
 	if p < 0 {
 		return 0
 	}
