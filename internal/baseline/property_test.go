@@ -30,27 +30,33 @@ func randomTiny(seed uint64) traj.Dataset {
 
 // Property: on random tiny instances, MinePB returns exactly the
 // exhaustive top-k, key for key and NM bit for bit (PB's bound is
-// admissible and PB reports Scorer.NM's sum).
+// admissible and PB reports Scorer.NM's sum). Each instance is also
+// checked with an empty trajectory inserted, whose bound must be the
+// floor every pattern scores on it, not −Inf.
 func TestQuickPBExactness(t *testing.T) {
 	f := func(seed uint64) bool {
-		data := randomTiny(seed)
-		g := grid.NewSquare(2)
-		s, err := core.NewScorer(data, core.Config{Grid: g, Delta: g.CellWidth()})
-		if err != nil {
-			return false
-		}
-		seeds := s.AllCells()
-		pb, err := MinePB(s, PBConfig{K: 5, MaxLen: 3, Seeds: seeds})
-		if err != nil {
-			return false
-		}
-		oracle, err := ExhaustiveNM(s, seeds, 5, 1, 3)
-		if err != nil {
-			return false
-		}
-		if err := sameTopK(pb.Patterns, oracle); err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
+		tiny := randomTiny(seed)
+		at := int(seed % uint64(len(tiny)+1))
+		withEmpty := append(append(append(traj.Dataset{}, tiny[:at]...), traj.Trajectory{}), tiny[at:]...)
+		for _, data := range []traj.Dataset{tiny, withEmpty} {
+			g := grid.NewSquare(2)
+			s, err := core.NewScorer(data, core.Config{Grid: g, Delta: g.CellWidth()})
+			if err != nil {
+				return false
+			}
+			seeds := s.AllCells()
+			pb, err := MinePB(s, PBConfig{K: 5, MaxLen: 3, Seeds: seeds})
+			if err != nil {
+				return false
+			}
+			oracle, err := ExhaustiveNM(s, seeds, 5, 1, 3)
+			if err != nil {
+				return false
+			}
+			if err := sameTopK(pb.Patterns, oracle); err != nil {
+				t.Logf("seed %d, %d trajectories: %v", seed, len(data), err)
+				return false
+			}
 		}
 		return true
 	}

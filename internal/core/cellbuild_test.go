@@ -172,6 +172,34 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
+// cellBuildCase is one grid, δ and mode of TestCellBuildMatchesLogProb,
+// with the datasets it builds.
+type cellBuildCase struct {
+	name     string
+	g        *grid.Grid
+	delta    float64
+	mode     core.ProbMode
+	datasets []traj.Dataset
+	zebra    bool // the mine-cold-shaped case, which must reach every box branch
+}
+
+// cellBuildCases returns TestCellBuildMatchesLogProb's cases: non-square
+// and fitted grids in both modes on datasets of two and ten build blocks,
+// and the zebra case. It also returns the ten-block dataset.
+func cellBuildCases(t *testing.T) ([]cellBuildCase, traj.Dataset) {
+	small, large := cellBuildData(11, 9), cellBuildData(11, 25)
+	fitted := cli.FitGrid(small[:9], 9)
+	unit16 := grid.NewSquare(16)
+	both := []traj.Dataset{small, large}
+	return []cellBuildCase{
+		{"unit 7x4", grid.New(geom.UnitSquare(), 7, 4), 1.0 / 7, core.ProbBox, both, false},
+		{"unit 3x8 wide delta", grid.New(geom.UnitSquare(), 3, 8), 0.4, core.ProbBox, both, false},
+		{"fitted 9x9", fitted, fitted.CellWidth(), core.ProbBox, both, false},
+		{"disk 4x3", grid.New(geom.UnitSquare(), 4, 3), 0.25, core.ProbDisk, both, false},
+		{"zebra unit 16x16", unit16, unit16.CellWidth(), core.ProbBox, []traj.Dataset{zebraBuildData(t)}, true},
+	}, large
+}
+
 // TestCellBuildMatchesLogProb checks that the cell build reproduces
 // logProb at every position, bit for bit: on non-square and fitted grids,
 // in both modes, on datasets of fewer and more build blocks than workers,
@@ -183,35 +211,18 @@ func (c *countdownCtx) Err() error {
 // boxBranches). A ScoreAll cancelled at any point must leave only whole
 // vectors installed, and a later Prepare must build the rest.
 func TestCellBuildMatchesLogProb(t *testing.T) {
-	small, large := cellBuildData(11, 9), cellBuildData(11, 25)
-	fitted := cli.FitGrid(small[:9], 9)
-	unit16 := grid.NewSquare(16)
-	cases := []struct {
-		name  string
-		g     *grid.Grid
-		delta float64
-		mode  core.ProbMode
-		data  traj.Dataset // nil: small and large
-	}{
-		{"unit 7x4", grid.New(geom.UnitSquare(), 7, 4), 1.0 / 7, core.ProbBox, nil},
-		{"unit 3x8 wide delta", grid.New(geom.UnitSquare(), 3, 8), 0.4, core.ProbBox, nil},
-		{"fitted 9x9", fitted, fitted.CellWidth(), core.ProbBox, nil},
-		{"disk 4x3", grid.New(geom.UnitSquare(), 4, 3), 0.25, core.ProbDisk, nil},
-		{"zebra unit 16x16", unit16, unit16.CellWidth(), core.ProbBox, zebraBuildData(t)},
-	}
+	cases, large := cellBuildCases(t)
 	workerCounts := []int{1, 2, 3, 8}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			datasets := []traj.Dataset{small, large}
-			if tc.data != nil {
-				datasets = []traj.Dataset{tc.data}
-				shared, zero, clamped, exact := boxBranches(tc.g, tc.delta, tc.data)
+			if tc.zebra {
+				shared, zero, clamped, exact := boxBranches(tc.g, tc.delta, tc.datasets[0])
 				t.Logf("shared bound %d positions, zero mass %d entries, clamped %d entries, σ = 0 %d positions", shared, zero, clamped, exact)
 				if shared == 0 || zero == 0 || clamped == 0 || exact == 0 {
 					t.Fatalf("a box-mode branch is not reached: shared bound %d, zero mass %d, clamped %d, σ = 0 %d", shared, zero, clamped, exact)
 				}
 			}
-			for _, data := range datasets {
+			for _, data := range tc.datasets {
 				t.Run(fmt.Sprintf("%d positions", data.TotalSnapshots()), func(t *testing.T) {
 					cfg := core.Config{Grid: tc.g, Delta: tc.delta, Mode: tc.mode}
 					n := tc.g.NumCells()
@@ -325,4 +336,30 @@ func TestCellBuildMatchesLogProb(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBuiltVectorsInScanDomain checks every vector the cases of
+// TestCellBuildMatchesLogProb build, in box and disk mode, for the
+// preconditions of the AVX2 scan kernels' lane-parallel max: every entry
+// lies in [DefaultLogFloor, 0] and is neither NaN nor -0. With them, the
+// max over windows is the same value whatever order it compares them in.
+func TestBuiltVectorsInScanDomain(t *testing.T) {
+	const negZero = 1 << 63 // the bits of -0
+	cases, _ := cellBuildCases(t)
+	for _, tc := range cases {
+		for _, data := range tc.datasets {
+			s, err := core.NewScorer(data, core.Config{Grid: tc.g, Delta: tc.delta, Mode: tc.mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < tc.g.NumCells(); c++ {
+				for p, v := range s.CellVector(c) {
+					if math.IsNaN(v) || v < core.DefaultLogFloor || v > 0 || math.Float64bits(v) == negZero {
+						t.Fatalf("%s, %d positions: cell %d, flat position %d holds %v (sign bit %v), outside [%v, +0]",
+							tc.name, data.TotalSnapshots(), c, p, v, math.Signbit(v), core.DefaultLogFloor)
+					}
+				}
+			}
+		}
+	}
 }

@@ -781,18 +781,20 @@ func (s *Scorer) scoreChunk(ctx context.Context, patterns []Pattern, chunk []int
 // BestSingularLogProb returns, for each trajectory, the maximum cached
 // log-prob over the given cells and all window positions. The PB baseline
 // uses it as its optimistic per-position bound. The result is indexed by
-// trajectory.
+// trajectory. An empty trajectory's bound is DefaultLogFloor, the
+// per-position value LogMatches gives a trajectory too short for a
+// pattern; no built entry is below it.
 func (s *Scorer) BestSingularLogProb(cells []int) []float64 {
 	out := make([]float64, len(s.data))
 	for ti := range s.data {
-		out[ti] = math.Inf(-1)
+		out[ti] = DefaultLogFloor
 	}
 	vecs, _ := s.prepare(context.TODO(), cells) // an uncancellable build cannot fail
 	for _, v := range vecs {
 		for ti := range s.data {
-			for w := s.offsets[ti]; w < s.offsets[ti+1]; w++ {
-				if v[w] > out[ti] {
-					out[ti] = v[w]
+			if lo, hi := s.offsets[ti], s.offsets[ti+1]; lo < hi {
+				if best := maxOf(v[lo:hi]); best > out[ti] {
+					out[ti] = best
 				}
 			}
 		}

@@ -4,16 +4,23 @@ import "sync"
 
 // The window-scan kernels and the shared-prefix walk built on them. Every
 // window scan (NM, NMWild, LogMatches, LogMatchesAll, the match measures
-// and ScoreAll) runs through these kernels. They unroll across windows, four
-// at a time, never across the terms of one window sum, so each sum takes
-// its terms in the order of the caller's passes and is the same float a
-// plain loop would produce. The unrolled bodies carry no bounds checks;
-// besides being faster, that keeps their speed from depending on where the
-// linker happens to place the loop.
+// and ScoreAll) runs through three kernels: add, addMax and maxOf. On
+// amd64 they are AVX2 assembly (window_amd64.s), chosen when the package
+// loads if the CPU and the OS support AVX2; elsewhere, on older CPUs and
+// in race-detector builds they are the Go kernels below, which are also
+// the assembly's reference. Both work across windows, never across the
+// terms of one window sum, so each sum takes its terms in the order of
+// the caller's passes and is the same float a plain loop would produce.
+// A max is an exact selection, so taking it lane by lane returns the
+// in-order loop's value as long as no input is NaN or -0; every built
+// entry lies in [DefaultLogFloor, 0] with log 1 = +0, and a wildcard reads
+// +0, so neither occurs. The Go kernels unroll four windows at a time;
+// their unrolled bodies carry no bounds checks, which besides being faster
+// keeps their speed from depending on where the linker places the loop.
 
-// add writes a[i] + b[i] into dst[i] for every i < len(dst). a and b must
-// be at least as long as dst; dst may start where a starts.
-func add(dst, a, b []float64) {
+// addGo writes a[i] + b[i] into dst[i] for every i < len(dst). a and b
+// must be at least as long as dst; dst may start where a starts.
+func addGo(dst, a, b []float64) {
 	a, b = a[:len(dst)], b[:len(dst)]
 	for len(dst) >= 4 && len(a) >= 4 && len(b) >= 4 {
 		dst[0] = a[0] + b[0]
@@ -28,10 +35,11 @@ func add(dst, a, b []float64) {
 	}
 }
 
-// addMax returns the largest acc[i] + src[i] over i < len(acc), comparing
-// in index order, without writing acc: the final pass of a window scan
-// fused with its maximum. acc must be non-empty and src at least as long.
-func addMax(acc, src []float64) float64 {
+// addMaxGo returns the largest acc[i] + src[i] over i < len(acc),
+// comparing in index order, without writing acc: the final pass of a
+// window scan fused with its maximum. acc must be non-empty and src at
+// least as long.
+func addMaxGo(acc, src []float64) float64 {
 	src = src[:len(acc)]
 	best := acc[0] + src[0]
 	acc, src = acc[1:], src[1:]
@@ -63,8 +71,8 @@ func addMax(acc, src []float64) float64 {
 	return best
 }
 
-// maxOf returns the largest element of the non-empty v.
-func maxOf(v []float64) float64 {
+// maxOfGo returns the largest element of the non-empty v.
+func maxOfGo(v []float64) float64 {
 	best := v[0]
 	for _, x := range v[1:] {
 		if x > best {

@@ -1,0 +1,13 @@
+//go:build !amd64 || race
+
+package core
+
+// Without the AVX2 kernels (another architecture, or a race-detector
+// build, whose checker cannot see the loads and stores assembly makes)
+// the scan runs the Go kernels.
+
+func add(dst, a, b []float64) { addGo(dst, a, b) }
+
+func addMax(acc, src []float64) float64 { return addMaxGo(acc, src) }
+
+func maxOf(v []float64) float64 { return maxOfGo(v) }

@@ -15,11 +15,15 @@ import (
 // array of {"mean":{"X":…,"Y":…},"sigma":…} objects. Read and ReadFile
 // load a whole dataset; every scoring path scores a resident dataset.
 
-// Write encodes the dataset to w, one trajectory per line.
+// Write encodes the dataset to w, one trajectory per line. A nil
+// trajectory is written as the empty one, [], since Read rejects null.
 func Write(w io.Writer, d Dataset) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for i, t := range d {
+		if t == nil {
+			t = Trajectory{}
+		}
 		if err := enc.Encode(t); err != nil {
 			return fmt.Errorf("traj: encoding trajectory %d: %w", i, err)
 		}
@@ -48,8 +52,9 @@ func (d *decoder) errf(format string, args ...any) error {
 }
 
 // next decodes the next trajectory, skipping blank lines, and returns
-// (nil, nil) at end of input. Each trajectory is validated structurally
-// (finite coordinates, non-negative sigmas).
+// io.EOF at end of input. Each trajectory is validated structurally
+// (finite coordinates, non-negative sigmas); a null record is an error,
+// so it cannot pass for the end of input.
 func (d *decoder) next() (Trajectory, error) {
 	for {
 		raw, rerr := d.br.ReadBytes('\n')
@@ -60,7 +65,7 @@ func (d *decoder) next() (Trajectory, error) {
 		}
 		if len(bytes.TrimSpace(raw)) == 0 {
 			if rerr == io.EOF {
-				return nil, nil
+				return nil, io.EOF
 			}
 			d.line++
 			continue // blank line
@@ -70,6 +75,9 @@ func (d *decoder) next() (Trajectory, error) {
 		var t Trajectory
 		if err := json.Unmarshal(raw, &t); err != nil {
 			return nil, d.errf("decoding trajectory: %v", err)
+		}
+		if t == nil {
+			return nil, d.errf("null trajectory (write an empty one as [])")
 		}
 		if err := t.Validate(); err != nil {
 			return nil, d.errf("invalid trajectory: %v", err)
@@ -89,11 +97,11 @@ func readAll(d *decoder) (Dataset, error) {
 	var out Dataset
 	for {
 		t, err := d.next()
+		if err == io.EOF {
+			return out, nil
+		}
 		if err != nil {
 			return nil, err
-		}
-		if t == nil {
-			return out, nil
 		}
 		out = append(out, t)
 	}

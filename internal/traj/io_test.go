@@ -164,3 +164,44 @@ func TestWritePreservesPrecision(t *testing.T) {
 		t.Errorf("precision lost: %+v", p)
 	}
 }
+
+// A null record is rejected with its line and record, not taken for the
+// end of input: before, a null on line 3 silently cut the dataset to its
+// first two trajectories.
+func TestReadRejectsNull(t *testing.T) {
+	good := `[{"mean":{"X":0,"Y":0},"sigma":1}]`
+	in := good + "\n\n" + "null" + "\n" + good + "\n"
+	if _, err := Read(strings.NewReader(in)); err == nil {
+		t.Fatal("null record accepted")
+	}
+	path := filepath.Join(t.TempDir(), "null.jsonl")
+	if err := writeRaw(path, in); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadFile(path)
+	if err == nil {
+		t.Fatal("null record accepted from file")
+	}
+	for _, want := range []string{path + ":3", "record 2", "null"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// A nil trajectory is written as the empty one, so every record survives
+// WriteFile and ReadFile.
+func TestFileRoundTripNilTrajectory(t *testing.T) {
+	d := sampleDataset()
+	path := filepath.Join(t.TempDir(), "data.jsonl")
+	if err := WriteFile(path, Dataset{d[0], nil, d[1]}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || len(got[0]) != len(d[0]) || len(got[1]) != 0 || len(got[2]) != len(d[1]) {
+		t.Fatalf("round trip of 3 records read %d: %+v", len(got), got)
+	}
+}
