@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"trajpattern/internal/baseline"
@@ -144,6 +145,12 @@ func WithWallBudget(ctx context.Context, d time.Duration) (context.Context, cont
 func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]core.Pattern, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("cli: empty dataset")
+	}
+	if o.GridN < 1 {
+		return nil, fmt.Errorf("cli: grid side GridN must be >= 1, got %d", o.GridN)
+	}
+	if !(o.DeltaMul > 0) || math.IsInf(o.DeltaMul, 1) {
+		return nil, fmt.Errorf("cli: DeltaMul (δ in cell widths) must be finite and > 0, got %v", o.DeltaMul)
 	}
 	g := FitGrid(ds, o.GridN)
 	reg := o.Registry // nil unless -metrics: the nil registry is free

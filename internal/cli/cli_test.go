@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,6 +132,23 @@ func TestMineErrors(t *testing.T) {
 	}
 	if _, err := Mine(context.Background(), &buf, ds, MineOptions{K: 0, GridN: 4, MaxLen: 2, DeltaMul: 1, Measure: "nm"}); err == nil {
 		t.Error("K=0 accepted")
+	}
+	// A grid side below 1 is refused before the grid is fitted (which
+	// panics on it), for every measure, and a bad δ multiple by its own
+	// value rather than the δ derived from it.
+	for _, gridN := range []int{0, -3} {
+		for _, measure := range []string{"nm", "pb", "match"} {
+			_, err := Mine(context.Background(), &buf, ds, MineOptions{K: 1, GridN: gridN, MaxLen: 2, DeltaMul: 1, Measure: measure})
+			if want := fmt.Sprintf("grid side GridN must be >= 1, got %d", gridN); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("-measure %s with GridN %d: err = %v, want %q", measure, gridN, err, want)
+			}
+		}
+	}
+	for _, d := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
+		_, err := Mine(context.Background(), &buf, ds, MineOptions{K: 1, GridN: 4, MaxLen: 2, DeltaMul: d, Measure: "nm"})
+		if want := fmt.Sprintf("DeltaMul (δ in cell widths) must be finite and > 0, got %v", d); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("DeltaMul %v: err = %v, want %q", d, err, want)
+		}
 	}
 	// The run bounds and checkpoints belong to the NM miner; the baselines
 	// refuse each of them rather than ignore it.

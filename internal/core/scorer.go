@@ -220,16 +220,34 @@ func (s *Scorer) logProb(pt traj.Point, cell int) float64 {
 	default:
 		prob = stat.BoxProb2D(pt.Mean.X, pt.Mean.Y, pt.Sigma, c.X, c.Y, s.cfg.Delta)
 	}
-	return s.clampLog(prob)
+	return clampLog(prob)
 }
 
 // clampLog returns log prob clamped from below to DefaultLogFloor; a
 // NaN logarithm fails the comparison and becomes the floor too.
-func (s *Scorer) clampLog(prob float64) float64 {
+func clampLog(prob float64) float64 {
 	if lp := math.Log(prob); lp >= DefaultLogFloor {
 		return lp
 	}
 	return DefaultLogFloor
+}
+
+// logProductsGo sets dst[p], for every p < len(dst), to clampLog of
+// px[p]·py[p], or to the floor without a log where the product is exactly
+// 0. It is the reference of the AVX2 kernel logProducts
+// (logprod_amd64.s), and the cell build's only path on other
+// architectures, on CPUs without AVX2 and under -race. px and py must be
+// at least as long as dst.
+func logProductsGo(dst, px, py []float64) {
+	px, py = px[:len(dst)], py[:len(dst)]
+	for p := range dst {
+		//trajlint:allow floatcmp -- exact-zero log skip: log 0 is −Inf, which clampLog clamps to the floor, so only a literal zero may skip it
+		if pr := px[p] * py[p]; pr == 0 {
+			dst[p] = DefaultLogFloor
+		} else {
+			dst[p] = clampLog(pr)
+		}
+	}
 }
 
 // buildBlock is how many flat positions one block of the cell build
@@ -274,13 +292,15 @@ func (s *Scorer) fanOut(n int, start func(lo, hi int) func()) {
 // position, one erfc term per distinct bound value of each axis (see
 // boxAxis), then each needed column's and row's mass from those terms
 // through stat.IntervalMass, in scratch of its worker's own, and then
-// every cell's product. That is one erfc per distinct bound instead of
-// two per column and row, and each product, hence each log, is the float
-// logProb returns. A zero product is stored as the floor without a log, which is
-// what clampLog makes of log 0 = −Inf. Disk mode calls logProb per
-// position. Either way a position's value comes from the same code
-// whichever worker computes it. If ctx ends before the build returns,
-// build returns ctx's cause and no vector. No scratch outlives the call.
+// every cell's clamped log-products in one logProducts call, an AVX2
+// kernel on amd64 that takes four positions a step. That is one erfc per
+// distinct bound instead of two per column and row; each product is the
+// float logProb takes the log of, and logProducts stores clampLog's bits
+// for it (logprod_amd64.s says why), or the floor without a log where it
+// is 0. Disk mode calls logProb per position. Either way a position's
+// value comes from the same code whichever worker computes it. If ctx
+// ends before the build returns, build returns ctx's cause and no vector.
+// No scratch outlives the call.
 func (s *Scorer) build(ctx context.Context, cells []int) ([][]float64, error) {
 	n := len(s.flat)
 	out := make([][]float64, len(cells))
@@ -414,16 +434,7 @@ func (s *Scorer) boxBlock(ax *boxAxes, out [][]float64, lo, hi int, sc boxScratc
 		ax.y.fill(sc.fy, p, m, pt.Mean.Y, pt.Sigma, sc.e)
 	}
 	for i, sl := range ax.slots {
-		px, py := sc.fx[sl[0]*m:][:m], sc.fy[sl[1]*m:][:m]
-		dst := out[i][lo:hi]
-		for p := range dst {
-			//trajlint:allow floatcmp -- exact-zero log skip: log 0 is −Inf, which clampLog clamps to the floor, so only a literal zero may skip it
-			if pr := px[p] * py[p]; pr == 0 {
-				dst[p] = DefaultLogFloor
-			} else {
-				dst[p] = s.clampLog(pr)
-			}
-		}
+		logProducts(out[i][lo:hi], sc.fx[sl[0]*m:][:m], sc.fy[sl[1]*m:][:m])
 	}
 }
 

@@ -3,9 +3,10 @@
 package core
 
 // The AVX2 window-scan kernels are in window_amd64.s; window.go says why
-// their bits are the Go kernels'. Race-detector builds leave them out
-// (window_noasm.go): the detector cannot see loads and stores made in
-// assembly.
+// their bits are the Go kernels'. The cell build's kernel is in
+// logprod_amd64.s, which says why its bits are logProductsGo's.
+// Race-detector builds leave them all out (window_noasm.go): the detector
+// cannot see loads and stores made in assembly.
 
 // hasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // registers, so the kernels may use them. It is read once, when the
@@ -45,6 +46,12 @@ func addMax(acc, src []float64) float64
 //
 //go:noescape
 func maxOf(v []float64) float64
+
+// logProducts is logProductsGo four positions at a time, each lane a port
+// of math.Log's amd64 assembly.
+//
+//go:noescape
+func logProducts(dst, px, py []float64)
 
 // cpuid executes CPUID with EAX and ECX set to its arguments.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
