@@ -47,7 +47,7 @@ func main() {
 		metrics    = flag.Bool("metrics", false, "print each experiment's obs metrics snapshot")
 		jsonPath   = flag.String("json", "", "write machine-readable results (bench.json) to this file")
 		checkPath  = flag.String("check", "", "baseline bench.json to compare against; exit non-zero on regression")
-		tol        = flag.Float64("tol", cli.DefaultBenchTolerance, "allowed drift percentage for -check")
+		tol        = flag.Float64("tol", cli.DefaultBenchTolerance, "allowed drift percentage for -check (0 = exact)")
 		trcPath    = flag.String("trace", "", "write a span/event journal (JSONL) here and a Chrome trace to <file>.json")
 		prog       = flag.Bool("progress", false, "print a live one-line progress status to stderr")
 		dbgAddr    = flag.String("debug-addr", "", "serve pprof, expvar, /metrics and /trace/status on this address")
@@ -124,6 +124,6 @@ func main() {
 	}
 	if err != nil {
 		logger.Error("fatal", slogx.Err(err))
-		os.Exit(1)
+		os.Exit(cli.ExitCode(err))
 	}
 }

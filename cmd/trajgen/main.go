@@ -60,7 +60,7 @@ func main() {
 	})
 	if err != nil {
 		logger.Error("generate failed", slogx.Err(err))
-		os.Exit(1)
+		os.Exit(cli.ExitCode(err))
 	}
 	if ctx.Err() != nil {
 		logger.Error("interrupted — output not written",

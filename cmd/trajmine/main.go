@@ -147,6 +147,6 @@ func main() {
 	}
 	if err != nil {
 		logger.Error("fatal", slogx.Err(err))
-		os.Exit(1)
+		os.Exit(cli.ExitCode(err))
 	}
 }

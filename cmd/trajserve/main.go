@@ -61,6 +61,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err := cli.CheckServeFlags(*gridN, *deltaMul, *ingWin); err != nil {
+		fmt.Fprintf(os.Stderr, "trajserve: %v\n", err)
+		os.Exit(2)
+	}
 	logger, err := logFlags.Logger(os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "trajserve: %v\n", err)

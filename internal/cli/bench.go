@@ -21,8 +21,8 @@ import (
 // BenchSchema versions the bench.json layout; bump on incompatible change.
 const BenchSchema = 1
 
-// DefaultBenchTolerance is the -check drift tolerance (percent) applied
-// when BenchOptions.TolPct is unset.
+// DefaultBenchTolerance is trajbench's default -check drift tolerance,
+// in percent.
 const DefaultBenchTolerance = 15
 
 // benchExperiments is the canonical experiment order of the trajbench tool.
@@ -35,7 +35,8 @@ var benchExperiments = []string{
 type BenchOptions struct {
 	// Experiments selects experiment ids; nil or ["all"] runs everything.
 	Experiments []string
-	// Scale shrinks the workloads, as in the individual experiments.
+	// Scale shrinks the workloads, as in the individual experiments: a
+	// value in (0,1], with no zero default.
 	Scale float64
 	// Seed is the shared random seed.
 	Seed uint64
@@ -48,7 +49,7 @@ type BenchOptions struct {
 	// file and fails the run when the current results drift beyond TolPct.
 	CheckPath string
 	// TolPct is the allowed drift percentage for CheckPath comparisons.
-	// Zero means DefaultBenchTolerance.
+	// Zero demands exact counters; a negative value is refused.
 	TolPct float64
 
 	// Tracer, when non-nil, records spans and events across every
@@ -128,12 +129,15 @@ next:
 // bogus), completed experiments are still written to bench.json, and the
 // returned error names the interruption.
 func RunBench(ctx context.Context, w io.Writer, o BenchOptions) (*BenchResult, error) {
-	if o.Scale == 0 {
-		o.Scale = 1
-	}
 	selected, err := selectExperiments(o.Experiments)
 	if err != nil {
 		return nil, err
+	}
+	if !(o.Scale > 0 && o.Scale <= 1) {
+		return nil, flagErrorf("scale", "workload scale must be in (0,1], got %v", o.Scale)
+	}
+	if !(o.TolPct >= 0) {
+		return nil, flagErrorf("tol", "drift tolerance must be >= 0 percent, got %v", o.TolPct)
 	}
 
 	result := &BenchResult{
@@ -213,19 +217,15 @@ func RunBench(ctx context.Context, w io.Writer, o BenchOptions) (*BenchResult, e
 		if err != nil {
 			return result, err
 		}
-		tol := o.TolPct
-		if tol <= 0 {
-			tol = DefaultBenchTolerance
-		}
-		regressions := CheckRegression(baseline, result, tol)
+		regressions := CheckRegression(baseline, result, o.TolPct)
 		if len(regressions) > 0 {
 			for _, r := range regressions {
 				fmt.Fprintf(w, "regression: %s\n", r)
 			}
 			failures = append(failures, fmt.Sprintf(
-				"%d regression(s) beyond %.4g%% against %s", len(regressions), tol, o.CheckPath))
+				"%d regression(s) beyond %.4g%% against %s", len(regressions), o.TolPct, o.CheckPath))
 		} else {
-			fmt.Fprintf(w, "check against %s passed (tolerance %.4g%%)\n", o.CheckPath, tol)
+			fmt.Fprintf(w, "check against %s passed (tolerance %.4g%%)\n", o.CheckPath, o.TolPct)
 		}
 	}
 
@@ -287,7 +287,7 @@ func runExperiment(ctx context.Context, id string, bus exp.BusOptions, sweep exp
 	case "e6":
 		return derefSeries(exp.RunE6(ctx, sweep))
 	case "e7":
-		return derefSeries(exp.RunE7(ctx, exp.E7Options{Sweep: sweep}))
+		return derefSeries(exp.RunE7(ctx, sweep))
 	case "e8":
 		r, err := exp.RunE8(ctx, exp.E8Options{Seed: sweep.Seed})
 		if err != nil {

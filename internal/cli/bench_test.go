@@ -104,6 +104,24 @@ func TestSelectExperiments(t *testing.T) {
 	}
 }
 
+// TestRunBenchRefusesFlagValues: a zero scale is not full scale, and a
+// negative tolerance is not the default one.
+func TestRunBenchRefusesFlagValues(t *testing.T) {
+	for flag, o := range map[string]BenchOptions{
+		"-scale": {Experiments: []string{"e3"}, Scale: 0},
+		"-tol":   {Experiments: []string{"e3"}, Scale: 0.15, TolPct: -1},
+	} {
+		var buf bytes.Buffer
+		_, err := RunBench(context.Background(), &buf, o)
+		if err == nil || !strings.Contains(err.Error(), flag+": ") || ExitCode(err) != 2 {
+			t.Errorf("%s: err = %v, want a %s refusal, exit 2", flag, err, flag)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: refused run wrote %q", flag, buf.String())
+		}
+	}
+}
+
 func TestRunBenchUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := RunBench(context.Background(), &buf, BenchOptions{Experiments: []string{"nope"}}); err == nil {
@@ -174,20 +192,30 @@ func TestRunBenchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.Experiments["e3"].Work["scorer.nm.evals"] /= 2
-	badPath := filepath.Join(dir, "bad.json")
-	if err := writeBenchJSON(badPath, bad); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if _, err := RunBench(context.Background(), &buf, BenchOptions{
-		Experiments: []string{"e3"},
-		Scale:       0.15,
-		Seed:        1,
-		CheckPath:   badPath,
-		TolPct:      15,
-	}); err == nil {
-		t.Error("perturbed baseline did not fail the check")
+	evals := bad.Experiments["e3"].Work["scorer.nm.evals"]
+	for _, tc := range []struct {
+		name   string
+		evals  int64
+		tolPct float64
+	}{
+		{"halved, tolerance 15%", evals / 2, 15},
+		{"5% up, exact check", evals + evals/20, 0},
+	} {
+		bad.Experiments["e3"].Work["scorer.nm.evals"] = tc.evals
+		badPath := filepath.Join(dir, "bad.json")
+		if err := writeBenchJSON(badPath, bad); err != nil {
+			t.Fatal(err)
+		}
+		buf.Reset()
+		if _, err := RunBench(context.Background(), &buf, BenchOptions{
+			Experiments: []string{"e3"},
+			Scale:       0.15,
+			Seed:        1,
+			CheckPath:   badPath,
+			TolPct:      tc.tolPct,
+		}); err == nil {
+			t.Errorf("baseline %s did not fail the check:\n%s", tc.name, buf.String())
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ package cli
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -16,7 +17,6 @@ import (
 	"trajpattern/internal/datagen"
 	"trajpattern/internal/exp"
 	"trajpattern/internal/faultio"
-	"trajpattern/internal/geom"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/obs"
 	"trajpattern/internal/trace"
@@ -35,8 +35,24 @@ type GenOptions struct {
 	Seed  uint64
 }
 
-// Generate builds the requested dataset.
+// Generate builds the requested dataset. It refuses, as flag errors, the
+// values the generators would read as "unset" (a zero count, length,
+// scale, U or c) or refuse without naming the flag.
 func Generate(o GenOptions) (traj.Dataset, error) {
+	switch {
+	case !(o.U > 0):
+		return nil, flagErrorf("u", "tolerable uncertainty U must be > 0, got %v", o.U)
+	case !(o.C > 0):
+		return nil, flagErrorf("c", "confidence constant c must be > 0, got %v", o.C)
+	case o.Kind == "bus":
+		if !(o.Scale > 0 && o.Scale <= 1) {
+			return nil, flagErrorf("scale", "bus dataset scale must be in (0,1], got %v", o.Scale)
+		}
+	case o.N < 1:
+		return nil, flagErrorf("n", "number of trajectories must be >= 1, got %d", o.N)
+	case o.Len < 2:
+		return nil, flagErrorf("len", "trajectory length must be >= 2, got %d", o.Len)
+	}
 	switch o.Kind {
 	case "zebra":
 		return datagen.ZebraDataset(datagen.ZebraConfig{
@@ -106,24 +122,55 @@ type MineOptions struct {
 	Resume bool
 }
 
-// FitGrid builds a square grid covering the dataset bounds with a 3σ̄
-// margin, the geometry every tool and experiment shares.
-func FitGrid(ds traj.Dataset, n int) *grid.Grid {
-	b := ds.Bounds().Expand(3 * ds.MeanSigma())
-	side := b.Width()
-	if b.Height() > side {
-		side = b.Height()
-	}
-	if side == 0 {
-		side = 1
-	}
-	c := b.Center()
-	square := geom.NewRect(
-		geom.Pt(c.X-side/2, c.Y-side/2),
-		geom.Pt(c.X+side/2, c.Y+side/2),
-	)
-	return grid.New(square, n, n)
+// flagError is a command-line value a tool refuses. ExitCode maps it to
+// 2, the status the flag package exits with on a malformed value.
+type flagError string
+
+func (e flagError) Error() string { return string(e) }
+
+// flagErrorf reports the value of flag -name as refused.
+func flagErrorf(name, format string, args ...any) error {
+	return flagError("cli: -" + name + ": " + fmt.Sprintf(format, args...))
 }
+
+// ExitCode is the process status for a tool's failure err: 2 for a
+// refused flag value, 1 for anything else.
+func ExitCode(err error) int {
+	var fe flagError
+	if errors.As(err, &fe) {
+		return 2
+	}
+	return 1
+}
+
+// checkGrid refuses a grid side below 1 and a δ multiple that is not
+// finite and positive: the -gridn and -delta values of trajmine and
+// trajserve, which a zero would otherwise turn into a default.
+func checkGrid(gridN int, deltaMul float64) error {
+	if gridN < 1 {
+		return flagErrorf("gridn", "grid side GridN must be >= 1, got %d", gridN)
+	}
+	if !(deltaMul > 0) || math.IsInf(deltaMul, 1) {
+		return flagErrorf("delta", "DeltaMul (δ in cell widths) must be finite and > 0, got %v", deltaMul)
+	}
+	return nil
+}
+
+// CheckServeFlags refuses the -gridn, -delta and -ingest-window values of
+// trajserve that serve.Config would read as "unset" or clamp to its
+// default: a zero grid side or δ, and a negative window.
+func CheckServeFlags(gridN int, deltaMul float64, ingestWindow int) error {
+	if err := checkGrid(gridN, deltaMul); err != nil {
+		return err
+	}
+	if ingestWindow < 0 {
+		return flagErrorf("ingest-window", "per-object record cap must be >= 0 (0 = the default), got %d", ingestWindow)
+	}
+	return nil
+}
+
+// FitGrid is ds.FitGrid, under the name the perfbench module calls.
+func FitGrid(ds traj.Dataset, n int) *grid.Grid { return ds.FitGrid(n) }
 
 // WithWallBudget bounds ctx by the wall-clock budget d, whose expiry a
 // mining run reports as "max wall time <d> elapsed"; d <= 0 leaves ctx
@@ -146,13 +193,10 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("cli: empty dataset")
 	}
-	if o.GridN < 1 {
-		return nil, fmt.Errorf("cli: grid side GridN must be >= 1, got %d", o.GridN)
+	if err := checkGrid(o.GridN, o.DeltaMul); err != nil {
+		return nil, err
 	}
-	if !(o.DeltaMul > 0) || math.IsInf(o.DeltaMul, 1) {
-		return nil, fmt.Errorf("cli: DeltaMul (δ in cell widths) must be finite and > 0, got %v", o.DeltaMul)
-	}
-	g := FitGrid(ds, o.GridN)
+	g := ds.FitGrid(o.GridN)
 	reg := o.Registry // nil unless -metrics: the nil registry is free
 	if reg == nil && (o.Metrics || o.MetricsOut != "") {
 		reg = obs.New()

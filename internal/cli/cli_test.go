@@ -50,6 +50,45 @@ func TestGenerateUnknownKind(t *testing.T) {
 	}
 }
 
+// TestFlagValuesRefused: a value the generators or the server config
+// would read as "unset" (or clamp) is refused with the flag's name, and
+// the commands exit 2 on it.
+func TestFlagValuesRefused(t *testing.T) {
+	for flag, o := range map[string]GenOptions{
+		"-n":     {Kind: "zebra", N: 0, Len: 20, U: 0.02, C: 2},
+		"-len":   {Kind: "zebra", N: 8, Len: 0, U: 0.02, C: 2},
+		"-u":     {Kind: "bus", U: 0, C: 2, Scale: 0.2},
+		"-c":     {Kind: "bus", U: 0.01, C: 0, Scale: 0.2},
+		"-scale": {Kind: "bus", U: 0.01, C: 2, Scale: 0},
+	} {
+		_, err := Generate(o)
+		if err == nil || !strings.Contains(err.Error(), flag+": ") || ExitCode(err) != 2 {
+			t.Errorf("Generate with %s 0: err = %v (exit %d), want a %s refusal, exit 2", flag, err, ExitCode(err), flag)
+		}
+	}
+	for _, tc := range []struct {
+		flag     string
+		gridN    int
+		deltaMul float64
+		window   int
+	}{
+		{"-gridn", 0, 1, 0},
+		{"-delta", 12, 0, 0},
+		{"-ingest-window", 12, 1, -5},
+	} {
+		err := CheckServeFlags(tc.gridN, tc.deltaMul, tc.window)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+": ") || ExitCode(err) != 2 {
+			t.Errorf("CheckServeFlags(%d, %v, %d): err = %v, want a %s refusal, exit 2", tc.gridN, tc.deltaMul, tc.window, err, tc.flag)
+		}
+	}
+	if err := CheckServeFlags(12, 1, 0); err != nil {
+		t.Errorf("trajserve's defaults refused: %v", err)
+	}
+	if code := ExitCode(errors.New("disk full")); code != 1 {
+		t.Errorf("ExitCode of a run failure = %d, want 1", code)
+	}
+}
+
 func TestFitGrid(t *testing.T) {
 	ds, err := Generate(GenOptions{Kind: "tpr", N: 5, Len: 20, U: 0.02, C: 2, Seed: 2})
 	if err != nil {

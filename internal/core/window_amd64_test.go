@@ -4,7 +4,9 @@ package core
 
 import (
 	"fmt"
+	"hash/crc32"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -21,13 +23,16 @@ func scanValue(b byte, i int) float64 {
 	return -(float64(b) + float64(i%97)/97) * 2.7 / 1.3
 }
 
-// scanSlice returns n values drawn from raw, starting off elements into a
-// fresh backing array that has room for extra more, so the slice starts
-// at any alignment and may extend past n.
+// scanSlice returns n values drawn from raw, each from a byte of it that a
+// generator seeded by raw and salt picks, so one slice mixes the value
+// kinds raw holds. The values start off elements into a fresh backing
+// array that has room for extra more, so the slice starts at any
+// alignment and may extend past n.
 func scanSlice(raw []byte, salt, n, off, extra int) []float64 {
+	r := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(raw)) + int64(salt)))
 	back := make([]float64, off+n+extra)
 	for i := range back {
-		back[i] = scanValue(raw[(i*7+salt)%len(raw)], i+salt)
+		back[i] = scanValue(raw[r.Intn(len(raw))], i+salt)
 	}
 	return back[off:][:n+extra]
 }

@@ -32,18 +32,25 @@ type BusConfig struct {
 	Days          int     // traces per bus (default 10)
 	Minutes       int     // readings per trace (default 101 → 100 velocities)
 	BaseSpeed     float64 // route distance covered per minute (default 0.02)
-	SpeedNoise    float64 // relative speed jitter per minute (default 0.15)
-	GPSNoise      float64 // std-dev of position jitter (default 0.002)
-	StopProb      float64 // probability of a random traffic dwell (default 0.05)
 	// Stops is the number of fixed bus stops per route (default 4). A bus
-	// reaching a stop dwells DwellMin minutes. Fixed stops anchor the
+	// reaching a stop dwells there two minutes. Fixed stops anchor the
 	// phase of every bus along its route, which is what makes velocity
 	// sequences repeat across traces (real schedules share stops). Set
 	// negative to disable fixed stops.
-	Stops    int
-	DwellMin int    // dwell duration at a fixed stop in minutes (default 2)
-	Seed     uint64 // RNG seed
+	Stops int
+	Seed  uint64 // RNG seed
 }
+
+// The fleet's noise and dwell parameters. The floats are typed so that
+// expressions over them round as float64 arithmetic does: Go folds an
+// expression of untyped constants exactly, which would change the last
+// bit of √2·BusGPSNoise in E2's confirmation σ.
+const (
+	BusSpeedNoise float64 = 0.15  // relative speed jitter per minute
+	BusGPSNoise   float64 = 0.002 // std-dev of position jitter
+	busStopProb   float64 = 0.05  // probability of a random traffic dwell
+	busDwellMin           = 2     // dwell duration at a fixed stop in minutes
+)
 
 // WithDefaults returns the configuration with zero fields replaced by the
 // paper-comparable defaults.
@@ -63,20 +70,8 @@ func (c BusConfig) WithDefaults() BusConfig {
 	if c.BaseSpeed == 0 {
 		c.BaseSpeed = 0.02
 	}
-	if c.SpeedNoise == 0 {
-		c.SpeedNoise = 0.15
-	}
-	if c.GPSNoise == 0 {
-		c.GPSNoise = 0.002
-	}
-	if c.StopProb == 0 {
-		c.StopProb = 0.05
-	}
 	if c.Stops == 0 {
 		c.Stops = 4
-	}
-	if c.DwellMin == 0 {
-		c.DwellMin = 2
 	}
 	return c
 }
@@ -85,11 +80,8 @@ func (c BusConfig) validate() error {
 	if c.Routes < 0 || c.BusesPerRoute < 0 || c.Days < 0 || c.Minutes < 0 {
 		return fmt.Errorf("datagen: negative BusConfig counts")
 	}
-	if c.BaseSpeed < 0 || c.SpeedNoise < 0 || c.GPSNoise < 0 {
-		return fmt.Errorf("datagen: negative BusConfig noise parameters")
-	}
-	if c.StopProb < 0 || c.StopProb >= 1 {
-		return fmt.Errorf("datagen: BusConfig.StopProb must be in [0,1)")
+	if c.BaseSpeed < 0 {
+		return fmt.Errorf("datagen: negative BusConfig.BaseSpeed")
 	}
 	return nil
 }
@@ -196,15 +188,15 @@ func driveBus(route []geom.Point, loopLen, offset float64, stops []float64, cfg 
 	dwell := 0
 	for m := 0; m < cfg.Minutes; m++ {
 		pos := geom.PointAlongPolyline(loop, math.Mod(s, loopLen))
-		path[m] = pos.Add(geom.Pt(rng.Normal(0, cfg.GPSNoise), rng.Normal(0, cfg.GPSNoise)))
+		path[m] = pos.Add(geom.Pt(rng.Normal(0, BusGPSNoise), rng.Normal(0, BusGPSNoise)))
 		if dwell > 0 {
 			dwell--
 			continue
 		}
-		if rng.Bool(cfg.StopProb) {
+		if rng.Bool(busStopProb) {
 			continue // random traffic dwell
 		}
-		step := cfg.BaseSpeed * (1 + rng.Normal(0, cfg.SpeedNoise))
+		step := cfg.BaseSpeed * (1 + rng.Normal(0, BusSpeedNoise))
 		if step < 0 {
 			step = 0
 		}
@@ -212,7 +204,7 @@ func driveBus(route []geom.Point, loopLen, offset float64, stops []float64, cfg 
 		// every bus leaves the stop from the same position.
 		if arc, ok := nextStop(math.Mod(s, loopLen), step, stops, loopLen); ok {
 			s += math.Mod(arc-math.Mod(s, loopLen)+loopLen, loopLen)
-			dwell = cfg.DwellMin
+			dwell = busDwellMin
 			continue
 		}
 		s += step

@@ -83,9 +83,6 @@ func TestBusConfigValidation(t *testing.T) {
 	if _, err := Buses(BusConfig{Routes: -1}); err == nil {
 		t.Error("negative routes accepted")
 	}
-	if _, err := Buses(BusConfig{StopProb: 1.5}); err == nil {
-		t.Error("StopProb > 1 accepted")
-	}
 }
 
 func TestZebrasShape(t *testing.T) {
@@ -154,7 +151,6 @@ func TestZebraConfigValidation(t *testing.T) {
 		{NumZebras: 1, NumGroups: 1, AvgLen: 1},
 		{LenJitter: -0.1},
 		{LeaveProb: 2},
-		{MeanStep: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := Zebras(cfg); err == nil {
@@ -215,9 +211,6 @@ func TestTPRObjects(t *testing.T) {
 func TestTPRValidation(t *testing.T) {
 	if _, err := TPRObjects(TPRConfig{NumObjects: 1, Length: 1}); err == nil {
 		t.Error("Length=1 accepted")
-	}
-	if _, err := TPRObjects(TPRConfig{ChangeProb: -1}); err == nil {
-		t.Error("negative ChangeProb accepted")
 	}
 	if _, err := TPRDataset(TPRConfig{}, -1, 1); err == nil {
 		t.Error("negative u accepted")

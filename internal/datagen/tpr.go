@@ -14,12 +14,16 @@ import (
 // square with uniformly distributed velocities, keep each velocity for a
 // geometric number of snapshots, and bounce off the boundary.
 type TPRConfig struct {
-	NumObjects int     // trajectories (default 100)
-	Length     int     // snapshots per trajectory (default 100)
-	MaxSpeed   float64 // per-snapshot speed bound (default 0.03)
-	ChangeProb float64 // per-snapshot probability of drawing a new velocity (default 0.1)
+	NumObjects int // trajectories (default 100)
+	Length     int // snapshots per trajectory (default 100)
 	Seed       uint64
 }
+
+// The workload's speed bound and velocity-change rate.
+const (
+	tprMaxSpeed   float64 = 0.03 // per-snapshot speed bound
+	tprChangeProb float64 = 0.1  // per-snapshot probability of drawing a new velocity
+)
 
 func (c TPRConfig) withDefaults() TPRConfig {
 	if c.NumObjects == 0 {
@@ -28,24 +32,12 @@ func (c TPRConfig) withDefaults() TPRConfig {
 	if c.Length == 0 {
 		c.Length = 100
 	}
-	if c.MaxSpeed == 0 {
-		c.MaxSpeed = 0.03
-	}
-	if c.ChangeProb == 0 {
-		c.ChangeProb = 0.1
-	}
 	return c
 }
 
 func (c TPRConfig) validate() error {
 	if c.NumObjects < 1 || c.Length < 2 {
 		return fmt.Errorf("datagen: TPRConfig needs >=1 object and Length >= 2")
-	}
-	if c.MaxSpeed <= 0 {
-		return fmt.Errorf("datagen: TPRConfig.MaxSpeed must be > 0")
-	}
-	if c.ChangeProb < 0 || c.ChangeProb > 1 {
-		return fmt.Errorf("datagen: TPRConfig.ChangeProb must be in [0,1]")
 	}
 	return nil
 }
@@ -61,12 +53,12 @@ func TPRObjects(cfg TPRConfig) ([][]geom.Point, error) {
 	paths := make([][]geom.Point, cfg.NumObjects)
 	for i := range paths {
 		pos := geom.Pt(rng.Float64(), rng.Float64())
-		vel := randomVelocity(rng, cfg.MaxSpeed)
+		vel := randomVelocity(rng)
 		path := make([]geom.Point, cfg.Length)
 		for t := 0; t < cfg.Length; t++ {
 			path[t] = pos
-			if rng.Bool(cfg.ChangeProb) {
-				vel = randomVelocity(rng, cfg.MaxSpeed)
+			if rng.Bool(tprChangeProb) {
+				vel = randomVelocity(rng)
 			}
 			next := pos.Add(vel)
 			// Bounce off the walls.
@@ -86,10 +78,10 @@ func TPRObjects(cfg TPRConfig) ([][]geom.Point, error) {
 }
 
 // randomVelocity draws a velocity with uniform direction and speed uniform
-// in (0, maxSpeed].
-func randomVelocity(rng *stat.RNG, maxSpeed float64) geom.Point {
+// in (0, tprMaxSpeed].
+func randomVelocity(rng *stat.RNG) geom.Point {
 	th := rng.Uniform(0, 2*math.Pi)
-	sp := rng.Float64() * maxSpeed
+	sp := rng.Float64() * tprMaxSpeed
 	return geom.Pt(sp*math.Cos(th), sp*math.Sin(th))
 }
 

@@ -16,22 +16,27 @@ import (
 // noise, and a small fraction of zebras leaves its group to move
 // independently.
 type ZebraConfig struct {
-	NumZebras int     // number of trajectories S (default 100)
-	NumGroups int     // herds moving together (default 8)
-	AvgLen    int     // average trajectory length L (default 100)
-	LenJitter float64 // relative length variation in [0,1) (default 0.3)
-
-	// Movement statistics (the paper extracts these from the ZebraNet
-	// traces; these defaults emulate grazing/walking behaviour on the
-	// unit square).
-	MeanStep   float64 // mean per-snapshot group distance (default 0.015)
-	StepSigma  float64 // log-scale sigma of the step distribution (default 0.5)
-	TurnSigma  float64 // per-snapshot direction change in radians (default 0.4)
+	NumZebras  int     // number of trajectories S (default 100)
+	NumGroups  int     // herds moving together (default 8)
+	AvgLen     int     // average trajectory length L (default 100)
+	LenJitter  float64 // relative length variation in [0,1) (default 0.3)
 	IndivNoise float64 // individual position noise around the group (default 0.01)
 	LeaveProb  float64 // per-snapshot probability a zebra leaves its group (default 0.002)
 
 	Seed uint64
 }
+
+// Movement statistics (the paper extracts these from the ZebraNet traces;
+// these emulate grazing/walking behaviour on the unit square). They are
+// typed so that expressions over them round as float64 arithmetic does:
+// Go folds an expression of untyped constants exactly, which would make
+// zebraTurnSigma*1.5 0.6 instead of 0.6000000000000001 and change the
+// generated paths.
+const (
+	zebraMeanStep  float64 = 0.015 // mean per-snapshot group distance
+	zebraStepSigma float64 = 0.5   // log-scale sigma of the step distribution
+	zebraTurnSigma float64 = 0.4   // per-snapshot direction change in radians
+)
 
 func (c ZebraConfig) withDefaults() ZebraConfig {
 	if c.NumZebras == 0 {
@@ -45,15 +50,6 @@ func (c ZebraConfig) withDefaults() ZebraConfig {
 	}
 	if c.LenJitter == 0 {
 		c.LenJitter = 0.3
-	}
-	if c.MeanStep == 0 {
-		c.MeanStep = 0.015
-	}
-	if c.StepSigma == 0 {
-		c.StepSigma = 0.5
-	}
-	if c.TurnSigma == 0 {
-		c.TurnSigma = 0.4
 	}
 	if c.IndivNoise == 0 {
 		c.IndivNoise = 0.01
@@ -74,8 +70,8 @@ func (c ZebraConfig) validate() error {
 	if c.LeaveProb < 0 || c.LeaveProb > 1 {
 		return fmt.Errorf("datagen: ZebraConfig.LeaveProb must be in [0,1]")
 	}
-	if c.MeanStep <= 0 || c.StepSigma < 0 || c.TurnSigma < 0 || c.IndivNoise < 0 {
-		return fmt.Errorf("datagen: invalid ZebraConfig movement parameters")
+	if c.IndivNoise < 0 {
+		return fmt.Errorf("datagen: ZebraConfig.IndivNoise must be >= 0")
 	}
 	return nil
 }
@@ -134,8 +130,8 @@ func Zebras(cfg ZebraConfig) ([][]geom.Point, error) {
 		// and direction (heading random walk).
 		for gi := range groups {
 			g := &groups[gi]
-			g.heading += rng.Normal(0, cfg.TurnSigma)
-			step := cfg.MeanStep * math.Exp(rng.Normal(0, cfg.StepSigma)-cfg.StepSigma*cfg.StepSigma/2)
+			g.heading += rng.Normal(0, zebraTurnSigma)
+			step := zebraMeanStep * math.Exp(rng.Normal(0, zebraStepSigma)-zebraStepSigma*zebraStepSigma/2)
 			next := g.pos.Add(geom.Pt(step*math.Cos(g.heading), step*math.Sin(g.heading)))
 			if !bounds.Contains(next) {
 				// Turn back toward the interior (water hole behaviour).
@@ -157,8 +153,8 @@ func Zebras(cfg ZebraConfig) ([][]geom.Point, error) {
 				z.pos = groups[z.group].pos.Add(
 					geom.Pt(rng.Normal(0, cfg.IndivNoise), rng.Normal(0, cfg.IndivNoise)))
 			} else {
-				z.heading += rng.Normal(0, cfg.TurnSigma*1.5)
-				step := cfg.MeanStep * math.Exp(rng.Normal(0, cfg.StepSigma)-cfg.StepSigma*cfg.StepSigma/2)
+				z.heading += rng.Normal(0, zebraTurnSigma*1.5)
+				step := zebraMeanStep * math.Exp(rng.Normal(0, zebraStepSigma)-zebraStepSigma*zebraStepSigma/2)
 				next := z.pos.Add(geom.Pt(step*math.Cos(z.heading), step*math.Sin(z.heading)))
 				if !bounds.Contains(next) {
 					z.heading += math.Pi

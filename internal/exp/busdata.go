@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"trajpattern/internal/core"
 	"trajpattern/internal/datagen"
 	"trajpattern/internal/geom"
 	"trajpattern/internal/grid"
@@ -13,17 +12,15 @@ import (
 	"trajpattern/internal/traj"
 )
 
-// BusData is the end-to-end §6.1 pipeline product: true bus paths, the
-// imprecise location trajectories the server reconstructs from the
-// reporting protocol, the derived velocity trajectories, and the velocity
-// grid used for mining.
+// BusData is the end-to-end §6.1 pipeline product: the bus traces with
+// their true paths, the imprecise location trajectories the server
+// reconstructs from the reporting protocol, the derived velocity
+// trajectories, and the velocity grid used for mining.
 type BusData struct {
 	Traces     []datagen.BusTrace
-	TruePaths  [][]geom.Point
 	Locations  traj.Dataset      // imprecise location trajectories (server view)
 	Velocities traj.Dataset      // velocity trajectories, the mining input
 	Grid       *grid.Grid        // velocity-space grid
-	U, C       float64           // reporting-scheme parameters
 	BusCfg     datagen.BusConfig // generating fleet configuration
 }
 
@@ -33,22 +30,22 @@ type BusData struct {
 // of the Figure 3 experiment uses this — not the (much larger) server-side
 // σ — because the device confirms against its own observed velocities.
 func (b *BusData) TrueVelocitySigma() float64 {
-	return b.BusCfg.BaseSpeed*b.BusCfg.SpeedNoise + math.Sqrt2*b.BusCfg.GPSNoise
+	return b.BusCfg.BaseSpeed*datagen.BusSpeedNoise + math.Sqrt2*datagen.BusGPSNoise
 }
 
 // BusOptions parameterizes the bus pipeline.
 type BusOptions struct {
-	Scale      float64 // dataset scale (1 = the paper's 500 traces)
-	GridN      int     // velocity grid is GridN×GridN (default 24)
-	U          float64 // tolerable uncertainty distance (default 0.01)
-	C          float64 // confidence constant (default 2)
-	LossProb   float64 // report loss probability (default 0.05)
-	BaseSpeed  float64 // fleet speed override (0 = generator default)
-	SpeedNoise float64 // relative speed jitter override (0 = default)
-	GPSNoise   float64 // GPS jitter override (0 = default)
-	Stops      int     // fixed stops per route (0 = default, negative disables)
-	Seed       uint64
+	Scale     float64 // dataset scale (1 = the paper's 500 traces)
+	GridN     int     // velocity grid is GridN×GridN (default 24)
+	U         float64 // tolerable uncertainty distance (default 0.01)
+	C         float64 // confidence constant (default 2)
+	BaseSpeed float64 // fleet speed override (0 = generator default)
+	Stops     int     // fixed stops per route (0 = default, negative disables)
+	Seed      uint64
 }
+
+// busLossProb is the probability a report transmission is lost.
+const busLossProb = 0.05
 
 func (o BusOptions) withDefaults() (BusOptions, error) {
 	scale, err := checkScale(o.Scale)
@@ -64,9 +61,6 @@ func (o BusOptions) withDefaults() (BusOptions, error) {
 	}
 	if o.C == 0 {
 		o.C = 2
-	}
-	if o.LossProb == 0 {
-		o.LossProb = 0.05
 	}
 	return o, nil
 }
@@ -85,8 +79,6 @@ func MakeBusData(o BusOptions) (*BusData, error) {
 		Days:          scaleInt(10, o.Scale, 2),
 		Minutes:       101,
 		BaseSpeed:     o.BaseSpeed,
-		SpeedNoise:    o.SpeedNoise,
-		GPSNoise:      o.GPSNoise,
 		Stops:         o.Stops,
 		Seed:          o.Seed,
 	}.WithDefaults()
@@ -103,7 +95,7 @@ func MakeBusData(o BusOptions) (*BusData, error) {
 		times[i] = float64(i)
 	}
 	locations, _, err := report.BuildDataset(times, paths,
-		report.Config{U: o.U, C: o.C, LossProb: o.LossProb},
+		report.Config{U: o.U, C: o.C, LossProb: busLossProb},
 		0, 1, busCfg.Minutes, stat.NewRNG(o.Seed^0xB05))
 	if err != nil {
 		return nil, err
@@ -112,35 +104,11 @@ func MakeBusData(o BusOptions) (*BusData, error) {
 	if len(velocities) == 0 {
 		return nil, fmt.Errorf("exp: empty velocity dataset")
 	}
-	// Velocity grid: square bounds covering all velocity means with a
-	// small margin so boundary cells are not clipped.
-	b := velocities.Bounds().Expand(3 * velocities.MeanSigma())
-	side := b.Width()
-	if b.Height() > side {
-		side = b.Height()
-	}
-	c := b.Center()
-	square := geom.NewRect(
-		geom.Pt(c.X-side/2, c.Y-side/2),
-		geom.Pt(c.X+side/2, c.Y+side/2),
-	)
 	return &BusData{
 		Traces:     traces,
-		TruePaths:  paths,
 		Locations:  locations,
 		Velocities: velocities,
-		Grid:       grid.New(square, o.GridN, o.GridN),
-		U:          o.U,
-		C:          o.C,
+		Grid:       velocities.FitGrid(o.GridN),
 		BusCfg:     busCfg,
 	}, nil
-}
-
-// Scorer builds a core.Scorer over the velocity dataset with δ equal to
-// the velocity grid cell size, the paper's default relationship.
-func (b *BusData) Scorer() (*core.Scorer, error) {
-	return core.NewScorer(b.Velocities, core.Config{
-		Grid:  b.Grid,
-		Delta: b.Grid.CellWidth(),
-	})
 }

@@ -6,6 +6,8 @@ import (
 
 	"trajpattern/internal/baseline"
 	"trajpattern/internal/core"
+	"trajpattern/internal/grid"
+	"trajpattern/internal/traj"
 )
 
 // E1Options parameterizes the §6.1 pattern-length comparison. The paper
@@ -20,18 +22,18 @@ type E1Options struct {
 	MaxLen int // search cap (default 8)
 }
 
-// E1Result carries the raw numbers behind the E1 table.
-type E1Result struct {
+// LengthResult carries a pattern-length comparison (E1 and E8): the
+// average length of the top-k NM and match patterns.
+type LengthResult struct {
 	AvgLenNM    float64
 	AvgLenMatch float64
-	NMPatterns  []core.ScoredPattern
 	Table       Table
 }
 
 // RunE1 reproduces the §6.1 statistic: the average length of the top-k NM
 // patterns of length >= 3 versus the top-k match patterns of the same
 // floor (paper: 4.2 vs 3.18 at k = 1000).
-func RunE1(ctx context.Context, o E1Options) (*E1Result, error) {
+func RunE1(ctx context.Context, o E1Options) (*LengthResult, error) {
 	if o.K == 0 {
 		o.K = 100
 	}
@@ -51,46 +53,77 @@ func RunE1(ctx context.Context, o E1Options) (*E1Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return compareLengths(ctx, data.Velocities, data.Grid, o.K, o.MinLen, o.MaxLen,
+		fmt.Sprintf("E1 (§6.1): average pattern length, top-%d, length ≥ %d", o.K, o.MinLen),
+		"4.20", "3.18")
+}
 
-	sNM, err := data.Scorer()
-	if err != nil {
-		return nil, err
+// mineNMAndMatch mines the top-k of ds by NM (TrajPattern) and by match
+// ([14]) with the same length bounds, each on a fresh scorer with δ one
+// cell of g, so cached probabilities do not leak across the measures.
+func mineNMAndMatch(ctx context.Context, ds traj.Dataset, g *grid.Grid, k, minLen, maxLen int) (nm, match []core.Pattern, err error) {
+	mk := func() (*core.Scorer, error) {
+		return core.NewScorer(ds, core.Config{Grid: g, Delta: g.CellWidth()})
 	}
-	nmRes, err := core.Mine(ctx, sNM, core.MinerConfig{K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen})
+	sNM, err := mk()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	nmRes, err := core.Mine(ctx, sNM, core.MinerConfig{K: k, MinLen: minLen, MaxLen: maxLen})
+	if err != nil {
+		return nil, nil, err
+	}
+	sM, err := mk()
+	if err != nil {
+		return nil, nil, err
+	}
+	mRes, err := baseline.MineMatch(sM, baseline.MatchConfig{K: k, MinLen: minLen, MaxLen: maxLen})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, sp := range nmRes.Patterns {
+		nm = append(nm, sp.Pattern)
+	}
+	for _, sm := range mRes.Patterns {
+		match = append(match, sm.Pattern)
+	}
+	return nm, match, nil
+}
 
-	sM, err := data.Scorer()
+// compareLengths mines ds by both measures and tabulates the average
+// pattern length of each under title. paper, when given, holds the
+// paper's NM and match figures for a last column.
+func compareLengths(ctx context.Context, ds traj.Dataset, g *grid.Grid, k, minLen, maxLen int, title string, paper ...string) (*LengthResult, error) {
+	nm, match, err := mineNMAndMatch(ctx, ds, g, k, minLen, maxLen)
 	if err != nil {
 		return nil, err
 	}
-	mRes, err := baseline.MineMatch(sM, baseline.MatchConfig{K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen})
-	if err != nil {
-		return nil, err
-	}
-
-	var nmSum, mSum int
-	for _, p := range nmRes.Patterns {
-		nmSum += len(p.Pattern)
-	}
-	for _, p := range mRes.Patterns {
-		mSum += len(p.Pattern)
-	}
-	res := &E1Result{NMPatterns: nmRes.Patterns}
-	if n := len(nmRes.Patterns); n > 0 {
-		res.AvgLenNM = float64(nmSum) / float64(n)
-	}
-	if n := len(mRes.Patterns); n > 0 {
-		res.AvgLenMatch = float64(mSum) / float64(n)
-	}
+	res := &LengthResult{AvgLenNM: avgLen(nm), AvgLenMatch: avgLen(match)}
 	res.Table = Table{
-		Title:   fmt.Sprintf("E1 (§6.1): average pattern length, top-%d, length ≥ %d", o.K, o.MinLen),
-		Columns: []string{"measure", "avg length", "patterns", "paper"},
+		Title:   title,
+		Columns: []string{"measure", "avg length", "patterns"},
 		Rows: [][]string{
-			{"NM (TrajPattern)", fmt.Sprintf("%.2f", res.AvgLenNM), fmt.Sprintf("%d", len(nmRes.Patterns)), "4.20"},
-			{"match ([14])", fmt.Sprintf("%.2f", res.AvgLenMatch), fmt.Sprintf("%d", len(mRes.Patterns)), "3.18"},
+			{"NM (TrajPattern)", fmt.Sprintf("%.2f", res.AvgLenNM), fmt.Sprintf("%d", len(nm))},
+			{"match ([14])", fmt.Sprintf("%.2f", res.AvgLenMatch), fmt.Sprintf("%d", len(match))},
 		},
 	}
+	if len(paper) > 0 {
+		res.Table.Columns = append(res.Table.Columns, "paper")
+		for i := range res.Table.Rows {
+			res.Table.Rows[i] = append(res.Table.Rows[i], paper[i])
+		}
+	}
 	return res, nil
+}
+
+// avgLen is the average length of patterns, 0 when there are none.
+func avgLen(patterns []core.Pattern) float64 {
+	if len(patterns) == 0 {
+		return 0
+	}
+	var sum int
+	for _, p := range patterns {
+		sum += len(p)
+	}
+	return float64(sum) / float64(len(patterns))
 }

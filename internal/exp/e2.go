@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"trajpattern/internal/baseline"
 	"trajpattern/internal/core"
 	"trajpattern/internal/geom"
 	"trajpattern/internal/predict"
@@ -13,13 +12,16 @@ import (
 
 // E2Options parameterizes the Figure 3 prediction experiment.
 type E2Options struct {
-	Bus       BusOptions
-	K         int     // patterns to mine (default 60)
-	MinLen    int     // length floor (paper: 4)
-	MaxLen    int     // search cap (default 8)
-	ConfirmPr float64 // confirmation probability (paper: 0.9)
-	EvalU     float64 // mis-prediction tolerance (0 = the reporting U)
+	Bus    BusOptions
+	K      int // patterns to mine (default 60)
+	MinLen int // length floor (paper: 4)
+	MaxLen int // search cap (default 8)
 }
+
+const (
+	e2ConfirmProb = 0.9   // confirmation probability (paper: 0.9)
+	e2EvalU       = 0.015 // mis-prediction tolerance
+)
 
 // E2ModelResult is one row of Figure 3.
 type E2ModelResult struct {
@@ -51,17 +53,11 @@ func RunE2(ctx context.Context, o E2Options) (*E2Result, error) {
 	if o.Bus.U == 0 {
 		o.Bus.U = 0.01
 	}
-	if o.EvalU == 0 {
-		o.EvalU = 0.015
-	}
 	if o.MinLen == 0 {
 		o.MinLen = 4
 	}
 	if o.MaxLen == 0 {
 		o.MaxLen = 8
-	}
-	if o.ConfirmPr == 0 {
-		o.ConfirmPr = 0.9
 	}
 	// E2 disables the fleet's fixed stops unless the caller configured
 	// them: long identical dwells concentrate the whole top-k on trivial
@@ -79,12 +75,7 @@ func RunE2(ctx context.Context, o E2Options) (*E2Result, error) {
 	// holds out whole traces; holding out a day keeps every route in both
 	// halves, which a prefix split does not — traces are ordered by
 	// route).
-	maxDay := 0
-	for _, tr := range data.Traces {
-		if tr.Day > maxDay {
-			maxDay = tr.Day
-		}
-	}
+	maxDay := data.BusCfg.Days - 1
 	var trainVel traj.Dataset
 	var testPaths [][]geom.Point
 	for i, tr := range data.Traces {
@@ -98,34 +89,9 @@ func RunE2(ctx context.Context, o E2Options) (*E2Result, error) {
 		return nil, fmt.Errorf("exp: train/test split degenerate (%d/%d)", len(trainVel), len(testPaths))
 	}
 
-	mkScorer := func(d traj.Dataset) (*core.Scorer, error) {
-		return core.NewScorer(d, core.Config{Grid: data.Grid, Delta: data.Grid.CellWidth()})
-	}
-
-	sNM, err := mkScorer(trainVel)
+	nmPatterns, matchPatterns, err := mineNMAndMatch(ctx, trainVel, data.Grid, o.K, o.MinLen, o.MaxLen)
 	if err != nil {
 		return nil, err
-	}
-	nmRes, err := core.Mine(ctx, sNM, core.MinerConfig{K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen})
-	if err != nil {
-		return nil, err
-	}
-	nmPatterns := make([]core.Pattern, len(nmRes.Patterns))
-	for i, sp := range nmRes.Patterns {
-		nmPatterns[i] = sp.Pattern
-	}
-
-	sM, err := mkScorer(trainVel)
-	if err != nil {
-		return nil, err
-	}
-	mRes, err := baseline.MineMatch(sM, baseline.MatchConfig{K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen})
-	if err != nil {
-		return nil, err
-	}
-	matchPatterns := make([]core.Pattern, len(mRes.Patterns))
-	for i, sm := range mRes.Patterns {
-		matchPatterns[i] = sm.Pattern
 	}
 
 	sigma := trainVel.MeanSigma()
@@ -151,10 +117,9 @@ func RunE2(ctx context.Context, o E2Options) (*E2Result, error) {
 	}
 	paperNM := []string{"≈0.30", "≈0.40", "≈0.20"}
 	paperM := []string{"≈0.15", "≈0.20", "≈0.10"}
-	evalU := o.EvalU
 	for mi, mk := range models {
 		base := mk()
-		baseEv, err := predict.Evaluate(base, testPaths, evalU)
+		baseEv, err := predict.Evaluate(base, testPaths, e2EvalU)
 		if err != nil {
 			return nil, err
 		}
@@ -168,12 +133,12 @@ func RunE2(ctx context.Context, o E2Options) (*E2Result, error) {
 				Grid:        data.Grid,
 				Delta:       3 * confSigma,
 				Sigma:       confSigma,
-				ConfirmProb: o.ConfirmPr,
+				ConfirmProb: e2ConfirmProb,
 			}
 			if err := pp.Validate(); err != nil {
 				return predict.Evaluation{}, err
 			}
-			return predict.Evaluate(pp, testPaths, evalU)
+			return predict.Evaluate(pp, testPaths, e2EvalU)
 		}
 		nmEv, err := evalWith(nmPatterns)
 		if err != nil {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"trajpattern/internal/baseline"
-	"trajpattern/internal/core"
 	"trajpattern/internal/datagen"
 	"trajpattern/internal/grid"
 )
@@ -24,17 +22,10 @@ type E8Options struct {
 	Seed     uint64
 }
 
-// E8Result carries the posture-data pattern-length comparison.
-type E8Result struct {
-	AvgLenNM    float64
-	AvgLenMatch float64
-	Table       Table
-}
-
 // RunE8 mines the top-k NM and match patterns (length >= MinLen) on the
 // simulated human-posture dataset and compares average pattern lengths —
 // the posture-data analogue of E1.
-func RunE8(ctx context.Context, o E8Options) (*E8Result, error) {
+func RunE8(ctx context.Context, o E8Options) (*LengthResult, error) {
 	if o.Subjects == 0 {
 		o.Subjects = 50
 	}
@@ -62,52 +53,6 @@ func RunE8(ctx context.Context, o E8Options) (*E8Result, error) {
 		return nil, err
 	}
 	g := grid.NewSquare(o.GridN)
-	mk := func() (*core.Scorer, error) {
-		return core.NewScorer(ds, core.Config{Grid: g, Delta: g.CellWidth()})
-	}
-
-	sNM, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	nmRes, err := core.Mine(ctx, sNM, core.MinerConfig{
-		K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sM, err := mk()
-	if err != nil {
-		return nil, err
-	}
-	mRes, err := baseline.MineMatch(sM, baseline.MatchConfig{
-		K: o.K, MinLen: o.MinLen, MaxLen: o.MaxLen,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var nmSum, mSum int
-	for _, p := range nmRes.Patterns {
-		nmSum += len(p.Pattern)
-	}
-	for _, p := range mRes.Patterns {
-		mSum += len(p.Pattern)
-	}
-	res := &E8Result{}
-	if n := len(nmRes.Patterns); n > 0 {
-		res.AvgLenNM = float64(nmSum) / float64(n)
-	}
-	if n := len(mRes.Patterns); n > 0 {
-		res.AvgLenMatch = float64(mSum) / float64(n)
-	}
-	res.Table = Table{
-		Title:   fmt.Sprintf("E8 (§6.1, posture data): average pattern length, top-%d, length ≥ %d", o.K, o.MinLen),
-		Columns: []string{"measure", "avg length", "patterns"},
-		Rows: [][]string{
-			{"NM (TrajPattern)", fmt.Sprintf("%.2f", res.AvgLenNM), fmt.Sprintf("%d", len(nmRes.Patterns))},
-			{"match ([14])", fmt.Sprintf("%.2f", res.AvgLenMatch), fmt.Sprintf("%d", len(mRes.Patterns))},
-		},
-	}
-	return res, nil
+	return compareLengths(ctx, ds, g, o.K, o.MinLen, o.MaxLen,
+		fmt.Sprintf("E8 (§6.1, posture data): average pattern length, top-%d, length ≥ %d", o.K, o.MinLen))
 }

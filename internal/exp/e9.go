@@ -49,12 +49,7 @@ func RunE9(ctx context.Context, o E9Options) (*E9Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxDay := 0
-	for _, tr := range data.Traces {
-		if tr.Day > maxDay {
-			maxDay = tr.Day
-		}
-	}
+	maxDay := data.BusCfg.Days - 1
 	split := func(source traj.Dataset) (map[string]traj.Dataset, map[string]traj.Dataset) {
 		train := make(map[string]traj.Dataset)
 		test := make(map[string]traj.Dataset)

@@ -74,9 +74,6 @@ func TestMakeBusData(t *testing.T) {
 	if len(data.Velocities[0]) != 100 {
 		t.Errorf("velocity length = %d, want 100", len(data.Velocities[0]))
 	}
-	if _, err := data.Scorer(); err != nil {
-		t.Fatal(err)
-	}
 	// The velocity grid must cover all velocity means.
 	for _, tr := range data.Velocities {
 		for _, p := range tr {
@@ -147,7 +144,7 @@ func TestRunE3Shape(t *testing.T) {
 }
 
 func TestRunE7Shape(t *testing.T) {
-	ser, err := RunE7(context.Background(), E7Options{Sweep: tinySweep()})
+	ser, err := RunE7(context.Background(), tinySweep())
 	if err != nil {
 		t.Fatal(err)
 	}

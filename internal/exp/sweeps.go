@@ -38,8 +38,11 @@ type SweepOptions struct {
 	GridN  int // grid side; G = GridN², default 12
 	MaxLen int // pattern length cap for both miners, default 6
 
-	U, C float64 // uncertainty parameters (default 0.02, 2)
+	U float64 // tolerable uncertainty distance (default 0.02)
 }
+
+// sweepC is the confidence constant of the sweeps' data (σ = U/sweepC).
+const sweepC = 2
 
 func (o SweepOptions) withDefaults() (SweepOptions, error) {
 	scale, err := checkScale(o.Scale)
@@ -65,9 +68,6 @@ func (o SweepOptions) withDefaults() (SweepOptions, error) {
 	if o.U == 0 {
 		o.U = 0.02
 	}
-	if o.C == 0 {
-		o.C = 2
-	}
 	return o, nil
 }
 
@@ -80,7 +80,7 @@ func (o SweepOptions) dataset(s, l int) (traj.Dataset, error) {
 		AvgLen:    l,
 		NumGroups: 5,
 		Seed:      o.Seed,
-	}, o.U, o.C)
+	}, o.U, sweepC)
 }
 
 // timeMiners runs TrajPattern and PB on the same dataset/grid and returns

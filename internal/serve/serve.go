@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/ingest"
@@ -242,7 +241,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if math.IsNaN(cfg.DeltaMul) || cfg.DeltaMul <= 0 {
 		return nil, fmt.Errorf("serve: DeltaMul must be positive and not NaN, got %v", cfg.DeltaMul)
 	}
-	g := cli.FitGrid(cfg.Dataset, cfg.GridN)
+	g := cfg.Dataset.FitGrid(cfg.GridN)
 	delta := cfg.DeltaMul * g.CellWidth()
 	scorer, err := core.NewScorer(cfg.Dataset, core.Config{
 		Grid:    g,

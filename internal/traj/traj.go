@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"trajpattern/internal/geom"
+	"trajpattern/internal/grid"
 )
 
 // Point is one snapshot of a trajectory: the true location of the mobile
@@ -120,6 +121,26 @@ func (d Dataset) Bounds() geom.Rect {
 		}
 	}
 	return geom.BoundingRect(pts)
+}
+
+// FitGrid builds an n×n grid on a square covering the dataset bounds with
+// a 3σ̄ margin, so no boundary cell clips a mean: the geometry every tool
+// and experiment mines on.
+func (d Dataset) FitGrid(n int) *grid.Grid {
+	b := d.Bounds().Expand(3 * d.MeanSigma())
+	side := b.Width()
+	if b.Height() > side {
+		side = b.Height()
+	}
+	if side == 0 {
+		side = 1
+	}
+	c := b.Center()
+	square := geom.NewRect(
+		geom.Pt(c.X-side/2, c.Y-side/2),
+		geom.Pt(c.X+side/2, c.Y+side/2),
+	)
+	return grid.New(square, n, n)
 }
 
 // ToVelocity converts every trajectory in the dataset (see
