@@ -14,11 +14,11 @@
 //	trajbench -exp e3,e7 -scale 0.3 -check results/bench_baseline.json -tol 15
 //	trajbench -exp e3 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	trajbench -exp e3 -trace run.trace -progress
-//	trajbench -debug-addr localhost:6060
 //
 // Experiments: e1 (§6.1 pattern lengths), e2 (Figure 3), e3–e6
 // (Figure 4a–d), e7 (Figure 4e), e8 (§6.1 on posture data), e9 (pattern
-// classifier), a1, a2 and a4–a6 (ablations).
+// classifier), a1, a2 and a4–a6 (ablations). E7 mines a fixed dataset of
+// 40 zebras of length 30, so -scale does not shrink it.
 //
 // The -check gate compares the deterministic work counters (NM
 // evaluations, candidates, prunes — identical across machines for a fixed
@@ -35,6 +35,7 @@ import (
 	"strings"
 
 	"trajpattern/internal/cli"
+	"trajpattern/internal/core"
 	"trajpattern/internal/obs/slogx"
 	"trajpattern/internal/trace"
 )
@@ -49,8 +50,7 @@ func main() {
 		checkPath  = flag.String("check", "", "baseline bench.json to compare against; exit non-zero on regression")
 		tol        = flag.Float64("tol", cli.DefaultBenchTolerance, "allowed drift percentage for -check (0 = exact)")
 		trcPath    = flag.String("trace", "", "write a span/event journal (JSONL) here and a Chrome trace to <file>.json")
-		prog       = flag.Bool("progress", false, "print a live one-line progress status to stderr")
-		dbgAddr    = flag.String("debug-addr", "", "serve pprof, expvar, /metrics and /trace/status on this address")
+		prog       = flag.Bool("progress", false, "print one line per grow iteration of the sweep experiments to stderr")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
 
@@ -74,19 +74,9 @@ func main() {
 	if *trcPath != "" {
 		tracer = trace.New()
 	}
-	holder := &cli.MetricsHolder{}
-	if *dbgAddr != "" {
-		url, stop, derr := cli.StartDebugServer(*dbgAddr, holder, tracer, logger)
-		if derr != nil {
-			logger.Error("debug server failed", slogx.Err(derr))
-			os.Exit(1)
-		}
-		defer stop() //nolint:errcheck // process is exiting anyway
-		logger.Info("debug server up", slog.String("url", url))
-	}
-	var printer *cli.ProgressPrinter
+	var progress func(core.Progress)
 	if *prog {
-		printer = cli.NewProgressPrinter(os.Stderr, 0)
+		progress = cli.ProgressLine(os.Stderr)
 	}
 
 	// First SIGINT/SIGTERM stops between experiments and still flushes
@@ -103,12 +93,10 @@ func main() {
 		CheckPath:   *checkPath,
 		TolPct:      *tol,
 		Tracer:      tracer,
-		Progress:    printer.Update,
-		Holder:      holder,
+		Progress:    progress,
 	})
 	stopSignals()
-	printer.Done()
-	if terr := cli.SaveTrace(*trcPath, tracer); terr != nil {
+	if terr := tracer.Save(*trcPath); terr != nil {
 		logger.Error("save trace failed", slogx.Err(terr))
 		if err == nil {
 			err = terr

@@ -9,7 +9,7 @@
 //	trajmine -in zebra.jsonl -viz
 //	trajmine -in zebra.jsonl -metrics -cpuprofile cpu.pprof
 //	trajmine -in zebra.jsonl -trace run.trace -progress
-//	trajmine -in zebra.jsonl -debug-addr localhost:6060
+//	trajmine -in zebra.jsonl -metricsout metrics.json
 //	trajmine -in zebra.jsonl -checkpoint run.ckpt -maxwall 30s
 //	trajmine -in zebra.jsonl -checkpoint run.ckpt -resume
 package main
@@ -22,7 +22,6 @@ import (
 	"os"
 
 	"trajpattern/internal/cli"
-	"trajpattern/internal/obs"
 	"trajpattern/internal/obs/slogx"
 	"trajpattern/internal/trace"
 	"trajpattern/internal/traj"
@@ -33,8 +32,8 @@ func main() {
 		in      = flag.String("in", "", "input trajectory file (required)")
 		k       = flag.Int("k", 10, "number of patterns to mine")
 		gridN   = flag.Int("gridn", 12, "grid side (G = gridn²)")
-		minLen  = flag.Int("minlen", 1, "minimum pattern length (§5 variant)")
-		maxLen  = flag.Int("maxlen", 8, "maximum pattern length")
+		minLen  = flag.Int("minlen", 1, "minimum pattern length, >= 1 (§5 variant above 1)")
+		maxLen  = flag.Int("maxlen", 8, "maximum pattern length, >= -minlen")
 		deltaMu = flag.Float64("delta", 1, "indifferent threshold δ as a multiple of the cell size")
 		measure = flag.String("measure", "nm", "measure: nm (TrajPattern), pb (projection baseline) or match ([14])")
 		groups  = flag.Bool("groups", true, "cluster the result into pattern groups")
@@ -43,8 +42,7 @@ func main() {
 		metrics = flag.Bool("metrics", false, "collect and print miner/scorer metrics")
 		metOut  = flag.String("metricsout", "", "write the provenance-stamped metrics report (JSON) to this file")
 		trcPath = flag.String("trace", "", "write a span/event journal (JSONL) here and a Chrome trace to <file>.json")
-		prog    = flag.Bool("progress", false, "print a live one-line progress status to stderr (nm only)")
-		dbgAddr = flag.String("debug-addr", "", "serve pprof, expvar, /metrics and /trace/status on this address")
+		prog    = flag.Bool("progress", false, "print one line per grow iteration to stderr (nm only)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file")
 		maxIter = flag.Int("maxiters", 0, "bound the miner's grow iterations (0 = default; nm only)")
@@ -81,21 +79,6 @@ func main() {
 	if *trcPath != "" {
 		tracer = trace.New()
 	}
-	var reg *obs.Registry
-	if *metrics || *metOut != "" || *dbgAddr != "" {
-		reg = obs.New()
-	}
-	if *dbgAddr != "" {
-		holder := &cli.MetricsHolder{}
-		holder.Set(reg)
-		url, stop, derr := cli.StartDebugServer(*dbgAddr, holder, tracer, logger)
-		if derr != nil {
-			logger.Error("debug server failed", slogx.Err(derr))
-			os.Exit(1)
-		}
-		defer stop() //nolint:errcheck // process is exiting anyway
-		logger.Info("debug server up", slog.String("url", url))
-	}
 	opts := cli.MineOptions{
 		K:              *k,
 		GridN:          *gridN,
@@ -108,7 +91,6 @@ func main() {
 		SavePath:       *save,
 		Metrics:        *metrics,
 		MetricsOut:     *metOut,
-		Registry:       reg,
 		Tracer:         tracer,
 		MaxIters:       *maxIter,
 		MaxWallTime:    *maxWall,
@@ -117,10 +99,8 @@ func main() {
 	}
 	// OnProgress stays nil without -progress, so cli.Mine can refuse the
 	// flag for the measures that report no progress.
-	var printer *cli.ProgressPrinter
 	if *prog {
-		printer = cli.NewProgressPrinter(os.Stderr, 0)
-		opts.OnProgress = printer.Update
+		opts.OnProgress = cli.ProgressLine(os.Stderr)
 	}
 
 	// First SIGINT/SIGTERM drains the run gracefully (best-so-far report,
@@ -130,8 +110,7 @@ func main() {
 
 	_, err = cli.Mine(ctx, os.Stdout, ds, opts)
 	stopSignals()
-	printer.Done()
-	if terr := cli.SaveTrace(*trcPath, tracer); terr != nil {
+	if terr := tracer.Save(*trcPath); terr != nil {
 		logger.Error("save trace failed", slogx.Err(terr))
 		if err == nil {
 			err = terr

@@ -9,7 +9,7 @@
 //
 //	trajserve -in zebra.jsonl -addr :8080
 //	trajserve -in bus.jsonl -patterns mined.json -capacity 16 -queue 32
-//	trajserve -in zebra.jsonl -trace run.trace -debug-addr localhost:6060
+//	trajserve -in zebra.jsonl -trace run.trace -metricsout metrics.json
 //	trajserve -in zebra.jsonl -log-format json -log-level info
 //	trajserve -in zebra.jsonl -ingest-wal /var/lib/trajserve/wal -ingest-window 256
 //
@@ -51,7 +51,6 @@ func main() {
 		grace    = flag.Duration("grace", serve.DefaultGrace, "drain grace for in-flight requests on SIGTERM")
 		trcPath  = flag.String("trace", "", "record request/miner spans and write the journal here at exit")
 		metOut   = flag.String("metricsout", "", "write the provenance-stamped metrics report (JSON) here at exit")
-		dbgAddr  = flag.String("debug-addr", "", "serve pprof, expvar, /metrics and /trace/status on this address")
 		logFlags cli.LogFlags
 	)
 	logFlags.Register(flag.CommandLine)
@@ -91,7 +90,6 @@ func main() {
 		Grace:      *grace,
 		TracePath:  *trcPath,
 		MetricsOut: *metOut,
-		DebugAddr:  *dbgAddr,
 	}, nil)
 	if err != nil {
 		logger.Error("fatal", slogx.Err(err))

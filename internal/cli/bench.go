@@ -53,14 +53,12 @@ type BenchOptions struct {
 	TolPct float64
 
 	// Tracer, when non-nil, records spans and events across every
-	// instrumented experiment (the caller writes the files; see SaveTrace).
+	// instrumented experiment (the caller writes the files; see
+	// trace.Tracer.Save).
 	Tracer *trace.Tracer
 	// Progress, when non-nil, receives per-iteration miner state from the
-	// sweep experiments (a ProgressPrinter under -progress).
+	// sweep experiments (ProgressLine under -progress).
 	Progress func(core.Progress)
-	// Holder, when non-nil, has the current experiment's registry published
-	// into it so a debug server can watch the run live.
-	Holder *MetricsHolder
 }
 
 // ExperimentResult is one experiment's entry in bench.json.
@@ -71,12 +69,12 @@ type ExperimentResult struct {
 	// experiment (runtime.MemStats deltas; indicative, not gated).
 	Allocs uint64 `json:"allocs"`
 	Bytes  uint64 `json:"bytes"`
-	// Work holds the deterministic obs counters (candidates, prunes, NM
-	// evaluations, …) that the -check gate compares. Scheduling-dependent
-	// counters (scratch pool, per-worker) are excluded.
+	// Work holds the obs counters (candidates, prunes, NM evaluations, …)
+	// that the -check gate compares. Every counter is deterministic for a
+	// fixed scale and seed, whatever the worker count.
 	Work map[string]int64 `json:"work,omitempty"`
-	// Metrics is the full obs snapshot, including the non-deterministic
-	// instruments and timers.
+	// Metrics is the full obs snapshot, with the gauges and timers the
+	// gate does not compare.
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
@@ -91,29 +89,6 @@ type BenchResult struct {
 	Scale       float64                      `json:"scale"`
 	Seed        uint64                       `json:"seed"`
 	Experiments map[string]*ExperimentResult `json:"experiments"`
-}
-
-// nondeterministicFragments mark counter namespaces whose values depend
-// on goroutine scheduling or pool reuse; they are reported in Metrics but
-// excluded from the Work map the regression gate compares.
-var nondeterministicFragments = []string{"scorer.scratch."}
-
-// workCounters extracts the deterministic gate counters from a snapshot.
-func workCounters(s obs.Snapshot) map[string]int64 {
-	if len(s.Counters) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(s.Counters))
-next:
-	for name, v := range s.Counters {
-		for _, p := range nondeterministicFragments {
-			if strings.Contains(name, p) {
-				continue next
-			}
-		}
-		out[name] = v
-	}
-	return out
 }
 
 // RunBench executes the selected experiments, printing each table (or
@@ -154,7 +129,6 @@ func RunBench(ctx context.Context, w io.Writer, o BenchOptions) (*BenchResult, e
 			continue
 		}
 		reg := obs.New()
-		o.Holder.Set(reg)
 		bus := exp.BusOptions{Scale: o.Scale, Seed: o.Seed}
 		sweep := exp.SweepOptions{
 			Scale: o.Scale, Seed: o.Seed,
@@ -194,7 +168,7 @@ func RunBench(ctx context.Context, w io.Writer, o BenchOptions) (*BenchResult, e
 			NS:     elapsed.Nanoseconds(),
 			Allocs: after.Mallocs - before.Mallocs,
 			Bytes:  after.TotalAlloc - before.TotalAlloc,
-			Work:   workCounters(snap),
+			Work:   snap.Counters,
 		}
 		if len(snap.Counters)+len(snap.Gauges)+len(snap.Timers) > 0 {
 			er.Metrics = &snap
@@ -255,7 +229,7 @@ func selectExperiments(ids []string) (map[string]bool, error) {
 			continue
 		}
 		if !known[id] {
-			return nil, fmt.Errorf("cli: unknown experiment %q (want %s or all)",
+			return nil, flagErrorf("exp", "unknown experiment %q (want %s or all)",
 				id, strings.Join(benchExperiments, ", "))
 		}
 		selected[id] = true

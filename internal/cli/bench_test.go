@@ -169,11 +169,6 @@ func TestRunBenchEndToEnd(t *testing.T) {
 	if er.Work["scorer.nm.evals"] == 0 || er.Work["miner.candidates.fresh"] == 0 {
 		t.Errorf("work counters empty: %v", er.Work)
 	}
-	for name := range er.Work {
-		if strings.HasPrefix(name, "scorer.scratch.") {
-			t.Errorf("nondeterministic counter %s leaked into the gate set", name)
-		}
-	}
 
 	// Self-check passes.
 	buf.Reset()

@@ -16,7 +16,6 @@ import (
 	"trajpattern/internal/core"
 	"trajpattern/internal/datagen"
 	"trajpattern/internal/exp"
-	"trajpattern/internal/faultio"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/obs"
 	"trajpattern/internal/trace"
@@ -73,7 +72,7 @@ func Generate(o GenOptions) (traj.Dataset, error) {
 		}
 		return data.Velocities, nil
 	default:
-		return nil, fmt.Errorf("cli: unknown kind %q (want zebra, tpr, posture or bus)", o.Kind)
+		return nil, flagErrorf("kind", "unknown kind %q (want zebra, tpr, posture or bus)", o.Kind)
 	}
 }
 
@@ -90,19 +89,15 @@ type MineOptions struct {
 	SavePath string  // when set, persist the scored patterns as JSON
 	Metrics  bool    // collect and print an obs metrics snapshot
 
-	// Registry, when non-nil, collects metrics into the caller's registry
-	// (so a debug server can watch the run live); otherwise Mine creates
-	// one per run when Metrics is set.
-	Registry *obs.Registry
 	// MetricsOut, when non-empty, writes the provenance-stamped metrics
 	// report (obs.Report JSON) to this path.
 	MetricsOut string
 	// Tracer, when non-nil, records structured spans and events of the run
-	// (the caller writes the journal; see SaveTrace).
+	// (the caller writes the journal; see trace.Tracer.Save).
 	Tracer *trace.Tracer
 	// OnProgress, when non-nil, receives the miner's per-iteration state
-	// (install a ProgressPrinter's Update for -progress). NM measure
-	// only: the pb and match measures refuse a non-nil OnProgress.
+	// (ProgressLine under -progress). NM measure only: the pb and match
+	// measures refuse a non-nil OnProgress.
 	OnProgress func(core.Progress)
 
 	// MaxIters bounds the miner's grow iterations (0 = miner default).
@@ -172,15 +167,45 @@ func CheckServeFlags(gridN int, deltaMul float64, ingestWindow int) error {
 // FitGrid is ds.FitGrid, under the name the perfbench module calls.
 func FitGrid(ds traj.Dataset, n int) *grid.Grid { return ds.FitGrid(n) }
 
-// WithWallBudget bounds ctx by the wall-clock budget d, whose expiry a
-// mining run reports as "max wall time <d> elapsed"; d <= 0 leaves ctx
-// unbounded. The context is a run's only wall-clock bound, so this is how
-// trajmine's -maxwall and trajserve's deadlines reach the miner.
-func WithWallBudget(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return ctx, func() {}
+// checkMine refuses the trajmine values that the miners would refuse
+// without naming the flag, or read as "unset" and replace: a measure
+// other than nm, pb and match, k below 1, a length bound below 1 or
+// crossing the other, a negative -maxiters or -maxwall, -resume without
+// -checkpoint, and the nm-only options given to pb or match. -maxiters 0
+// is the documented default.
+func checkMine(o MineOptions) error {
+	switch {
+	case o.Measure != "nm" && o.Measure != "pb" && o.Measure != "match":
+		return flagErrorf("measure", "unknown measure %q (want nm, pb or match)", o.Measure)
+	case o.K < 1:
+		return flagErrorf("k", "number of patterns must be >= 1, got %d", o.K)
+	case o.MinLen < 1:
+		return flagErrorf("minlen", "minimum pattern length must be >= 1, got %d", o.MinLen)
+	case o.MaxLen < o.MinLen:
+		return flagErrorf("maxlen", "maximum pattern length must be >= -minlen %d, got %d", o.MinLen, o.MaxLen)
+	case o.MaxIters < 0:
+		return flagErrorf("maxiters", "iteration bound must be >= 0 (0 = the default), got %d", o.MaxIters)
+	case o.MaxWallTime < 0:
+		return flagErrorf("maxwall", "wall-clock budget must be >= 0, got %v", o.MaxWallTime)
 	}
-	return context.WithTimeoutCause(ctx, d, fmt.Errorf("max wall time %v elapsed", d))
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"checkpoint", o.CheckpointPath != ""},
+		{"resume", o.Resume},
+		{"maxwall", o.MaxWallTime != 0},
+		{"maxiters", o.MaxIters != 0},
+		{"progress", o.OnProgress != nil},
+	} {
+		if f.set && o.Measure != "nm" {
+			return flagErrorf(f.name, "supported for the nm measure only, not %q", o.Measure)
+		}
+	}
+	if o.Resume && o.CheckpointPath == "" {
+		return flagErrorf("resume", "requires -checkpoint")
+	}
+	return nil
 }
 
 // Mine runs the requested miner over the dataset and writes a human
@@ -193,12 +218,15 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("cli: empty dataset")
 	}
+	if err := checkMine(o); err != nil {
+		return nil, err
+	}
 	if err := checkGrid(o.GridN, o.DeltaMul); err != nil {
 		return nil, err
 	}
 	g := ds.FitGrid(o.GridN)
-	reg := o.Registry // nil unless -metrics: the nil registry is free
-	if reg == nil && (o.Metrics || o.MetricsOut != "") {
+	var reg *obs.Registry // nil unless -metrics: the nil registry is free
+	if o.Metrics || o.MetricsOut != "" {
 		reg = obs.New()
 	}
 	s, err := core.NewScorer(ds, core.Config{
@@ -210,13 +238,6 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 	fmt.Fprintf(w, "dataset: %d trajectories, avg length %.1f, grid %d×%d over %v\n",
 		ds.NumTrajectories(), ds.AvgLength(), g.NX(), g.NY(), g.Bounds())
 
-	if o.Measure != "nm" && (o.CheckpointPath != "" || o.Resume || o.MaxWallTime != 0 || o.MaxIters != 0 || o.OnProgress != nil) {
-		return nil, fmt.Errorf("cli: checkpoint/resume/deadline/iteration/progress options support the nm measure only, not %q", o.Measure)
-	}
-	if o.MaxWallTime < 0 {
-		return nil, fmt.Errorf("cli: max wall time must be >= 0, got %v", o.MaxWallTime)
-	}
-
 	var patterns []core.Pattern
 	var scored []core.ScoredPattern
 	switch o.Measure {
@@ -227,9 +248,6 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 			Metrics: reg, Tracer: o.Tracer, OnProgress: o.OnProgress,
 		}
 		if o.Resume {
-			if o.CheckpointPath == "" {
-				return nil, fmt.Errorf("cli: resume requires a checkpoint path")
-			}
 			ck, err := core.LoadResume(o.CheckpointPath)
 			if err != nil {
 				return nil, err
@@ -242,7 +260,7 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 			}
 			mcfg.Resume = ck
 		}
-		ctx, cancel := WithWallBudget(ctx, o.MaxWallTime)
+		ctx, cancel := core.WithWallBudget(ctx, o.MaxWallTime)
 		defer cancel()
 		res, err := core.Mine(ctx, s, mcfg)
 		if err != nil {
@@ -281,8 +299,6 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 			patterns = append(patterns, sm.Pattern)
 			scored = append(scored, core.ScoredPattern{Pattern: sm.Pattern, NM: sm.Match})
 		}
-	default:
-		return nil, fmt.Errorf("cli: unknown measure %q (want nm, pb or match)", o.Measure)
 	}
 
 	if o.SavePath != "" {
@@ -298,7 +314,7 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 			fmt.Fprintf(w, "\nmetrics:\n%s", snap)
 		}
 		if o.MetricsOut != "" {
-			if err := WriteMetricsReport(o.MetricsOut, snap); err != nil {
+			if err := obs.NewReport(snap).WriteFile(o.MetricsOut); err != nil {
 				return nil, err
 			}
 			fmt.Fprintf(w, "wrote metrics report to %s\n", o.MetricsOut)
@@ -328,21 +344,4 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 		}
 	}
 	return patterns, nil
-}
-
-// WriteMetricsReport writes a provenance-stamped obs report (commit, Go
-// version, host shape, plus the full snapshot) as JSON to path,
-// atomically (temp file + fsync + rename).
-func WriteMetricsReport(path string, s obs.Snapshot) error {
-	data, err := obs.NewReport(s).JSON()
-	if err != nil {
-		return fmt.Errorf("cli: marshal metrics report: %w", err)
-	}
-	if err := faultio.WriteFileAtomic(nil, path, func(w io.Writer) error {
-		_, werr := w.Write(append(data, '\n'))
-		return werr
-	}); err != nil {
-		return fmt.Errorf("cli: write metrics report: %w", err)
-	}
-	return nil
 }

@@ -50,11 +50,12 @@ func TestGenerateUnknownKind(t *testing.T) {
 	}
 }
 
-// TestFlagValuesRefused: a value the generators or the server config
-// would read as "unset" (or clamp) is refused with the flag's name, and
-// the commands exit 2 on it.
+// TestFlagValuesRefused: a value the generators, the miners or the server
+// config would read as "unset" (or clamp, or refuse without naming it) is
+// refused with the flag's name, and the commands exit 2 on it.
 func TestFlagValuesRefused(t *testing.T) {
 	for flag, o := range map[string]GenOptions{
+		"-kind":  {Kind: "nope", N: 8, Len: 20, U: 0.02, C: 2},
 		"-n":     {Kind: "zebra", N: 0, Len: 20, U: 0.02, C: 2},
 		"-len":   {Kind: "zebra", N: 8, Len: 0, U: 0.02, C: 2},
 		"-u":     {Kind: "bus", U: 0, C: 2, Scale: 0.2},
@@ -63,7 +64,7 @@ func TestFlagValuesRefused(t *testing.T) {
 	} {
 		_, err := Generate(o)
 		if err == nil || !strings.Contains(err.Error(), flag+": ") || ExitCode(err) != 2 {
-			t.Errorf("Generate with %s 0: err = %v (exit %d), want a %s refusal, exit 2", flag, err, ExitCode(err), flag)
+			t.Errorf("Generate(%+v): err = %v (exit %d), want a %s refusal, exit 2", o, err, ExitCode(err), flag)
 		}
 	}
 	for _, tc := range []struct {
@@ -83,6 +84,50 @@ func TestFlagValuesRefused(t *testing.T) {
 	}
 	if err := CheckServeFlags(12, 1, 0); err != nil {
 		t.Errorf("trajserve's defaults refused: %v", err)
+	}
+	var buf bytes.Buffer
+	if _, err := RunBench(context.Background(), &buf, BenchOptions{Experiments: []string{"nope"}, Scale: 0.15}); err == nil || !strings.Contains(err.Error(), "-exp: ") || ExitCode(err) != 2 {
+		t.Errorf("trajbench -exp nope: err = %v (exit %d), want a -exp refusal, exit 2", err, ExitCode(err))
+	}
+
+	// trajmine's values are refused before the grid is fitted, so a
+	// refused run prints nothing.
+	ds, err := Generate(GenOptions{Kind: "zebra", N: 4, Len: 15, U: 0.02, C: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, flag string
+		edit       func(*MineOptions)
+	}{
+		{"-k 0", "-k", func(o *MineOptions) { o.K = 0 }},
+		{"-minlen 0", "-minlen", func(o *MineOptions) { o.MinLen = 0 }},
+		{"-maxlen 0", "-maxlen", func(o *MineOptions) { o.MaxLen = 0 }},
+		{"-minlen 9 -maxlen 8", "-maxlen", func(o *MineOptions) { o.MinLen, o.MaxLen = 9, 8 }},
+		{"-maxiters -1", "-maxiters", func(o *MineOptions) { o.MaxIters = -1 }},
+		{"-maxwall -1s", "-maxwall", func(o *MineOptions) { o.MaxWallTime = -time.Second }},
+		{"-measure bogus", "-measure", func(o *MineOptions) { o.Measure = "bogus" }},
+		{"-resume without -checkpoint", "-resume", func(o *MineOptions) { o.Resume = true }},
+		{"-measure pb -checkpoint", "-checkpoint", func(o *MineOptions) { o.Measure, o.CheckpointPath = "pb", "ck" }},
+		{"-measure match -resume", "-resume", func(o *MineOptions) { o.Measure, o.Resume = "match", true }},
+		{"-measure pb -maxwall 1s", "-maxwall", func(o *MineOptions) { o.Measure, o.MaxWallTime = "pb", time.Second }},
+		{"-measure match -maxiters 1", "-maxiters", func(o *MineOptions) { o.Measure, o.MaxIters = "match", 1 }},
+		{"-measure pb -progress", "-progress", func(o *MineOptions) { o.Measure, o.OnProgress = "pb", func(core.Progress) {} }},
+	} {
+		o := MineOptions{K: 3, GridN: 4, MinLen: 1, MaxLen: 3, DeltaMul: 1, Measure: "nm"}
+		tc.edit(&o)
+		buf.Reset()
+		_, err := Mine(context.Background(), &buf, ds, o)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+": ") || ExitCode(err) != 2 {
+			t.Errorf("trajmine %s: err = %v (exit %d), want a %s refusal, exit 2", tc.name, err, ExitCode(err), tc.flag)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("trajmine %s: refused run wrote %q", tc.name, buf.String())
+		}
+	}
+	// -maxiters 0 is the documented default, not a refusal.
+	if _, err := Mine(context.Background(), &buf, ds, MineOptions{K: 3, GridN: 4, MinLen: 1, MaxLen: 3, DeltaMul: 1, Measure: "nm", MaxIters: 0}); err != nil {
+		t.Errorf("trajmine -maxiters 0: %v", err)
 	}
 	if code := ExitCode(errors.New("disk full")); code != 1 {
 		t.Errorf("ExitCode of a run failure = %d, want 1", code)
@@ -177,14 +222,14 @@ func TestMineErrors(t *testing.T) {
 	// value rather than the δ derived from it.
 	for _, gridN := range []int{0, -3} {
 		for _, measure := range []string{"nm", "pb", "match"} {
-			_, err := Mine(context.Background(), &buf, ds, MineOptions{K: 1, GridN: gridN, MaxLen: 2, DeltaMul: 1, Measure: measure})
+			_, err := Mine(context.Background(), &buf, ds, MineOptions{K: 1, GridN: gridN, MinLen: 1, MaxLen: 2, DeltaMul: 1, Measure: measure})
 			if want := fmt.Sprintf("grid side GridN must be >= 1, got %d", gridN); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("-measure %s with GridN %d: err = %v, want %q", measure, gridN, err, want)
 			}
 		}
 	}
 	for _, d := range []float64{-1, 0, math.NaN(), math.Inf(1)} {
-		_, err := Mine(context.Background(), &buf, ds, MineOptions{K: 1, GridN: 4, MaxLen: 2, DeltaMul: d, Measure: "nm"})
+		_, err := Mine(context.Background(), &buf, ds, MineOptions{K: 1, GridN: 4, MinLen: 1, MaxLen: 2, DeltaMul: d, Measure: "nm"})
 		if want := fmt.Sprintf("DeltaMul (δ in cell widths) must be finite and > 0, got %v", d); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("DeltaMul %v: err = %v, want %q", d, err, want)
 		}
@@ -200,7 +245,7 @@ func TestMineErrors(t *testing.T) {
 	}
 	for _, measure := range []string{"pb", "match"} {
 		for name, o := range nmOnly {
-			o.K, o.GridN, o.MaxLen, o.DeltaMul, o.Measure = 1, 4, 2, 1, measure
+			o.K, o.GridN, o.MinLen, o.MaxLen, o.DeltaMul, o.Measure = 1, 4, 1, 2, 1, measure
 			if _, err := Mine(context.Background(), &buf, ds, o); err == nil || !strings.Contains(err.Error(), "nm measure only") {
 				t.Errorf("-measure %s with %s: err = %v, want the nm-only refusal", measure, name, err)
 			}
@@ -242,7 +287,7 @@ func TestMineResume(t *testing.T) {
 	mine := func(k, maxIters int) (string, error) {
 		var buf bytes.Buffer
 		_, err := Mine(context.Background(), &buf, ds, MineOptions{
-			K: k, GridN: 8, MaxLen: 3, DeltaMul: 1, Measure: "nm",
+			K: k, GridN: 8, MinLen: 1, MaxLen: 3, DeltaMul: 1, Measure: "nm",
 			MaxIters: maxIters, CheckpointPath: ckpt, Resume: true,
 		})
 		return buf.String(), err
@@ -281,7 +326,7 @@ func TestMineInterruptNotice(t *testing.T) {
 		{MineOptions{MaxWallTime: time.Nanosecond}, "interrupted (max wall time 1ns elapsed)"},
 	} {
 		o := tc.opts
-		o.K, o.GridN, o.MaxLen, o.DeltaMul, o.Measure = 3, 8, 3, 1, "nm"
+		o.K, o.GridN, o.MinLen, o.MaxLen, o.DeltaMul, o.Measure = 3, 8, 1, 3, 1, "nm"
 		var buf bytes.Buffer
 		if _, err := Mine(context.Background(), &buf, ds, o); err != nil {
 			t.Fatalf("%+v: %v", tc.opts, err)
@@ -292,7 +337,7 @@ func TestMineInterruptNotice(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if _, err := Mine(context.Background(), &buf, ds, MineOptions{
-		K: 3, GridN: 8, MaxLen: 3, DeltaMul: 1, Measure: "nm", MaxWallTime: -time.Second,
+		K: 3, GridN: 8, MinLen: 1, MaxLen: 3, DeltaMul: 1, Measure: "nm", MaxWallTime: -time.Second,
 	}); err == nil {
 		t.Error("negative wall budget accepted")
 	}

@@ -3,141 +3,19 @@ package cli
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"trajpattern/internal/core"
 )
 
-// DefaultProgressInterval is the minimum delay between two progress lines
-// when ProgressOptions leave the interval unset.
-const DefaultProgressInterval = 500 * time.Millisecond
-
-// etaWindow bounds the sliding window of the iterations/sec estimate:
-// samples older than this (on the miner's elapsed clock) are dropped, so
-// the rate tracks the current mining phase instead of averaging in the
-// cheap early iterations.
-const etaWindow = 10 * time.Second
-
-// progressSample is one Update's position on the iteration clock.
-type progressSample struct {
-	iter    int
-	elapsed time.Duration
-}
-
-// ProgressPrinter renders a miner's live state as a throttled one-line
-// status (iteration, |H|/|Q|, answer fill, candidate count, ETA bound),
-// the -progress flag of trajmine and trajbench. Updates arrive on the
-// mining goroutine and are rate-limited so a fast run costs a handful of
-// writes; Done flushes the final state. All methods are safe on a nil
-// receiver, so callers can hold an optional printer without guards.
-type ProgressPrinter struct {
-	w     io.Writer
-	every time.Duration
-
-	mu      sync.Mutex
-	start   time.Time
-	last    time.Time
-	latest  core.Progress
-	samples []progressSample
-	dirty   bool
-	wrote   bool
-}
-
-// NewProgressPrinter returns a printer writing to w at most once per
-// interval (DefaultProgressInterval when interval <= 0).
-func NewProgressPrinter(w io.Writer, interval time.Duration) *ProgressPrinter {
-	if interval <= 0 {
-		interval = DefaultProgressInterval
+// ProgressLine returns the -progress callback of trajmine and trajbench:
+// it writes one line to w per call, that is per completed grow iteration,
+// with the miner's iteration, |H|, |Q|, answer fill, candidates and
+// elapsed time. A Mine call makes at most MaxIters calls.
+func ProgressLine(w io.Writer) func(core.Progress) {
+	return func(u core.Progress) {
+		fmt.Fprintf(w, "iter %d/%d  |H|=%d |Q|=%d  answer %d/%d  candidates %d  elapsed %s\n",
+			u.Iteration, u.MaxIters, u.HighSize, u.QSize, u.AnswerSize, u.K,
+			u.Candidates, u.Elapsed.Round(time.Millisecond))
 	}
-	return &ProgressPrinter{w: w, every: interval, start: time.Now()}
-}
-
-// Update records the miner's state and prints it if the throttle allows.
-// It is the function to install as MinerConfig.OnProgress.
-func (p *ProgressPrinter) Update(u core.Progress) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.latest = u
-	p.dirty = true
-	// Every update feeds the rate window, printed or not: the throttle
-	// limits terminal writes, not the estimate's resolution.
-	if n := len(p.samples); n == 0 || u.Iteration > p.samples[n-1].iter {
-		p.samples = append(p.samples, progressSample{iter: u.Iteration, elapsed: u.Elapsed})
-	}
-	for len(p.samples) > 1 && u.Elapsed-p.samples[0].elapsed > etaWindow {
-		p.samples = p.samples[1:]
-	}
-	now := time.Now()
-	if !p.last.IsZero() && now.Sub(p.last) < p.every {
-		return
-	}
-	p.last = now
-	p.print()
-}
-
-// Done prints the final state (if any update was never printed) and
-// terminates the status line. Call it once after the run.
-func (p *ProgressPrinter) Done() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.dirty {
-		p.print()
-	}
-	if p.wrote {
-		fmt.Fprintln(p.w)
-	}
-}
-
-// print renders the latest update. Caller holds p.mu.
-func (p *ProgressPrinter) print() {
-	u := p.latest
-	line := fmt.Sprintf("iter %d/%d  |H|=%d |Q|=%d  answer %d/%d  candidates %d  %s",
-		u.Iteration, u.MaxIters, u.HighSize, u.QSize, u.AnswerSize, u.K,
-		u.Candidates, p.etaString(u))
-	// \r + padding redraws in place on a terminal; each line still ends up
-	// on its own row in a captured log.
-	fmt.Fprintf(p.w, "\r%-78s", line)
-	p.dirty = false
-	p.wrote = true
-}
-
-// rate returns iterations/sec over the sliding window, or the whole-run
-// average when the window has no spread yet (first updates, or updates
-// faster than the elapsed clock's resolution). Zero means "no estimate".
-// Caller holds p.mu.
-func (p *ProgressPrinter) rate(u core.Progress) float64 {
-	if n := len(p.samples); n > 1 {
-		dIter := p.samples[n-1].iter - p.samples[0].iter
-		dT := (p.samples[n-1].elapsed - p.samples[0].elapsed).Seconds()
-		if dIter > 0 && dT > 0 {
-			return float64(dIter) / dT
-		}
-	}
-	if u.Iteration > 0 && u.Elapsed > 0 {
-		return float64(u.Iteration) / u.Elapsed.Seconds()
-	}
-	return 0
-}
-
-// etaString bounds the time remaining from the sliding-window rate. The
-// miner usually terminates well before MaxIters, so the extrapolation is
-// reported as an upper bound rather than an estimate. Caller holds p.mu.
-func (p *ProgressPrinter) etaString(u core.Progress) string {
-	if u.Iteration <= 0 || u.Elapsed <= 0 {
-		return ""
-	}
-	rate := p.rate(u)
-	if u.Iteration >= u.MaxIters || rate <= 0 {
-		return fmt.Sprintf("elapsed %s", u.Elapsed.Round(100*time.Millisecond))
-	}
-	eta := time.Duration(float64(u.MaxIters-u.Iteration) / rate * float64(time.Second))
-	return fmt.Sprintf("elapsed %s, %.1f it/s, ETA ≤ %s",
-		u.Elapsed.Round(100*time.Millisecond), rate, eta.Round(100*time.Millisecond))
 }

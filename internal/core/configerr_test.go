@@ -70,6 +70,7 @@ func TestMinerConfigTypedErrors(t *testing.T) {
 	}{
 		{"zero k", MinerConfig{}, "K"},
 		{"negative k", MinerConfig{K: -3}, "K"},
+		{"negative minlen", MinerConfig{K: 1, MinLen: -2}, "MinLen"},
 		{"negative maxlen", MinerConfig{K: 1, MaxLen: -1}, "MaxLen"},
 		{"negative maxiters", MinerConfig{K: 1, MaxIters: -1}, "MaxIters"},
 		{"minlen over maxlen", MinerConfig{K: 1, MinLen: 9, MaxLen: 4}, "MinLen"},

@@ -116,12 +116,12 @@ func TestMineCancelMidRun(t *testing.T) {
 }
 
 // TestMineMaxWallTime: a wall budget is a context deadline with a cause,
-// as trajmine's -maxwall sets it. A budget already spent stops the run
-// before seeding, and the cause is the reported reason.
+// as trajmine's -maxwall sets it through WithWallBudget. A budget already
+// spent stops the run before seeding, and the cause is the reported
+// reason.
 func TestMineMaxWallTime(t *testing.T) {
 	s := testScorer(t, randomDataset(7, 8, 20, 0.1), 5)
-	ctx, cancel := context.WithTimeoutCause(context.Background(), time.Nanosecond,
-		errors.New("max wall time 1ns elapsed"))
+	ctx, cancel := WithWallBudget(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
 	res, err := Mine(ctx, s, MinerConfig{K: 5, MaxLen: 6})

@@ -19,7 +19,7 @@ type MinerConfig struct {
 	K int
 	// MinLen, when > 1, activates the Section 5 variant that returns the
 	// top-k patterns of length at least MinLen. Zero or one means no
-	// constraint.
+	// constraint; a negative value is refused.
 	//
 	// Deviation from the paper, documented in DESIGN.md: §5 re-defines
 	// the high threshold ω as the kth best NM among patterns of length
@@ -74,8 +74,8 @@ type MinerConfig struct {
 	Tracer *trace.Tracer
 	// OnProgress, when non-nil, is invoked once per grow iteration with
 	// the miner's live state, after candidate generation and pruning. It
-	// runs on the mining goroutine — keep it fast (the CLIs install a
-	// throttled printer).
+	// runs on the mining goroutine — keep it fast (the commands' -progress
+	// prints one line per call).
 	OnProgress func(Progress)
 	// CheckpointPath, when non-empty, makes the miner persist a
 	// crash-safe snapshot of its state (see Checkpoint) after every
@@ -158,6 +158,9 @@ func (c MinerConfig) withDefaults() MinerConfig {
 func (c MinerConfig) Validate() error {
 	if c.K <= 0 {
 		return cfgErr("MinerConfig", "K", "must be > 0, got %d", c.K)
+	}
+	if c.MinLen < 0 {
+		return cfgErr("MinerConfig", "MinLen", "must be >= 0, got %d", c.MinLen)
 	}
 	if c.MaxLen < 0 {
 		return cfgErr("MinerConfig", "MaxLen", "must be >= 0, got %d", c.MaxLen)
@@ -279,6 +282,17 @@ func newMinerMetrics(r *obs.Registry) minerMetrics {
 		total:         r.Timer("miner.time.total"),
 		iteration:     r.Timer("miner.time.iteration"),
 	}
+}
+
+// WithWallBudget bounds ctx by the wall-clock budget d, whose expiry Mine
+// reports as "max wall time <d> elapsed"; d <= 0 leaves ctx unbounded.
+// The context is a run's only wall-clock bound, so this is how trajmine's
+// -maxwall and trajserve's deadlines reach the miner.
+func WithWallBudget(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	if d <= 0 {
+		return ctx, func() {}
+	}
+	return context.WithTimeoutCause(ctx, d, fmt.Errorf("max wall time %v elapsed", d))
 }
 
 // Mine runs the TrajPattern algorithm: seed Q with singular patterns,

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
+	"trajpattern/internal/datagen"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/obs"
 	"trajpattern/internal/traj"
@@ -140,6 +142,49 @@ func TestScorerMetricsCacheAccounting(t *testing.T) {
 	}
 	if got := int64(s.CacheSize()); got != snap.Counter("scorer.cells.built") {
 		t.Errorf("cache size %d != cells built %d", got, snap.Counter("scorer.cells.built"))
+	}
+}
+
+// TestCountersIndependentOfWorkers mines one zebra instance at 1, 2, 3
+// and 8 workers. Every counter is a property of the instance, not of the
+// worker count, which is what lets trajbench's -check gate compare all of
+// them.
+func TestCountersIndependentOfWorkers(t *testing.T) {
+	ds, err := datagen.ZebraDataset(datagen.ZebraConfig{NumZebras: 40, AvgLen: 40, NumGroups: 4, Seed: 3}, 0.02, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ds.FitGrid(12)
+	var want map[string]int64
+	for _, workers := range []int{1, 2, 3, 8} {
+		reg := obs.New()
+		s, err := NewScorer(ds, Config{Grid: g, Delta: g.CellWidth(), Workers: workers, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Mine(context.Background(), s, MinerConfig{K: 10, MaxLen: 8, Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+		got := reg.Snapshot().Counters
+		if want == nil {
+			want = got
+			continue
+		}
+		names := make([]string, 0, len(got)+len(want))
+		for name := range got {
+			names = append(names, name)
+		}
+		for name := range want {
+			if _, ok := got[name]; !ok {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if got[name] != want[name] {
+				t.Errorf("workers %d: %s = %d, %d at 1 worker", workers, name, got[name], want[name])
+			}
+		}
 	}
 }
 

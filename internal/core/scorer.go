@@ -65,9 +65,8 @@ type Config struct {
 	// and ScoreAll's NM evaluation. Zero means GOMAXPROCS.
 	Workers int
 	// Metrics, when non-nil, receives scorer instrumentation (NM
-	// evaluation, cache, scratch-pool and batch accounting under
-	// "scorer.*" names). Nil disables collection at the cost of one
-	// nil check per event.
+	// evaluation, cache and batch accounting under "scorer.*" names).
+	// Nil disables collection at the cost of one nil check per event.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records one "scorer.batch" span per ScoreAll
 	// call (patterns and cells per batch) and one "scorer.prepare" span per
@@ -140,30 +139,26 @@ type Scorer struct {
 // are nil when Config.Metrics is nil; obs handles treat nil receivers as
 // no-ops, so call sites need no guards.
 type scorerMetrics struct {
-	nmEvals      *obs.Counter // NM evaluations (the §4.4 dominant cost)
-	cellsBuilt   *obs.Counter // per-cell log-prob vectors materialized
-	cacheHits    *obs.Counter // vector lookups served from the cache
-	scratchHits  *obs.Counter // walks reusing a pooled prefix-sum stack
-	scratchGrows *obs.Counter // walks that had to grow the prefix-sum stack
-	batches      *obs.Counter // ScoreAll calls
-	batchPats    *obs.Counter // patterns scored across all batches
-	batchMax     *obs.Gauge   // largest single batch
-	batchTime    *obs.Timer   // wall time inside ScoreAll
-	prepTime     *obs.Timer   // wall time inside Prepare's lookup and build
+	nmEvals    *obs.Counter // NM evaluations (the §4.4 dominant cost)
+	cellsBuilt *obs.Counter // per-cell log-prob vectors materialized
+	cacheHits  *obs.Counter // vector lookups served from the cache
+	batches    *obs.Counter // ScoreAll calls
+	batchPats  *obs.Counter // patterns scored across all batches
+	batchMax   *obs.Gauge   // largest single batch
+	batchTime  *obs.Timer   // wall time inside ScoreAll
+	prepTime   *obs.Timer   // wall time inside Prepare's lookup and build
 }
 
 func newScorerMetrics(r *obs.Registry) scorerMetrics {
 	return scorerMetrics{
-		nmEvals:      r.Counter("scorer.nm.evals"),
-		cellsBuilt:   r.Counter("scorer.cells.built"),
-		cacheHits:    r.Counter("scorer.cache.hits"),
-		scratchHits:  r.Counter("scorer.scratch.hits"),
-		scratchGrows: r.Counter("scorer.scratch.grows"),
-		batches:      r.Counter("scorer.batches"),
-		batchPats:    r.Counter("scorer.batch.patterns"),
-		batchMax:     r.Gauge("scorer.batch.max"),
-		batchTime:    r.Timer("scorer.time.batch"),
-		prepTime:     r.Timer("scorer.time.prepare"),
+		nmEvals:    r.Counter("scorer.nm.evals"),
+		cellsBuilt: r.Counter("scorer.cells.built"),
+		cacheHits:  r.Counter("scorer.cache.hits"),
+		batches:    r.Counter("scorer.batches"),
+		batchPats:  r.Counter("scorer.batch.patterns"),
+		batchMax:   r.Gauge("scorer.batch.max"),
+		batchTime:  r.Timer("scorer.time.batch"),
+		prepTime:   r.Timer("scorer.time.prepare"),
 	}
 }
 

@@ -175,9 +175,6 @@ func (w *walk) ready() {
 	w.keep = max(1, min(w.deep, walkDepth))
 	if n := max(0, min(w.keep, w.long-2, w.s.maxLen-2)) * w.s.maxLen; cap(w.sums) < n {
 		w.sums = make([]float64, n)
-		w.s.m.scratchGrows.Inc()
-	} else {
-		w.s.m.scratchHits.Inc()
 	}
 	if cap(w.logM) < len(w.ends) {
 		w.logM = make([]float64, len(w.ends))

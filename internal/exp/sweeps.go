@@ -28,7 +28,7 @@ type SweepOptions struct {
 	Tracer *trace.Tracer
 
 	// Progress, when non-nil, receives each TrajPattern run's per-iteration
-	// state (a ProgressPrinter under -progress).
+	// state (cli.ProgressLine under -progress).
 	Progress func(core.Progress)
 
 	// Base workload (each sweep varies one dimension around these).

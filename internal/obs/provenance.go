@@ -2,8 +2,12 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
+
+	"trajpattern/internal/faultio"
 )
 
 // Provenance identifies the build and host that produced a metrics
@@ -47,8 +51,8 @@ func CollectProvenance() Provenance {
 }
 
 // Report is the stamped JSON form of a snapshot: the metrics plus the
-// provenance of the run that produced them. The CLIs emit this shape
-// (trajmine -metricsout, the debug server's /metrics?format=json).
+// provenance of the run that produced them. The commands emit this shape
+// (-metricsout, trajserve's /metrics?format=json).
 type Report struct {
 	Provenance Provenance `json:"provenance"`
 	Metrics    Snapshot   `json:"metrics"`
@@ -61,3 +65,19 @@ func NewReport(s Snapshot) Report {
 
 // JSON returns the report serialized as indented JSON.
 func (r Report) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
+
+// WriteFile writes the report as JSON to path, atomically (temp file +
+// fsync + rename).
+func (r Report) WriteFile(path string) error {
+	data, err := r.JSON()
+	if err != nil {
+		return fmt.Errorf("obs: marshal metrics report: %w", err)
+	}
+	if err := faultio.WriteFileAtomic(nil, path, func(w io.Writer) error {
+		_, werr := w.Write(append(data, '\n'))
+		return werr
+	}); err != nil {
+		return fmt.Errorf("obs: write metrics report: %w", err)
+	}
+	return nil
+}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
 	"trajpattern/internal/obs"
 	"trajpattern/internal/obs/slogx"
@@ -43,8 +42,6 @@ type Options struct {
 	// are cancelled and connections closed. Zero means DefaultGrace.
 	Grace time.Duration
 
-	// DebugAddr, when non-empty, serves pprof//metrics//trace/status.
-	DebugAddr string
 	// TracePath, when non-empty, enables request tracing and writes the
 	// journal there at exit.
 	TracePath string
@@ -101,17 +98,6 @@ func Run(ctx context.Context, o Options, ready func(addr string)) error {
 		}
 		srv.SetPatterns(pats)
 		logger.Info("patterns preloaded", slog.Int("patterns", len(pats)), slog.String("path", o.PatternsPath))
-	}
-
-	if o.DebugAddr != "" {
-		holder := &cli.MetricsHolder{}
-		holder.Set(cfg.Metrics)
-		url, stopDebug, err := cli.StartDebugServer(o.DebugAddr, holder, cfg.Tracer, logger)
-		if err != nil {
-			return err
-		}
-		defer stopDebug() //nolint:errcheck // best-effort teardown
-		logger.Info("debug server up", slog.String("url", url))
 	}
 
 	ln, err := net.Listen("tcp", o.Addr)
@@ -198,13 +184,11 @@ func Run(ctx context.Context, o Options, ready func(addr string)) error {
 
 	// Flush observability state so an interrupted run still leaves its
 	// records behind (mirrors the CLIs' behaviour on SIGINT).
-	if o.TracePath != "" && cfg.Tracer != nil {
-		if err := cli.SaveTrace(o.TracePath, cfg.Tracer); err != nil {
-			logger.Info("save trace failed", slogx.Err(err))
-		}
+	if err := cfg.Tracer.Save(o.TracePath); err != nil {
+		logger.Info("save trace failed", slogx.Err(err))
 	}
 	if o.MetricsOut != "" {
-		if err := cli.WriteMetricsReport(o.MetricsOut, cfg.Metrics.Snapshot()); err != nil {
+		if err := obs.NewReport(cfg.Metrics.Snapshot()).WriteFile(o.MetricsOut); err != nil {
 			logger.Info("write metrics failed", slogx.Err(err))
 		}
 	}

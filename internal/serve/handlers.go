@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
 	"trajpattern/internal/geom"
 	"trajpattern/internal/obs"
@@ -100,7 +99,7 @@ type MineRequest struct {
 	MaxLen int `json:"max_len,omitempty"`
 	// MaxWallMS bounds the run's wall time in milliseconds, inside the
 	// route's Deadline, which bounds it anyway. Zero means the Deadline
-	// alone.
+	// alone; a negative value is refused.
 	MaxWallMS int64 `json:"max_wall_ms,omitempty"`
 }
 
@@ -124,6 +123,11 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	var req MineRequest
 	if err := readJSON(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
+	if req.MaxWallMS < 0 {
+		s.writeError(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("max_wall_ms must be >= 0 (0 = the route deadline only), got %d", req.MaxWallMS))
 		return
 	}
 	mcfg := core.MinerConfig{
@@ -178,7 +182,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 			"the ingest re-mining loop has not completed a generation yet")
 		return
 	}
-	ctx, cancel := cli.WithWallBudget(r.Context(), time.Duration(req.MaxWallMS)*time.Millisecond)
+	ctx, cancel := core.WithWallBudget(r.Context(), time.Duration(req.MaxWallMS)*time.Millisecond)
 	defer cancel()
 	res, err := core.Mine(ctx, s.scorer, mcfg)
 	if err != nil {

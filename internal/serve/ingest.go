@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 
-	"trajpattern/internal/cli"
 	"trajpattern/internal/core"
 	"trajpattern/internal/geom"
 	"trajpattern/internal/ingest"
@@ -253,7 +252,7 @@ func (s *Server) remineOnce(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("build scorer over ingest windows: %w", err)
 	}
-	ctx, cancel := cli.WithWallBudget(ctx, s.cfg.Deadline)
+	ctx, cancel := core.WithWallBudget(ctx, s.cfg.Deadline)
 	defer cancel()
 	res, err := core.Mine(ctx, scorer, core.MinerConfig{
 		K:       DefaultIngestMineK,

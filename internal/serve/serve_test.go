@@ -182,15 +182,25 @@ func TestMineEndpointAndPredict(t *testing.T) {
 func TestMineRejectsBadConfig(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	// A min_len above the default max_len (24) is as bad as one above an
-	// explicit max_len.
-	for _, req := range []MineRequest{{K: -1}, {K: 5, MinLen: core.DefaultMaxLen + 1}} {
-		resp := postJSON(t, ts.URL+"/v1/mine", req)
+	// explicit max_len. A negative min_len or max_wall_ms is refused, not
+	// read as 1 or as no budget.
+	for _, tc := range []struct {
+		req  MineRequest
+		code string
+	}{
+		{MineRequest{K: -1}, "bad_config"},
+		{MineRequest{K: 5, MinLen: core.DefaultMaxLen + 1}, "bad_config"},
+		{MineRequest{K: 3, MinLen: -2}, "bad_config"},
+		{MineRequest{K: 3, MaxWallMS: -5}, "bad_request"},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/mine", tc.req)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%+v: status = %d, want 400", req, resp.StatusCode)
+			t.Errorf("%+v: status = %d, want 400", tc.req, resp.StatusCode)
+			continue
 		}
 		eb := decode[errorBody](t, resp)
-		if eb.Error.Code != "bad_config" {
-			t.Errorf("%+v: code = %q, want bad_config", req, eb.Error.Code)
+		if eb.Error.Code != tc.code {
+			t.Errorf("%+v: code = %q, want %s", tc.req, eb.Error.Code, tc.code)
 		}
 	}
 }
@@ -385,9 +395,10 @@ func TestMetricsRecorded(t *testing.T) {
 }
 
 // TestMineRoutesSearchAlike pins that every mining route searches an
-// instance the same way: the CLI, /v1/mine and a bare core.Mine given only
-// K and MaxLen resolve the miner's defaults in one place, so they return
-// the same top-k, the same NM bits and the same amount of work.
+// instance the same way: the CLI at trajmine's -minlen 1, and /v1/mine
+// and a bare core.Mine given only K and MaxLen, resolve the miner's
+// defaults in one place, so they return the same top-k, the same NM bits
+// and the same amount of work.
 func TestMineRoutesSearchAlike(t *testing.T) {
 	const gridN, k, maxLen = 8, 6, 4
 	ds, err := datagen.ZebraDataset(datagen.ZebraConfig{NumZebras: 24, AvgLen: 16, Seed: 3}, 0.01, 1)
@@ -409,7 +420,7 @@ func TestMineRoutesSearchAlike(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pats.json")
 	var out bytes.Buffer
 	if _, err := cli.Mine(ctx, &out, ds, cli.MineOptions{
-		K: k, GridN: gridN, MaxLen: maxLen, DeltaMul: 1, Measure: "nm", SavePath: path,
+		K: k, GridN: gridN, MinLen: 1, MaxLen: maxLen, DeltaMul: 1, Measure: "nm", SavePath: path,
 	}); err != nil {
 		t.Fatal(err)
 	}

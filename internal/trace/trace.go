@@ -73,7 +73,6 @@ type Event struct {
 type Tracer struct {
 	epoch time.Time
 	seq   atomic.Int64
-	open  atomic.Int64 // spans started but not yet ended
 
 	mu      sync.Mutex
 	locals  []*Local
@@ -152,7 +151,6 @@ func (l *Local) Span(name string, attrs Attrs) *Span {
 	if l == nil {
 		return nil
 	}
-	l.tr.open.Add(1)
 	return &Span{l: l, name: name, seq: l.tr.seq.Add(1), start: time.Now(), attrs: attrs}
 }
 
@@ -185,7 +183,6 @@ func (s *Span) End() {
 		Dur:   int64(now.Sub(s.start) / time.Microsecond),
 		Attrs: s.attrs,
 	})
-	s.l.tr.open.Add(-1)
 }
 
 // Events returns a copy of every buffered record, ordered by sequence
@@ -225,32 +222,6 @@ func (t *Tracer) Len() int {
 	return n
 }
 
-// Status is a live summary of a tracer, served by the CLI debug endpoint
-// (/trace/status) for in-flight runs.
-type Status struct {
-	Enabled   bool           `json:"enabled"`
-	Events    int            `json:"events"`     // records buffered so far
-	OpenSpans int64          `json:"open_spans"` // spans started but not ended
-	ByName    map[string]int `json:"by_name,omitempty"`
-}
-
-// Status summarizes the tracer's buffered records. A nil tracer reports
-// Enabled false.
-func (t *Tracer) Status() Status {
-	if t == nil {
-		return Status{}
-	}
-	s := Status{Enabled: true, OpenSpans: t.open.Load(), ByName: map[string]int{}}
-	for _, e := range t.Events() {
-		s.Events++
-		s.ByName[e.Name]++
-	}
-	if len(s.ByName) == 0 {
-		s.ByName = nil
-	}
-	return s
-}
-
 // Journal writes every buffered record as one JSON object per line, in
 // sequence order. No-op on a nil tracer.
 func (t *Tracer) Journal(w io.Writer) error {
@@ -277,4 +248,17 @@ func (t *Tracer) JournalFile(path string) error {
 		return nil
 	}
 	return faultio.WriteFileAtomic(nil, path, t.Journal)
+}
+
+// Save writes the records in both formats side by side: the JSONL journal
+// at path and the Chrome trace-event JSON (Perfetto, chrome://tracing) at
+// path + ".json". No-op on a nil tracer or an empty path.
+func (t *Tracer) Save(path string) error {
+	if t == nil || path == "" {
+		return nil
+	}
+	if err := t.JournalFile(path); err != nil {
+		return err
+	}
+	return t.WriteChromeTraceFile(path + ".json")
 }

@@ -185,8 +185,8 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.New() }
 // to record structured spans (miner iterations, scorer batches) and typed
 // events (candidates admitted, pruned, readmitted); a nil tracer keeps the
 // hot paths at a single pointer check. Export the records as a JSONL
-// journal (Tracer.Journal) or a Chrome trace-event file loadable in
-// Perfetto (Tracer.WriteChromeTrace).
+// journal (Tracer.Journal), a Chrome trace-event file loadable in
+// Perfetto (Tracer.WriteChromeTrace), or both files at once (Tracer.Save).
 type (
 	// Tracer buffers structured spans and events of a mining run.
 	Tracer = trace.Tracer
@@ -194,8 +194,6 @@ type (
 	TraceEvent = trace.Event
 	// TraceAttrs carries the key/value payload of a span or event.
 	TraceAttrs = trace.Attrs
-	// TraceStatus summarizes a tracer's buffered records.
-	TraceStatus = trace.Status
 )
 
 // NewTracer returns an empty tracer.
