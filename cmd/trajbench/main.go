@@ -50,7 +50,7 @@ func main() {
 		checkPath  = flag.String("check", "", "baseline bench.json to compare against; exit non-zero on regression")
 		tol        = flag.Float64("tol", cli.DefaultBenchTolerance, "allowed drift percentage for -check (0 = exact)")
 		trcPath    = flag.String("trace", "", "write a span/event journal (JSONL) here and a Chrome trace to <file>.json")
-		prog       = flag.Bool("progress", false, "print one line per grow iteration of the sweep experiments to stderr")
+		prog       = flag.Bool("progress", false, "print one line per miner iteration of the sweep experiments to stderr")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
 

@@ -42,7 +42,7 @@ func main() {
 		metrics = flag.Bool("metrics", false, "collect and print miner/scorer metrics")
 		metOut  = flag.String("metricsout", "", "write the provenance-stamped metrics report (JSON) to this file")
 		trcPath = flag.String("trace", "", "write a span/event journal (JSONL) here and a Chrome trace to <file>.json")
-		prog    = flag.Bool("progress", false, "print one line per grow iteration to stderr (nm only)")
+		prog    = flag.Bool("progress", false, "print one line per miner iteration to stderr (nm only)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file")
 		maxIter = flag.Int("maxiters", 0, "bound the miner's grow iterations (0 = default; nm only)")

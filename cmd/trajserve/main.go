@@ -43,12 +43,12 @@ func main() {
 		patterns = flag.String("patterns", "", "preload mined patterns (JSON) so /v1/predict works immediately")
 		gridN    = flag.Int("gridn", 12, "grid side (G = gridn²)")
 		deltaMul = flag.Float64("delta", 1, "indifferent threshold δ as a multiple of the cell size")
-		capacity = flag.Int64("capacity", serve.DefaultCapacity, "admission capacity in weight units (score and predict cost 1, mine 4, clamped to -capacity)")
-		queue    = flag.Int("queue", serve.DefaultMaxQueue, "admission wait-queue bound; beyond it requests are shed with 429")
-		deadline = flag.Duration("deadline", serve.DefaultDeadline, "per-request deadline (queue wait included); also bounds each /v1/mine run and re-mine generation")
+		capacity = flag.Int64("capacity", serve.DefaultCapacity, "admission capacity in weight units (score and predict cost 1, mine 4, clamped to -capacity); negative = unlimited, 0 is refused")
+		queue    = flag.Int("queue", serve.DefaultMaxQueue, "admission wait-queue bound; beyond it requests are shed with 429; negative = unbounded, 0 is refused")
+		deadline = flag.Duration("deadline", serve.DefaultDeadline, "per-request deadline (queue wait included); also bounds each /v1/mine run and re-mine generation; negative = none, 0 is refused")
 		ingWAL   = flag.String("ingest-wal", "", "enable durable streaming ingest (POST /v1/ingest) with the write-ahead log in this directory")
 		ingWin   = flag.Int("ingest-window", 0, "per-object sliding-window record cap for ingest (0 = default)")
-		grace    = flag.Duration("grace", serve.DefaultGrace, "drain grace for in-flight requests on SIGTERM")
+		grace    = flag.Duration("grace", serve.DefaultGrace, "drain grace for in-flight requests on SIGTERM (must be > 0)")
 		trcPath  = flag.String("trace", "", "record request/miner spans and write the journal here at exit")
 		metOut   = flag.String("metricsout", "", "write the provenance-stamped metrics report (JSON) here at exit")
 		logFlags cli.LogFlags
@@ -60,7 +60,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := cli.CheckServeFlags(*gridN, *deltaMul, *ingWin); err != nil {
+	if err := cli.CheckServeFlags(*gridN, *deltaMul, *ingWin, *capacity, *queue, *deadline, *grace); err != nil {
 		fmt.Fprintf(os.Stderr, "trajserve: %v\n", err)
 		os.Exit(2)
 	}

@@ -143,20 +143,27 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 		return ub >= omega-1e-12
 	}
 
-	// Depth-first expansion in deterministic seed order. Seeds are scored
-	// from scratch; an expanded prefix's one-cell children are scored in
-	// one walk, so they share the prefix's window sums.
+	// Depth-first expansion in deterministic seed order. grow scores every
+	// one-cell child of prefix (the seeds themselves for the empty prefix)
+	// in one Extensions scan, which sums the prefix's windows once and runs
+	// score on its workers. Admission and the stack stay on this goroutine,
+	// in reverse seed order, so the first seed's child pops first.
 	var stack []frame
-	for idx := len(seeds) - 1; idx >= 0; idx-- {
-		p := core.Pattern{seeds[idx]}
-		f := score(p, s.LogMatches(p))
-		stats.NMEvaluations++
-		admit(f)
-		stack = append(stack, f)
+	children := make([]frame, len(seeds))
+	grow := func(prefix core.Pattern) {
+		for idx, c := range seeds {
+			children[idx].pat = prefix.Concat(core.Pattern{c})
+		}
+		s.Extensions(prefix, seeds, func(k int, logM []float64) {
+			children[k] = score(children[k].pat, logM)
+		})
+		for idx := len(seeds) - 1; idx >= 0; idx-- {
+			stats.NMEvaluations++
+			admit(children[idx])
+			stack = append(stack, children[idx])
+		}
 	}
-	nt := s.NumTrajectories()
-	children := make([]core.Pattern, len(seeds))
-	var logM []float64
+	grow(nil)
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -165,17 +172,7 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 			continue
 		}
 		stats.PrefixesExpanded++
-		for idx, c := range seeds {
-			children[idx] = f.pat.Concat(core.Pattern{c})
-		}
-		logM = s.LogMatchesAll(children, logM)
-		for idx := len(seeds) - 1; idx >= 0; idx-- {
-			pat := children[idx]
-			child := score(pat, logM[idx*nt:][:nt])
-			stats.NMEvaluations++
-			admit(child)
-			stack = append(stack, child)
-		}
+		grow(f.pat)
 	}
 
 	return &PBResult{Patterns: top.items, Stats: stats}, nil

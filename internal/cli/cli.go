@@ -151,15 +151,26 @@ func checkGrid(gridN int, deltaMul float64) error {
 	return nil
 }
 
-// CheckServeFlags refuses the -gridn, -delta and -ingest-window values of
-// trajserve that serve.Config would read as "unset" or clamp to its
-// default: a zero grid side or δ, and a negative window.
-func CheckServeFlags(gridN int, deltaMul float64, ingestWindow int) error {
+// CheckServeFlags refuses the trajserve values that serve.Config or
+// serve.Run would read as "unset" or clamp to a default: a zero grid side,
+// δ, -capacity, -queue or -deadline, a -grace that is not positive, and a
+// negative -ingest-window. A negative -capacity, -queue or -deadline keeps
+// serve.Config's meaning: unlimited, unbounded, no deadline.
+func CheckServeFlags(gridN int, deltaMul float64, ingestWindow int, capacity int64, queue int, deadline, grace time.Duration) error {
 	if err := checkGrid(gridN, deltaMul); err != nil {
 		return err
 	}
-	if ingestWindow < 0 {
+	switch {
+	case ingestWindow < 0:
 		return flagErrorf("ingest-window", "per-object record cap must be >= 0 (0 = the default), got %d", ingestWindow)
+	case capacity == 0:
+		return flagErrorf("capacity", "admission capacity must not be 0 (negative = unlimited)")
+	case queue == 0:
+		return flagErrorf("queue", "wait-queue bound must not be 0 (negative = unbounded)")
+	case deadline == 0:
+		return flagErrorf("deadline", "request deadline must not be 0 (negative = none)")
+	case grace <= 0:
+		return flagErrorf("grace", "drain grace must be > 0, got %v", grace)
 	}
 	return nil
 }

@@ -67,23 +67,38 @@ func TestFlagValuesRefused(t *testing.T) {
 			t.Errorf("Generate(%+v): err = %v (exit %d), want a %s refusal, exit 2", o, err, ExitCode(err), flag)
 		}
 	}
+	const capacity, queue, deadline, grace = int64(8), 16, 30 * time.Second, 10 * time.Second
 	for _, tc := range []struct {
 		flag     string
 		gridN    int
 		deltaMul float64
 		window   int
+		capacity int64
+		queue    int
+		deadline time.Duration
+		grace    time.Duration
 	}{
-		{"-gridn", 0, 1, 0},
-		{"-delta", 12, 0, 0},
-		{"-ingest-window", 12, 1, -5},
+		{"-gridn", 0, 1, 0, capacity, queue, deadline, grace},
+		{"-delta", 12, 0, 0, capacity, queue, deadline, grace},
+		{"-ingest-window", 12, 1, -5, capacity, queue, deadline, grace},
+		{"-capacity", 12, 1, 0, 0, queue, deadline, grace},
+		{"-queue", 12, 1, 0, capacity, 0, deadline, grace},
+		{"-deadline", 12, 1, 0, capacity, queue, 0, grace},
+		{"-grace", 12, 1, 0, capacity, queue, deadline, 0},
+		{"-grace", 12, 1, 0, capacity, queue, deadline, -time.Second},
 	} {
-		err := CheckServeFlags(tc.gridN, tc.deltaMul, tc.window)
+		err := CheckServeFlags(tc.gridN, tc.deltaMul, tc.window, tc.capacity, tc.queue, tc.deadline, tc.grace)
 		if err == nil || !strings.Contains(err.Error(), tc.flag+": ") || ExitCode(err) != 2 {
-			t.Errorf("CheckServeFlags(%d, %v, %d): err = %v, want a %s refusal, exit 2", tc.gridN, tc.deltaMul, tc.window, err, tc.flag)
+			t.Errorf("CheckServeFlags(%+v): err = %v, want a %s refusal, exit 2", tc, err, tc.flag)
 		}
 	}
-	if err := CheckServeFlags(12, 1, 0); err != nil {
+	if err := CheckServeFlags(12, 1, 0, capacity, queue, deadline, grace); err != nil {
 		t.Errorf("trajserve's defaults refused: %v", err)
+	}
+	// A negative -capacity, -queue or -deadline means unlimited,
+	// unbounded and no deadline.
+	if err := CheckServeFlags(12, 1, 0, -1, -1, -time.Second, grace); err != nil {
+		t.Errorf("trajserve's negative -capacity, -queue and -deadline refused: %v", err)
 	}
 	var buf bytes.Buffer
 	if _, err := RunBench(context.Background(), &buf, BenchOptions{Experiments: []string{"nope"}, Scale: 0.15}); err == nil || !strings.Contains(err.Error(), "-exp: ") || ExitCode(err) != 2 {

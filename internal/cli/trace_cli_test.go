@@ -162,7 +162,7 @@ func TestSaveTrace(t *testing.T) {
 }
 
 // TestProgressPrinter: -progress writes exactly one line per callback
-// call, that is per completed grow iteration, with no extrapolation.
+// call, that is per counted iteration, with no extrapolation.
 func TestProgressPrinter(t *testing.T) {
 	var buf bytes.Buffer
 	progress := ProgressLine(&buf)

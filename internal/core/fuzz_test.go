@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"trajpattern/internal/geom"
 	"trajpattern/internal/grid"
+	"trajpattern/internal/stat"
 	"trajpattern/internal/traj"
 )
 
@@ -157,6 +159,86 @@ func FuzzScoreAllMatchesNM(f *testing.F) {
 		for i, p := range batch {
 			if want := ref.NM(p); math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("pattern %d %v: ScoreAll %v, NM %v", i, p, got[i], want)
+			}
+		}
+	})
+}
+
+// FuzzExtensions checks that Extensions hands every child prefix·c, once,
+// the bits LogMatches gives it. The dataset is drawn from seed: one to four
+// trajectories of 0 to 9 positions and an empty one, on a 3×3 grid. raw
+// encodes the call: the bytes before the first 0xff are the prefix's cells
+// (mod 9, at most 12, so a prefix can be longer than every trajectory) and
+// the bytes after it the cells to extend it with, repeats kept. Each input
+// gets a fresh scorer, so the cells are built inside the call; when bit 2
+// of opts is set the prefix's are built first. 1 to 4 workers scan.
+func FuzzExtensions(f *testing.F) {
+	f.Add([]byte{0xff, 0, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(1), uint8(0))
+	f.Add([]byte{4, 0xff, 4, 3, 4, 5}, uint8(2), uint8(1))
+	f.Add([]byte{1, 2, 0xff, 0, 1, 2, 2, 3}, uint8(3), uint8(6))
+	f.Add([]byte{1, 2, 3, 0xff, 8, 7, 6, 5, 4}, uint8(4), uint8(3))
+	f.Add([]byte{5, 1, 7, 1, 0xff, 1, 7}, uint8(9), uint8(2))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 0xff, 2, 2, 2}, uint8(5), uint8(1))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 2, 0xff, 1, 5}, uint8(6), uint8(7))
+	f.Add([]byte{3, 3, 3, 3, 0xff}, uint8(7), uint8(3))
+	g := grid.NewSquare(3)
+	f.Fuzz(func(t *testing.T, raw []byte, seed, opts uint8) {
+		var prefix Pattern
+		var cells []int
+		at := bytes.IndexByte(raw, 0xff)
+		if at < 0 {
+			at = len(raw)
+		}
+		for _, b := range raw[:min(at, 12)] {
+			prefix = append(prefix, int(b)%g.NumCells())
+		}
+		for _, b := range raw[min(at+1, len(raw)):] {
+			cells = append(cells, int(b)%g.NumCells())
+		}
+		rng := stat.NewRNG(uint64(seed))
+		var data traj.Dataset
+		for range 1 + rng.Intn(4) {
+			tr := make(traj.Trajectory, rng.Intn(10))
+			for j := range tr {
+				tr[j] = traj.P(rng.Float64(), rng.Float64(), 0.02+0.2*rng.Float64())
+			}
+			data = append(data, tr)
+		}
+		data = slices.Insert(data, rng.Intn(len(data)+1), traj.Trajectory{})
+		ref, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), Workers: 1 + int(opts)%4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts&4 != 0 {
+			s.Prepare(prefix)
+		}
+		var mu sync.Mutex
+		got := make([][]float64, len(cells))
+		calls := make([]int, len(cells))
+		s.Extensions(prefix, cells, func(k int, logM []float64) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls[k]++
+			got[k] = slices.Clone(logM)
+		})
+		for k, c := range cells {
+			if calls[k] != 1 {
+				t.Fatalf("child %d (cell %d) handed over %d times", k, c, calls[k])
+			}
+			child := prefix.Concat(Pattern{c})
+			want := ref.LogMatches(child)
+			if len(got[k]) != len(want) {
+				t.Fatalf("child %v: %d log-matches, want %d", child, len(got[k]), len(want))
+			}
+			for ti := range want {
+				if math.Float64bits(got[k][ti]) != math.Float64bits(want[ti]) {
+					t.Fatalf("child %v, trajectory %d of %d positions: Extensions %v, LogMatches %v",
+						child, ti, len(data[ti]), got[k][ti], want[ti])
+				}
 			}
 		}
 	})

@@ -72,10 +72,12 @@ type MinerConfig struct {
 	// span/event-to-§4-phase map). Nil disables tracing at the cost of one
 	// nil check per site.
 	Tracer *trace.Tracer
-	// OnProgress, when non-nil, is invoked once per grow iteration with
-	// the miner's live state, after candidate generation and pruning. It
-	// runs on the mining goroutine — keep it fast (the commands' -progress
-	// prints one line per call).
+	// OnProgress, when non-nil, is invoked once per iteration that
+	// MinerStats.Iterations counts, with the miner's live state: after
+	// candidate generation and pruning, or, for the last pass of a run
+	// that terminates on its own, after the termination test that ends
+	// it. It runs on the mining goroutine — keep it fast (the commands'
+	// -progress prints one line per call).
 	OnProgress func(Progress)
 	// CheckpointPath, when non-empty, makes the miner persist a
 	// crash-safe snapshot of its state (see Checkpoint) after every
@@ -106,7 +108,7 @@ type MinerConfig struct {
 // Progress is the point-in-time view of a running Mine call handed to
 // MinerConfig.OnProgress.
 type Progress struct {
-	Iteration  int           // 1-based grow iteration just finished
+	Iteration  int           // 1-based iteration just finished, as MinerStats.Iterations counts
 	MaxIters   int           // the MaxIters bound (after defaults)
 	QSize      int           // |Q| after pruning
 	HighSize   int           // |H| at the last labeling
@@ -179,7 +181,10 @@ func (c MinerConfig) Validate() error {
 
 // MinerStats reports the work done by one Mine call.
 type MinerStats struct {
-	Iterations    int // grow iterations executed
+	// Iterations counts the iterations begun: each grow iteration, and
+	// the last pass of a run that terminates on its own, which runs only
+	// the termination test. OnProgress fires once for each that completes.
+	Iterations    int
 	Candidates    int // candidate patterns whose NM was evaluated
 	MaxQ          int // peak size of the pattern set Q
 	Pruned        int // low patterns removed by the 1-extension test
@@ -422,6 +427,21 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 	m.lowSize.Set(int64(len(q) - len(lab.high)))
 	m.ansSize.Set(int64(len(lab.ansKey)))
 
+	// progress reports the boundary after iteration iter+1 to OnProgress.
+	progress := func(iter int) {
+		if cfg.OnProgress != nil {
+			cfg.OnProgress(Progress{
+				Iteration:  iter + 1,
+				MaxIters:   cfg.MaxIters,
+				QSize:      len(q),
+				HighSize:   len(lab.high),
+				AnswerSize: len(lab.ansKey),
+				K:          cfg.K,
+				Candidates: stats.Candidates,
+				Elapsed:    time.Since(start), //trajlint:allow determinism -- Progress.Elapsed is UI feedback, not mined output
+			})
+		}
+	}
 	for iter := startIter; stop == ""; iter++ {
 		if iter >= cfg.MaxIters {
 			halt(fmt.Sprintf("max iterations %d reached", cfg.MaxIters), m.termMaxIter)
@@ -462,6 +482,7 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 			}
 			iterSpan.Attr("q", len(q)).Attr("high", len(lab.high)).Attr("terminated", true).End()
 			stopIter()
+			progress(iter)
 			break
 		}
 		prevHigh, prevAns = lab.highKey, lab.ansKey
@@ -627,18 +648,7 @@ func Mine(ctx context.Context, s *Scorer, cfg MinerConfig) (*Result, error) {
 				tl.Event("miner.checkpoint", trace.Attrs{"iter": iter + 1, "q": len(q)})
 			}
 		}
-		if cfg.OnProgress != nil {
-			cfg.OnProgress(Progress{
-				Iteration:  iter + 1,
-				MaxIters:   cfg.MaxIters,
-				QSize:      len(q),
-				HighSize:   len(lab.high),
-				AnswerSize: len(lab.ansKey),
-				K:          cfg.K,
-				Candidates: stats.Candidates,
-				Elapsed:    time.Since(start), //trajlint:allow determinism -- Progress.Elapsed is UI feedback, not mined output
-			})
-		}
+		progress(iter)
 	}
 	m.qFinal.Set(int64(len(q)))
 	m.retained.Add(int64(len(q)))

@@ -61,8 +61,8 @@ type Config struct {
 	// Mode selects box or disk probability. Default ProbBox.
 	Mode ProbMode
 	// Workers bounds the parallelism of every scorer pass: the cell
-	// build (Prepare, BestSingularLogProb and ScoreAll's), LogMatchesAll
-	// and ScoreAll's NM evaluation. Zero means GOMAXPROCS.
+	// build (Prepare, BestSingularLogProb and ScoreAll's), LogMatchesAll,
+	// Extensions and ScoreAll's NM evaluation. Zero means GOMAXPROCS.
 	Workers int
 	// Metrics, when non-nil, receives scorer instrumentation (NM
 	// evaluation, cache and batch accounting under "scorer.*" names).
@@ -254,8 +254,8 @@ const buildBlock = 256
 // calls start(lo, hi) for each chunk on the calling goroutine, in chunk
 // order, then runs every function start returned on a goroutine of its
 // own (the calling one when there is one chunk) and returns once all
-// have. Every scorer pass runs through it: the cell build, LogMatchesAll
-// and ScoreAll.
+// have. Every scorer pass runs through it: the cell build, LogMatchesAll,
+// Extensions and ScoreAll.
 func (s *Scorer) fanOut(n int, start func(lo, hi int) func()) {
 	workers := min(s.cfg.Workers, n)
 	runs := make([]func(), workers)
@@ -582,11 +582,10 @@ func (s *Scorer) LogMatches(p Pattern) []float64 {
 // [k·|𝒟|, (k+1)·|𝒟|), reusing dst's storage when it is large enough. It
 // splits the patterns into up to cfg.Workers contiguous chunks (fanOut)
 // and walks each chunk's patterns together (see walk), so each pays only
-// for the positions past the prefix it shares with the pattern before it:
-// PB scores a prefix's one-cell children this way. The calling goroutine
-// checks every pattern, then fetches each chunk's vectors in pattern
-// order, so a pattern's vectors are fetched once whatever the worker
-// count; the workers only scan.
+// for the positions past the prefix it shares with the pattern before it.
+// The calling goroutine checks every pattern, then fetches each chunk's
+// vectors in pattern order, so a pattern's vectors are fetched once
+// whatever the worker count; the workers only scan.
 func (s *Scorer) LogMatchesAll(patterns []Pattern, dst []float64) []float64 {
 	nt := len(s.data)
 	dst = slices.Grow(dst[:0], len(patterns)*nt)[:len(patterns)*nt]
@@ -613,6 +612,81 @@ func (s *Scorer) LogMatchesAll(patterns []Pattern, dst []float64) []float64 {
 		}
 	})
 	return dst
+}
+
+// Extensions scores every one-cell extension of prefix: for each k it
+// calls each(k, logM) with the LogMatches of prefix·cells[k], indexed by
+// trajectory. It sums prefix's windows once over every flat position,
+// adding its vectors in pattern order as the walk's levels do, so every
+// window sum, and so every log-match, has the bits LogMatches gives. It
+// then splits cells into up to cfg.Workers contiguous chunks (fanOut), and
+// a worker streams each of its cells' vectors across every trajectory with
+// one addMax (maxOf for an empty prefix). The calling goroutine fetches the
+// vectors, building the missing ones; the workers only scan. each runs on
+// the workers, concurrently for different k, and logM is valid only during
+// the call. The scratch is pooled and grows with the flat positions, never
+// with positions times prefix length. Extensions does not count as NM
+// evaluations.
+func (s *Scorer) Extensions(prefix Pattern, cells []int, each func(k int, logM []float64)) {
+	x := extPool.Get().(*extScratch)
+	defer x.release()
+	i, nt := len(prefix), len(s.data)
+	x.vecs = s.vectors(Pattern(cells), s.vectors(prefix, x.vecs[:0]))
+	pre, vecs := x.vecs[:i], x.vecs[i:]
+	// sums[p] is prefix's window sum at flat position p, for every p a
+	// child's window can start at.
+	var sums []float64
+	switch n := len(s.flat) - i; {
+	case i == 1:
+		sums = pre[0]
+	case i > 1 && n > 0:
+		sums = slices.Grow(x.sums[:0], n)[:n]
+		add(sums, pre[0], pre[1][1:])
+		for j := 2; j < i; j++ {
+			add(sums, sums, pre[j][j:])
+		}
+		x.sums = sums
+	}
+	rows := min(s.cfg.Workers, len(cells)) * nt
+	x.rows = slices.Grow(x.rows[:0], rows)[:rows]
+	free := x.rows // the rows no worker has yet
+	floor := DefaultLogFloor * float64(i+1)
+	s.fanOut(len(cells), func(lo, hi int) func() {
+		row := free[:nt]
+		free = free[nt:]
+		return func() {
+			for k, v := range vecs[lo:hi] {
+				for ti := range row {
+					start, end := s.offsets[ti], s.offsets[ti+1]
+					switch {
+					case end-start <= i:
+						row[ti] = floor
+					case i == 0:
+						row[ti] = maxOf(v[start:end])
+					default:
+						row[ti] = addMax(sums[start:end-i], v[start+i:])
+					}
+				}
+				each(lo+k, row)
+			}
+		}
+	})
+}
+
+// extScratch is one Extensions call's scratch: the prefix's and cells'
+// vectors, the prefix's window sums and one log-match row per worker.
+type extScratch struct {
+	vecs       [][]float64
+	sums, rows []float64
+}
+
+var extPool = sync.Pool{New: func() any { return new(extScratch) }}
+
+// release drops x's vectors, so the pool keeps no cell reachable, and
+// returns it to the pool.
+func (x *extScratch) release() {
+	clear(x.vecs)
+	extPool.Put(x)
 }
 
 // Match returns the match of p in the whole dataset: Σ_T M(P, T), the

@@ -334,6 +334,36 @@ func TestLongPatternScratchBounded(t *testing.T) {
 	}
 }
 
+// TestExtensionsScratchBounded extends a 20,000-position prefix over data
+// with one trajectory long enough to hold its children, so Extensions sums
+// the prefix's windows. The scan keeps one buffer of window sums and one
+// log-match row per worker, so a call allocates its vector list, 24 B a
+// position, plus a fixed allowance: a buffer per prefix level would be
+// 20,000 × 640 floats, 100 MB.
+func TestExtensionsScratchBounded(t *testing.T) {
+	const long = 20000
+	data := append(randomDataset(3, 4, 128, 0.1), randomDataset(4, 1, long+128, 0.1)...)
+	g := grid.NewSquare(4)
+	s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make(Pattern, long)
+	for i := range p {
+		p[i] = i % 3
+	}
+	cells := []int{0, 1, 2}
+	s.Prepare(cells)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Extensions(p, cells, func(int, []float64) {})
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(160*long+1<<20); got > bound {
+		t.Errorf("Extensions of a %d-position prefix over %d flat positions allocated %d B, want at most %d",
+			long, len(s.flat), got, bound)
+	}
+}
+
 func TestProbModesBothValid(t *testing.T) {
 	data := randomDataset(7, 3, 10, 0.1)
 	g := grid.NewSquare(4)

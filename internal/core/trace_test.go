@@ -186,8 +186,9 @@ func TestMinerTraceAttrs(t *testing.T) {
 	}
 }
 
-// TestMinerProgress checks the OnProgress callback fires once per
-// iteration with monotonically consistent state.
+// TestMinerProgress checks the OnProgress callback fires once per counted
+// iteration of a run that ends on its own, its last pass included, with
+// monotonically consistent state.
 func TestMinerProgress(t *testing.T) {
 	g := grid.NewSquare(3)
 	data := patternedDatasetPts(9, g, []int{0, 4}, 5, 3, 0.05, 0.02)
@@ -202,9 +203,10 @@ func TestMinerProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The final iteration only runs the termination test, which fires no
-	// progress update, so len(updates) is Iterations or Iterations-1.
-	if len(updates) == 0 || len(updates) > res.Stats.Iterations {
+	if res.Interrupted {
+		t.Fatalf("run interrupted: %s", res.InterruptReason)
+	}
+	if len(updates) != res.Stats.Iterations {
 		t.Fatalf("got %d progress updates for %d iterations", len(updates), res.Stats.Iterations)
 	}
 	for i, p := range updates {
