@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -29,12 +30,46 @@ import (
 // pattern whose NM ties ω_d. The completion grows level by level from
 // the seed cells, scoring R·c only if LM(R) + LM(c) ≥ t(|R| + 1) and
 // keeping a scored pattern for the next level only if its LM reaches t of
-// its length. It returns the best k of everything it scored in
-// core.CompareRank order, each NM summed as Σ_T (log M_T / m) in trajectory
-// order (Scorer.NM's bits), and how many patterns it scored.
+// its length. Each kept R's children are one Extensions scan, as are the
+// seeds, whose scan also gives each β_T as the max of their log-matches
+// in T. It returns the best k of everything it scored in core.CompareRank
+// order, each NM summed as Σ_T (log M_T / m) in trajectory order
+// (Scorer.NM's bits), and how many patterns it scored.
 func lmCompletion(s *core.Scorer, seeds []int, k, maxLen int, omegaD float64) ([]core.ScoredPattern, int) {
+	beta := make([]float64, s.NumTrajectories())
+	for ti := range beta {
+		beta[ti] = math.Inf(-1)
+	}
+	var mu sync.Mutex
+	var all []core.ScoredPattern
+	// score scores prefix·c for every c in cells in one Extensions scan,
+	// records each in all and returns their LMs. The seeds' scan, the
+	// empty prefix's, also folds their log-matches into beta.
+	score := func(prefix core.Pattern, cells []int) []float64 {
+		lms := make([]float64, len(cells))
+		scored := make([]core.ScoredPattern, len(cells))
+		s.Extensions(prefix, cells, func(i int, logM []float64) {
+			p := prefix.Concat(core.Pattern{cells[i]})
+			var nm float64
+			for _, v := range logM {
+				lms[i] += v
+				nm += v / float64(len(p))
+			}
+			scored[i] = core.ScoredPattern{Pattern: p, NM: nm}
+			if len(prefix) == 0 {
+				mu.Lock()
+				for ti, v := range logM {
+					beta[ti] = max(beta[ti], v)
+				}
+				mu.Unlock()
+			}
+		})
+		all = append(all, scored...)
+		return lms
+	}
+	cellLM := score(nil, seeds)
 	var sumBeta float64
-	for _, b := range s.BestSingularLogProb(seeds) {
+	for _, b := range beta {
 		sumBeta += b
 	}
 	t := func(r int) float64 {
@@ -45,56 +80,32 @@ func lmCompletion(s *core.Scorer, seeds []int, k, maxLen int, omegaD float64) ([
 		return least - 1e-9*math.Abs(least)
 	}
 
-	nt := s.NumTrajectories()
-	var all []core.ScoredPattern
-	var logM []float64
-	// score scores pats in one walk, records each in all and returns
-	// their LMs.
-	score := func(pats []core.Pattern) []float64 {
-		logM = s.LogMatchesAll(pats, logM)
-		lms := make([]float64, len(pats))
-		for i, p := range pats {
-			var nm float64
-			for _, v := range logM[i*nt:][:nt] {
-				lms[i] += v
-				nm += v / float64(len(p))
-			}
-			all = append(all, core.ScoredPattern{Pattern: p, NM: nm})
-		}
-		return lms
-	}
-
 	type node struct {
 		pat core.Pattern
 		lm  float64
 	}
-	cells := make([]core.Pattern, len(seeds))
-	for i, c := range seeds {
-		cells[i] = core.Pattern{c}
-	}
-	cellLM := score(cells)
 	var level []node
-	for i, p := range cells {
+	for i, c := range seeds {
 		if cellLM[i] >= t(1) {
-			level = append(level, node{p, cellLM[i]})
+			level = append(level, node{core.Pattern{c}, cellLM[i]})
 		}
 	}
 	for r := 1; r < maxLen && len(level) > 0; r++ {
 		tr := t(r + 1)
 		var next []node
 		for _, R := range level {
-			var kids []core.Pattern
+			var kids []int
 			for i, c := range seeds {
 				if R.lm+cellLM[i] >= tr {
-					kids = append(kids, R.pat.Concat(core.Pattern{c}))
+					kids = append(kids, c)
 				}
 			}
 			if len(kids) == 0 {
 				continue
 			}
-			for i, lm := range score(kids) {
+			for i, lm := range score(R.pat, kids) {
 				if lm >= tr {
-					next = append(next, node{kids[i], lm})
+					next = append(next, node{R.pat.Concat(core.Pattern{kids[i]}), lm})
 				}
 			}
 		}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"trajpattern/internal/core"
 )
@@ -60,7 +61,8 @@ type PBResult struct {
 //
 // For a prefix A of length i, the NM of any super-pattern A·X of total
 // length n is at most Σ_T (logM_A(T) + (n−i)·β_T)/n where β_T is
-// trajectory T's best singular log-probability over the alphabet. Because
+// trajectory T's best singular log-probability over the alphabet: the max
+// of the seeds' log-matches in T, which the seeds' own scan yields. Because
 // logM_A(T) ≤ i·β_T, this bound is non-decreasing in n, so its value at
 // n = MaxLen is the admissible optimistic bound; a prefix is expanded only
 // while that bound reaches the running top-k threshold ω.
@@ -89,13 +91,15 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 	}
 
 	var stats PBStats
-	beta := s.BestSingularLogProb(seeds)
-	var sumBeta float64
-	for _, b := range beta {
-		sumBeta += b
-	}
-
 	top := newTopK(cfg.K)
+	// beta[T] is β_T, folded in by the seeds' scan under betaMu; sumBeta,
+	// their sum in trajectory order, is set once that scan returns.
+	beta := make([]float64, s.NumTrajectories())
+	for ti := range beta {
+		beta[ti] = math.Inf(-1)
+	}
+	var betaMu sync.Mutex
+	var sumBeta float64
 
 	// A frame is a scored pattern. sumLogM feeds the bound; nm is the NM
 	// PB ranks and reports.
@@ -146,8 +150,10 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 	// Depth-first expansion in deterministic seed order. grow scores every
 	// one-cell child of prefix (the seeds themselves for the empty prefix)
 	// in one Extensions scan, which sums the prefix's windows once and runs
-	// score on its workers. Admission and the stack stay on this goroutine,
-	// in reverse seed order, so the first seed's child pops first.
+	// score on its workers; the seeds' scan also folds each seed's
+	// log-matches into beta. Admission and the stack stay on this
+	// goroutine, in reverse seed order, so the first seed's child pops
+	// first.
 	var stack []frame
 	children := make([]frame, len(seeds))
 	grow := func(prefix core.Pattern) {
@@ -156,6 +162,13 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 		}
 		s.Extensions(prefix, seeds, func(k int, logM []float64) {
 			children[k] = score(children[k].pat, logM)
+			if len(prefix) == 0 {
+				betaMu.Lock()
+				for ti, v := range logM {
+					beta[ti] = max(beta[ti], v)
+				}
+				betaMu.Unlock()
+			}
 		})
 		for idx := len(seeds) - 1; idx >= 0; idx-- {
 			stats.NMEvaluations++
@@ -164,6 +177,9 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 		}
 	}
 	grow(nil)
+	for _, b := range beta {
+		sumBeta += b
+	}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

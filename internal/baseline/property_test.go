@@ -3,6 +3,7 @@ package baseline
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,13 +66,13 @@ func TestQuickPBExactness(t *testing.T) {
 	}
 }
 
-// Property: scoring a prefix's one-cell children in one walk, as PB does,
-// gives each child's log-match exactly as a scan of that child alone does,
-// trajectory by trajectory and bit for bit, for prefixes of length 1-5 and
-// every cell. Each dataset holds a trajectory exactly as long as the
-// prefix and one shorter, neither of which has a window for the child. The
-// output buffer is reused from a different prefix's children first, as PB
-// reuses it across expansions.
+// Property: scoring a prefix's one-cell children in one Extensions scan,
+// as PB does, gives each child's log-match exactly as a scan of that child
+// alone does, trajectory by trajectory and bit for bit, for prefixes of
+// length 1-5 and every cell. Each dataset holds a trajectory exactly as
+// long as the prefix and one shorter, neither of which has a window for
+// the child. A different prefix's children are scanned first, so the
+// pooled scratch is reused, as PB reuses it across expansions.
 func TestQuickProjectionMatchesScan(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stat.NewRNG(seed)
@@ -97,21 +98,16 @@ func TestQuickProjectionMatchesScan(t *testing.T) {
 			}
 			return p
 		}
-		children := func(prefix core.Pattern) []core.Pattern {
-			out := make([]core.Pattern, g.NumCells())
-			for c := range out {
-				out[c] = prefix.Concat(core.Pattern{c})
-			}
-			return out
-		}
-		got := s.LogMatchesAll(children(randomPattern(1+rng.Intn(5))), nil)
+		cells := s.AllCells()
+		s.Extensions(randomPattern(1+rng.Intn(5)), cells, func(int, []float64) {})
 		prefix := randomPattern(m)
-		got = s.LogMatchesAll(children(prefix), got)
-		for c, child := range children(prefix) {
-			want := s.LogMatches(child)
+		got := make([][]float64, len(cells))
+		s.Extensions(prefix, cells, func(k int, logM []float64) { got[k] = slices.Clone(logM) })
+		for k, c := range cells {
+			want := s.LogMatches(prefix.Concat(core.Pattern{c}))
 			for ti := range want {
-				if v := got[c*len(data)+ti]; math.Float64bits(v) != math.Float64bits(want[ti]) {
-					t.Logf("prefix %v cell %d traj %d (len %d): batch %v, scan %v",
+				if v := got[k][ti]; math.Float64bits(v) != math.Float64bits(want[ti]) {
+					t.Logf("prefix %v cell %d traj %d (len %d): Extensions %v, scan %v",
 						prefix, c, ti, lens[ti], v, want[ti])
 					return false
 				}

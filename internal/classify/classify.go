@@ -101,17 +101,12 @@ func (c *Classifier) Score(tr traj.Trajectory) (map[string]float64, error) {
 	}
 	scores := make(map[string]float64, len(c.classes))
 	for _, name := range c.classes {
-		pats := make([]core.Pattern, len(c.model[name]))
-		for k, sp := range c.model[name] {
-			pats[k] = sp.Pattern
-		}
-		// The scorer holds one trajectory, so LogMatchesAll returns one
-		// log-match per pattern; NM(P, T) is it over len(P).
+		// The scorer holds one trajectory, so its NM of P is NM(P, T).
 		var sum float64
-		for k, lm := range s.LogMatchesAll(pats, nil) {
-			sum += lm / float64(len(pats[k]))
+		for _, sp := range c.model[name] {
+			sum += s.NM(sp.Pattern)
 		}
-		scores[name] = sum / float64(len(pats))
+		scores[name] = sum / float64(len(c.model[name]))
 	}
 	return scores, nil
 }

@@ -341,7 +341,7 @@ func Mine(ctx context.Context, w io.Writer, ds traj.Dataset, o MineOptions) ([]c
 
 	if o.Groups && len(patterns) > 0 {
 		gamma := core.DefaultGamma(ds.MeanSigma())
-		gs, err := core.DiscoverGroupsTraced(patterns, g, gamma, o.Tracer)
+		gs, err := core.DiscoverGroups(patterns, g, gamma, o.Tracer)
 		if err != nil {
 			return nil, err
 		}

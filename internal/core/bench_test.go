@@ -215,7 +215,7 @@ func BenchmarkDiscoverGroups(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DiscoverGroups(patterns, g, 0.15); err != nil {
+		if _, err := DiscoverGroups(patterns, g, 0.15, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -280,8 +280,8 @@ func TestCellBuildMatchesLogProb(t *testing.T) {
 						if got := snap.Counter("scorer.cells.built") + snap.Counter("scorer.cache.hits"); got != int64(requested) {
 							t.Errorf("workers %d: cells built + cache hits = %d, want %d requested", workers, got, requested)
 						}
-						if got := raced.CacheSize(); got != n {
-							t.Errorf("workers %d: CacheSize = %d after overlapping Prepare calls, want %d", workers, got, n)
+						if got := raced.InstalledCells(); got != n {
+							t.Errorf("workers %d: %d installed vectors after overlapping Prepare calls, want %d", workers, got, n)
 						}
 						checkCells(t, raced, ref)
 					}

@@ -87,15 +87,15 @@ func TestMinerConfigTypedErrors(t *testing.T) {
 func TestGroupsGammaValidation(t *testing.T) {
 	g := grid.NewSquare(4)
 	pats := []Pattern{{0, 1}}
-	if _, err := DiscoverGroups(pats, g, math.NaN()); err == nil {
+	if _, err := DiscoverGroups(pats, g, math.NaN(), nil); err == nil {
 		t.Fatal("NaN gamma accepted")
 	} else {
 		asConfigError(t, err, "Groups", "Gamma")
 	}
-	if _, err := DiscoverGroups(pats, g, -0.5); err == nil {
+	if _, err := DiscoverGroups(pats, g, -0.5, nil); err == nil {
 		t.Fatal("negative gamma accepted")
 	}
-	if _, err := DiscoverGroups(pats, g, 0.5); err != nil {
+	if _, err := DiscoverGroups(pats, g, 0.5, nil); err != nil {
 		t.Fatalf("valid gamma rejected: %v", err)
 	}
 }

@@ -114,11 +114,15 @@ func FuzzParsePattern(f *testing.F) {
 }
 
 // FuzzScoreAllMatchesNM checks that ScoreAll returns, for every pattern of
-// an arbitrary batch, the bits per-pattern NM returns. The input encodes
-// the batch: bytes are cells (mod 9), 0xff ends a pattern, and at most
-// walkDepth+8 positions per pattern are kept. Seeds cover shared prefixes,
-// duplicates, patterns longer than some trajectories, neighbours sharing
-// more than walkDepth positions and 1 to 4 workers.
+// an arbitrary batch, the bits per-pattern NM returns, and that NM and
+// Match return the bits of the naive window-by-window scan
+// (naiveLogMatches): NM sums its log-matches over len(p) in trajectory
+// order, Match the exp of those of trajectories at least as long as p.
+// The input encodes the batch: bytes are cells (mod 9), 0xff ends a
+// pattern, and at most walkDepth+8 positions per pattern are kept. Seeds
+// cover shared prefixes, duplicates, patterns longer than some
+// trajectories (walkData holds every length from 0 to 9), neighbours
+// sharing more than walkDepth positions and 1 to 4 workers.
 func FuzzScoreAllMatchesNM(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0xff, 1, 2, 4, 0xff, 1, 2, 0xff, 1, 2, 3, 5}, uint8(1))
 	f.Add([]byte{1, 2, 3, 4, 0xff, 1, 2, 5, 6, 0xff, 1, 2, 5, 6, 7, 0xff, 1, 7, 7}, uint8(2))
@@ -157,7 +161,21 @@ func FuzzScoreAllMatchesNM(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i, p := range batch {
-			if want := ref.NM(p); math.Float64bits(got[i]) != math.Float64bits(want) {
+			var nm, match float64
+			for ti, lm := range naiveLogMatches(ref, p) {
+				nm += lm / float64(len(p))
+				if len(data[ti]) >= len(p) {
+					match += math.Exp(lm)
+				}
+			}
+			want := ref.NM(p)
+			if math.Float64bits(want) != math.Float64bits(nm) {
+				t.Fatalf("pattern %d %v: NM %v, naive %v", i, p, want, nm)
+			}
+			if m := ref.Match(p); math.Float64bits(m) != math.Float64bits(match) {
+				t.Fatalf("pattern %d %v: Match %v, naive %v", i, p, m, match)
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("pattern %d %v: ScoreAll %v, NM %v", i, p, got[i], want)
 			}
 		}

@@ -54,25 +54,16 @@ func Similar(a, b Pattern, g *grid.Grid, gamma float64) bool {
 // Every returned group satisfies the pairwise-γ-at-every-snapshot
 // invariant, every input pattern appears in exactly one group, and the
 // output order is deterministic. The paper recommends γ = 3σ̄ (Section 5).
-func DiscoverGroups(patterns []Pattern, g *grid.Grid, gamma float64) ([]Group, error) {
-	return DiscoverGroupsTraced(patterns, g, gamma, nil)
-}
-
-// DiscoverGroupsTraced is DiscoverGroups with run tracing: when tr is
-// non-nil the clustering is recorded as one "groups.cluster" span (pattern
-// count, γ, resulting group count) on the shared run timeline.
-func DiscoverGroupsTraced(patterns []Pattern, g *grid.Grid, gamma float64, tr *trace.Tracer) ([]Group, error) {
+//
+// When tr is non-nil the clustering is recorded as one "groups.cluster"
+// span (pattern count, γ, resulting group count) on the shared run
+// timeline; a nil tr records nothing.
+func DiscoverGroups(patterns []Pattern, g *grid.Grid, gamma float64, tr *trace.Tracer) (groups []Group, err error) {
 	var sp *trace.Span
 	if tr != nil {
 		sp = tr.Local().Span("groups.cluster", trace.Attrs{"patterns": len(patterns), "gamma": gamma})
 	}
-	groups, err := discoverGroups(patterns, g, gamma)
-	sp.Attr("groups", len(groups)).End()
-	return groups, err
-}
-
-// discoverGroups is the untraced §4.2 procedure.
-func discoverGroups(patterns []Pattern, g *grid.Grid, gamma float64) ([]Group, error) {
+	defer func() { sp.Attr("groups", len(groups)).End() }()
 	// NaN fails every comparison (a NaN γ would pass `< 0` and make every
 	// similarity test false), so reject it explicitly.
 	if math.IsNaN(gamma) || gamma < 0 {
@@ -91,7 +82,6 @@ func discoverGroups(patterns []Pattern, g *grid.Grid, gamma float64) ([]Group, e
 	}
 	sort.Ints(lengths)
 
-	var groups []Group
 	for _, l := range lengths {
 		bucket := byLen[l]
 		sort.Slice(bucket, func(i, j int) bool { return bucket[i].Key() < bucket[j].Key() })

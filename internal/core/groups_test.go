@@ -54,7 +54,7 @@ func TestPaperWorkedExample(t *testing.T) {
 		patterns = append(patterns, p)
 	}
 
-	groups, err := DiscoverGroups(patterns, g, gamma)
+	groups, err := DiscoverGroups(patterns, g, gamma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +100,13 @@ func equalIntSets(a, b []int) bool {
 
 func TestDiscoverGroupsValidation(t *testing.T) {
 	g := grid.NewSquare(4)
-	if _, err := DiscoverGroups([]Pattern{{}}, g, 0.1); err == nil {
+	if _, err := DiscoverGroups([]Pattern{{}}, g, 0.1, nil); err == nil {
 		t.Error("empty pattern accepted")
 	}
-	if _, err := DiscoverGroups([]Pattern{{0}}, g, -1); err == nil {
+	if _, err := DiscoverGroups([]Pattern{{0}}, g, -1, nil); err == nil {
 		t.Error("negative gamma accepted")
 	}
-	groups, err := DiscoverGroups(nil, g, 0.1)
+	groups, err := DiscoverGroups(nil, g, 0.1, nil)
 	if err != nil || len(groups) != 0 {
 		t.Errorf("empty input: %v, %v", groups, err)
 	}
@@ -115,7 +115,7 @@ func TestDiscoverGroupsValidation(t *testing.T) {
 func TestGroupsSeparateLengths(t *testing.T) {
 	g := grid.NewSquare(4)
 	patterns := []Pattern{{0}, {0, 1}, {0, 1, 2}}
-	groups, err := DiscoverGroups(patterns, g, 100) // everything within gamma
+	groups, err := DiscoverGroups(patterns, g, 100, nil) // everything within gamma
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestGroupsAllSimilarCollapse(t *testing.T) {
 		{g.Index(grid.Cell{X: 3, Y: 4}), g.Index(grid.Cell{X: 5, Y: 6})},
 		{g.Index(grid.Cell{X: 4, Y: 3}), g.Index(grid.Cell{X: 6, Y: 5})},
 	}
-	groups, err := DiscoverGroups(patterns, g, 0.3)
+	groups, err := DiscoverGroups(patterns, g, 0.3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestGroupsAllDistantSingletons(t *testing.T) {
 		{g.Index(grid.Cell{X: 9, Y: 9})},
 		{g.Index(grid.Cell{X: 0, Y: 9})},
 	}
-	groups, err := DiscoverGroups(patterns, g, 0.05)
+	groups, err := DiscoverGroups(patterns, g, 0.05, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestQuickGroupsInvariants(t *testing.T) {
 			seen[p.Key()] = true
 			patterns = append(patterns, p)
 		}
-		groups, err := DiscoverGroups(patterns, g, gamma)
+		groups, err := DiscoverGroups(patterns, g, gamma, nil)
 		if err != nil {
 			return false
 		}

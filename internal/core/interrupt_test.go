@@ -52,7 +52,7 @@ func TestScoreAllCancelled(t *testing.T) {
 	if !strings.Contains(err.Error(), "operator gave up") {
 		t.Errorf("error %q does not carry the cancellation cause", err)
 	}
-	if got := s.CacheSize(); got != 0 {
+	if got := s.InstalledCells(); got != 0 {
 		t.Errorf("cancelled batch built %d cell vectors, want 0", got)
 	}
 }

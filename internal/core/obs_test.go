@@ -140,8 +140,8 @@ func TestScorerMetricsCacheAccounting(t *testing.T) {
 	if got := snap.Counter("scorer.cache.hits"); got != 2 {
 		t.Errorf("scorer.cache.hits = %d, want 2", got)
 	}
-	if got := int64(s.CacheSize()); got != snap.Counter("scorer.cells.built") {
-		t.Errorf("cache size %d != cells built %d", got, snap.Counter("scorer.cells.built"))
+	if got := int64(s.InstalledCells()); got != snap.Counter("scorer.cells.built") {
+		t.Errorf("%d installed vectors != cells built %d", got, snap.Counter("scorer.cells.built"))
 	}
 }
 

@@ -46,8 +46,9 @@ func WritePatterns(w io.Writer, patterns []ScoredPattern) error {
 	return bw.Flush()
 }
 
-// ReadPatterns decodes scored patterns from r, validating structure and —
-// when g is non-nil — that every cell is a valid index of g.
+// ReadPatterns decodes scored patterns from r, validating structure and,
+// when validate is non-nil, each pattern through it (such as
+// Pattern.Validate against a grid).
 func ReadPatterns(r io.Reader, validate func(Pattern) error) ([]ScoredPattern, error) {
 	var f resultFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {

@@ -61,8 +61,8 @@ type Config struct {
 	// Mode selects box or disk probability. Default ProbBox.
 	Mode ProbMode
 	// Workers bounds the parallelism of every scorer pass: the cell
-	// build (Prepare, BestSingularLogProb and ScoreAll's), LogMatchesAll,
-	// Extensions and ScoreAll's NM evaluation. Zero means GOMAXPROCS.
+	// build, Extensions and ScoreAll's NM evaluation. Zero means
+	// GOMAXPROCS.
 	Workers int
 	// Metrics, when non-nil, receives scorer instrumentation (NM
 	// evaluation, cache and batch accounting under "scorer.*" names).
@@ -70,8 +70,8 @@ type Config struct {
 	Metrics *obs.Registry
 	// Tracer, when non-nil, records one "scorer.batch" span per ScoreAll
 	// call (patterns and cells per batch) and one "scorer.prepare" span per
-	// Prepare or BestSingularLogProb call (nested in its batch when
-	// ScoreAll prepares) on the run timeline. Nil disables tracing at the
+	// cell build: a Prepare call, a ScoreAll batch's (nested in its batch)
+	// or a scan's that finds cells unbuilt. Nil disables tracing at the
 	// cost of one nil check per batch.
 	Tracer *trace.Tracer
 }
@@ -146,7 +146,7 @@ type scorerMetrics struct {
 	batchPats  *obs.Counter // patterns scored across all batches
 	batchMax   *obs.Gauge   // largest single batch
 	batchTime  *obs.Timer   // wall time inside ScoreAll
-	prepTime   *obs.Timer   // wall time inside Prepare's lookup and build
+	prepTime   *obs.Timer   // wall time inside each cell build's lookup and build
 }
 
 func newScorerMetrics(r *obs.Registry) scorerMetrics {
@@ -254,8 +254,8 @@ const buildBlock = 256
 // calls start(lo, hi) for each chunk on the calling goroutine, in chunk
 // order, then runs every function start returned on a goroutine of its
 // own (the calling one when there is one chunk) and returns once all
-// have. Every scorer pass runs through it: the cell build, LogMatchesAll,
-// Extensions and ScoreAll.
+// have. Every scorer pass runs through it: the cell build, Extensions and
+// ScoreAll.
 func (s *Scorer) fanOut(n int, start func(lo, hi int) func()) {
 	workers := min(s.cfg.Workers, n)
 	runs := make([]func(), workers)
@@ -483,19 +483,6 @@ func (s *Scorer) cellVectors(ctx context.Context, cells []int) (vecs [][]float64
 	return vecs, len(need), nil
 }
 
-// cellLogProbs returns the per-flat-position log-prob vector for cell,
-// computing and caching it on first use. Callers must not mutate the
-// result. Its callers take no context, so the build cannot be cancelled
-// and cannot fail.
-func (s *Scorer) cellLogProbs(cell int) []float64 {
-	if v := s.cached(cell); v != nil {
-		s.m.cacheHits.Inc()
-		return v
-	}
-	vecs, _, _ := s.cellVectors(context.TODO(), []int{cell})
-	return vecs[0]
-}
-
 // Prepare precomputes the log-prob vectors for the given cells, building
 // every missing one in one pass on up to cfg.Workers goroutines, so that
 // later scoring only reads the cache. Each cell counts as one build or
@@ -518,32 +505,54 @@ func (s *Scorer) prepare(ctx context.Context, cells []int) ([][]float64, error) 
 	return vecs, err
 }
 
-// CacheSize returns the number of cells with materialized log-prob vectors.
-func (s *Scorer) CacheSize() int {
-	n := 0
-	for i := range s.cells {
-		if s.cells[i].Load() != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // NMEvaluations returns how many pattern NM evaluations this scorer has
 // performed, the dominant cost term of the complexity analysis (§4.4).
 func (s *Scorer) NMEvaluations() int { return int(s.nmEvals.Load()) }
 
-// vectors appends the cached log-prob vector of each pattern position to
-// dst; a Wildcard position (a WildPattern's) gets the all-zero vector.
+// vectors appends the log-prob vector of each position of p to dst; a
+// Wildcard position (a WildPattern's) gets the all-zero vector. Every
+// other position counts as one cache hit or one build: at the first cell
+// with no vector, one prepare pass builds all of p's missing cells and
+// counts all of p's cells, so no scan builds its cells one at a time.
+// Its callers take no context, so the build cannot be cancelled and
+// cannot fail.
 func (s *Scorer) vectors(p Pattern, dst [][]float64) [][]float64 {
+	hits, built := 0, false
 	for _, cell := range p {
 		if cell == Wildcard {
 			dst = append(dst, s.zeros())
 			continue
 		}
-		dst = append(dst, s.cellLogProbs(cell))
+		v := s.cached(cell)
+		if v == nil {
+			s.prepare(context.TODO(), slices.DeleteFunc(slices.Clone(p), func(c int) bool { return c == Wildcard }))
+			v, built = s.cached(cell), true
+		}
+		dst = append(dst, v)
+		hits++
+	}
+	if !built {
+		s.m.cacheHits.Add(int64(hits))
 	}
 	return dst
+}
+
+// scan calls each(ti, logM) for every trajectory ti in order, logM being
+// ti's best-window log-match max log M(P, T) of p, or DefaultLogFloor·len(p)
+// where ti is shorter than p. It is the walk's one-pattern case, which NM,
+// LogMatches, Match and NMWild reduce. p must not be empty.
+func (s *Scorer) scan(p Pattern, each func(ti int, logM float64)) {
+	if len(p) == 0 {
+		panic("core: scan of empty pattern")
+	}
+	w := s.newWalk()
+	defer w.release()
+	w.add(p)
+	w.ready()
+	for ti := range s.data {
+		w.trajectory(ti)
+		each(ti, w.logM[0])
+	}
 }
 
 // shorter reports whether trajectory ti has fewer snapshots than m.
@@ -555,16 +564,8 @@ func (s *Scorer) shorter(ti, m int) bool { return s.offsets[ti+1]-s.offsets[ti] 
 // shorter than p contributes the floor, the worst possible NM, keeping
 // the min-max property intact. Larger (closer to zero) is better.
 func (s *Scorer) NM(p Pattern) float64 {
-	if len(p) == 0 {
-		panic("core: NM of empty pattern")
-	}
-	w := s.walkOne(p)
-	defer w.release()
 	var sum float64
-	for ti := range s.data {
-		w.trajectory(ti)
-		sum += w.logM[0] / float64(len(p))
-	}
+	s.scan(p, func(_ int, logM float64) { sum += logM / float64(len(p)) })
 	s.nmEvals.Add(1)
 	s.m.nmEvals.Inc()
 	return sum
@@ -572,46 +573,12 @@ func (s *Scorer) NM(p Pattern) float64 {
 
 // LogMatches returns, indexed by trajectory, every trajectory's
 // best-window log-match max log M(P, T) of p, or DefaultLogFloor·len(p)
-// where the trajectory is shorter than p. It fetches p's vectors once
-// and does not count as an NM evaluation.
+// where the trajectory is shorter than p. It does not count as an NM
+// evaluation.
 func (s *Scorer) LogMatches(p Pattern) []float64 {
-	return s.LogMatchesAll([]Pattern{p}, nil)
-}
-
-// LogMatchesAll returns LogMatches of every pattern, pattern k's values at
-// [k·|𝒟|, (k+1)·|𝒟|), reusing dst's storage when it is large enough. It
-// splits the patterns into up to cfg.Workers contiguous chunks (fanOut)
-// and walks each chunk's patterns together (see walk), so each pays only
-// for the positions past the prefix it shares with the pattern before it.
-// The calling goroutine checks every pattern, then fetches each chunk's
-// vectors in pattern order, so a pattern's vectors are fetched once
-// whatever the worker count; the workers only scan.
-func (s *Scorer) LogMatchesAll(patterns []Pattern, dst []float64) []float64 {
-	nt := len(s.data)
-	dst = slices.Grow(dst[:0], len(patterns)*nt)[:len(patterns)*nt]
-	for _, p := range patterns {
-		if len(p) == 0 {
-			panic("core: log-match of empty pattern")
-		}
-	}
-	s.fanOut(len(patterns), func(lo, hi int) func() {
-		w := s.newWalk()
-		for _, p := range patterns[lo:hi] {
-			w.add(p)
-		}
-		w.ready()
-		return func() {
-			defer w.release()
-			out := dst[lo*nt : hi*nt]
-			for ti := range nt {
-				w.trajectory(ti)
-				for k, lm := range w.logM {
-					out[k*nt+ti] = lm
-				}
-			}
-		}
-	})
-	return dst
+	out := make([]float64, len(s.data))
+	s.scan(p, func(ti int, logM float64) { out[ti] = logM })
+	return out
 }
 
 // Extensions scores every one-cell extension of prefix: for each k it
@@ -622,16 +589,18 @@ func (s *Scorer) LogMatchesAll(patterns []Pattern, dst []float64) []float64 {
 // then splits cells into up to cfg.Workers contiguous chunks (fanOut), and
 // a worker streams each of its cells' vectors across every trajectory with
 // one addMax (maxOf for an empty prefix). The calling goroutine fetches the
-// vectors, building the missing ones; the workers only scan. each runs on
-// the workers, concurrently for different k, and logM is valid only during
-// the call. The scratch is pooled and grows with the flat positions, never
+// prefix's and the children's vectors together, building all the missing
+// ones in one pass (vectors); the workers only scan. each runs on the
+// workers, concurrently for different k, and logM is valid only during the
+// call. The scratch is pooled and grows with the flat positions, never
 // with positions times prefix length. Extensions does not count as NM
 // evaluations.
 func (s *Scorer) Extensions(prefix Pattern, cells []int, each func(k int, logM []float64)) {
 	x := extPool.Get().(*extScratch)
 	defer x.release()
 	i, nt := len(prefix), len(s.data)
-	x.vecs = s.vectors(Pattern(cells), s.vectors(prefix, x.vecs[:0]))
+	x.cells = append(append(x.cells[:0], prefix...), cells...)
+	x.vecs = s.vectors(x.cells, x.vecs[:0])
 	pre, vecs := x.vecs[:i], x.vecs[i:]
 	// sums[p] is prefix's window sum at flat position p, for every p a
 	// child's window can start at.
@@ -673,9 +642,11 @@ func (s *Scorer) Extensions(prefix Pattern, cells []int, each func(k int, logM [
 	})
 }
 
-// extScratch is one Extensions call's scratch: the prefix's and cells'
-// vectors, the prefix's window sums and one log-match row per worker.
+// extScratch is one Extensions call's scratch: the prefix's cells followed
+// by the children's, their vectors, the prefix's window sums and one
+// log-match row per worker.
 type extScratch struct {
+	cells      Pattern
 	vecs       [][]float64
 	sums, rows []float64
 }
@@ -692,18 +663,12 @@ func (x *extScratch) release() {
 // Match returns the match of p in the whole dataset: Σ_T M(P, T), the
 // measure of [14] that the paper compares against.
 func (s *Scorer) Match(p Pattern) float64 {
-	if len(p) == 0 {
-		panic("core: match of empty pattern")
-	}
-	w := s.walkOne(p)
-	defer w.release()
 	var sum float64
-	for ti := range s.data {
+	s.scan(p, func(ti int, logM float64) {
 		if !s.shorter(ti, len(p)) {
-			w.trajectory(ti)
-			sum += math.Exp(w.logM[0])
+			sum += math.Exp(logM)
 		}
-	}
+	})
 	return sum
 }
 
@@ -856,30 +821,6 @@ func (s *Scorer) scoreChunk(ctx context.Context, patterns []Pattern, chunk []int
 		s.m.nmEvals.Add(int64(len(block)))
 	}
 	return nil
-}
-
-// BestSingularLogProb returns, for each trajectory, the maximum cached
-// log-prob over the given cells and all window positions. The PB baseline
-// uses it as its optimistic per-position bound. The result is indexed by
-// trajectory. An empty trajectory's bound is DefaultLogFloor, the
-// per-position value LogMatches gives a trajectory too short for a
-// pattern; no built entry is below it.
-func (s *Scorer) BestSingularLogProb(cells []int) []float64 {
-	out := make([]float64, len(s.data))
-	for ti := range s.data {
-		out[ti] = DefaultLogFloor
-	}
-	vecs, _ := s.prepare(context.TODO(), cells) // an uncancellable build cannot fail
-	for _, v := range vecs {
-		for ti := range s.data {
-			if lo, hi := s.offsets[ti], s.offsets[ti+1]; lo < hi {
-				if best := maxOf(v[lo:hi]); best > out[ti] {
-					out[ti] = best
-				}
-			}
-		}
-	}
-	return out
 }
 
 // ObservedCells returns the sorted flat indices of every cell that contains

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -431,32 +430,6 @@ func TestObservedCellsDeterministic(t *testing.T) {
 	}
 }
 
-func TestBestSingularLogProb(t *testing.T) {
-	data := traj.Dataset{
-		{traj.P(0.55, 0.55, 0.05), traj.P(0.85, 0.85, 0.05)},
-		{traj.P(0.15, 0.15, 0.05)},
-	}
-	s := testScorer(t, data, 10)
-	cells := s.ObservedCells(0)
-	best := s.BestSingularLogProb(cells)
-	if len(best) != 2 {
-		t.Fatalf("len = %d", len(best))
-	}
-	// Each trajectory's best over its own observed cells must equal its
-	// best singular NM.
-	for ti := range data {
-		var want float64 = math.Inf(-1)
-		for _, c := range cells {
-			if v := s.LogMatches(Pattern{c})[ti]; v > want {
-				want = v
-			}
-		}
-		if math.Abs(best[ti]-want) > 1e-12 {
-			t.Errorf("traj %d: best %v != max singular NM %v", ti, best[ti], want)
-		}
-	}
-}
-
 // TestLogMatchesMatchesNaiveScan checks the unrolled window-scan kernels
 // against a window-by-window reference that adds each window's terms in
 // pattern order: LogMatches and NM must agree with it to the bit for every
@@ -561,8 +534,8 @@ func TestConcurrentScoringSharedScorer(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := shared.CacheSize(); got != len(distinct) {
-		t.Errorf("CacheSize = %d, want %d distinct cells", got, len(distinct))
+	if got := shared.InstalledCells(); got != len(distinct) {
+		t.Errorf("%d installed vectors, want %d distinct cells", got, len(distinct))
 	}
 	if got := shared.NMEvaluations(); got != goroutines*len(patterns) {
 		t.Errorf("NMEvaluations = %d, want %d", got, goroutines*len(patterns))
@@ -589,55 +562,6 @@ func TestNMEmptyPatternPanics(t *testing.T) {
 				}
 			}()
 			f()
-		}()
-	}
-}
-
-// TestLogMatchesAllWorkers checks LogMatchesAll's split of its patterns
-// across workers: at 1 to 4 workers every log-match is the bits of the
-// pattern's own LogMatches, and the vector lookups, so the cells built and
-// the cache hits, do not depend on the worker count. A batch holding an
-// empty pattern panics on the calling goroutine, where recover sees it.
-func TestLogMatchesAllWorkers(t *testing.T) {
-	data := walkData()
-	g := grid.NewSquare(4)
-	ref := testScorer(t, data, 4)
-	batch := walkBatch(7, 6, walkDepth+4)
-	nt := len(data)
-	var want [2]int64 // cells built and cache hits at one worker
-	for workers := 1; workers <= 4; workers++ {
-		reg := obs.New()
-		s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), Workers: workers, Metrics: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := s.LogMatchesAll(batch, nil)
-		for k, p := range batch {
-			for ti, lm := range ref.LogMatches(p) {
-				if math.Float64bits(got[k*nt+ti]) != math.Float64bits(lm) {
-					t.Fatalf("workers %d, pattern %d %v, traj %d: LogMatchesAll %v, LogMatches %v", workers, k, p, ti, got[k*nt+ti], lm)
-				}
-			}
-		}
-		snap := reg.Snapshot()
-		counts := [2]int64{snap.Counter("scorer.cells.built"), snap.Counter("scorer.cache.hits")}
-		if workers == 1 {
-			want = counts
-		} else if counts != want {
-			t.Errorf("workers %d: cells built, cache hits = %v, want %v as at 1 worker", workers, counts, want)
-		}
-		if s.NMEvaluations() != 0 {
-			t.Errorf("workers %d: LogMatchesAll counted %d NM evaluations", workers, s.NMEvaluations())
-		}
-
-		withEmpty := slices.Insert(slices.Clone(batch), len(batch)/2, Pattern{})
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("workers %d: no panic on a batch holding an empty pattern", workers)
-				}
-			}()
-			s.LogMatchesAll(withEmpty, nil)
 		}()
 	}
 }

@@ -139,6 +139,61 @@ func TestScorerPrepareSpan(t *testing.T) {
 	}
 }
 
+// TestScanBuildsInOnePass checks that a scan finding cells unbuilt builds
+// all of them in one pass: Extensions of an unbuilt prefix over unbuilt
+// cells, and NM, Match, LogMatches and NMWild of patterns with unbuilt and
+// repeated cells, each make one scorer.time.prepare observation and one
+// scorer.prepare span, which builds every distinct cell the call needs.
+// Called again, each builds nothing and every lookup hits.
+func TestScanBuildsInOnePass(t *testing.T) {
+	g := grid.NewSquare(4)
+	data := walkData()
+	for _, c := range []struct {
+		name             string
+		requested, built int
+		scan             func(s *Scorer)
+	}{
+		{"Extensions", 8, 6, func(s *Scorer) {
+			s.Extensions(Pattern{0, 1, 0}, []int{2, 3, 1, 4, 5}, func(int, []float64) {})
+		}},
+		{"NM", 4, 3, func(s *Scorer) { s.NM(Pattern{7, 8, 7, 9}) }},
+		{"Match", 3, 3, func(s *Scorer) { s.Match(Pattern{10, 11, 12}) }},
+		{"LogMatches", 2, 1, func(s *Scorer) { s.LogMatches(Pattern{13, 13}) }},
+		{"NMWild", 3, 2, func(s *Scorer) {
+			if _, err := s.NMWild(WildPattern{14, Wildcard, 15, 14}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg, tr := obs.New(), trace.New()
+			s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth(), Metrics: reg, Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.scan(s)
+			c.scan(s)
+			snap := reg.Snapshot()
+			if got := snap.Timers["scorer.time.prepare"].Count; got != 1 {
+				t.Errorf("%d scorer.time.prepare observations, want 1", got)
+			}
+			events := tr.Events()
+			if len(events) != 1 || events[0].Name != "scorer.prepare" {
+				t.Fatalf("trace records %+v, want one scorer.prepare span", events)
+			}
+			if a := events[0].Attrs; a["cells"] != c.requested || a["built"] != c.built {
+				t.Errorf("prepare attrs %v, want cells %d built %d", a, c.requested, c.built)
+			}
+			if got := snap.Counter("scorer.cells.built"); got != int64(c.built) {
+				t.Errorf("scorer.cells.built = %d, want %d", got, c.built)
+			}
+			if got := snap.Counter("scorer.cache.hits"); got != int64(2*c.requested-c.built) {
+				t.Errorf("scorer.cache.hits = %d, want %d", got, 2*c.requested-c.built)
+			}
+		})
+	}
+}
+
 // TestMinerTraceAttrs spot-checks the journal payloads: candidate events
 // carry a parseable pattern key, an NM value and the 1-based iteration.
 func TestMinerTraceAttrs(t *testing.T) {
@@ -228,18 +283,18 @@ func TestMinerProgress(t *testing.T) {
 	}
 }
 
-// TestDiscoverGroupsTraced checks the clustering span and that the traced
-// variant returns the same groups as the plain one.
+// TestDiscoverGroupsTraced checks the clustering span and that a traced
+// DiscoverGroups returns the same groups as an untraced one.
 func TestDiscoverGroupsTraced(t *testing.T) {
 	g := grid.NewSquare(4)
 	patterns := []Pattern{{0, 1}, {0, 2}, {5, 6}, {10, 11, 12}}
 	gamma := 10 * g.CellWidth()
-	plain, err := DiscoverGroups(patterns, g, gamma)
+	plain, err := DiscoverGroups(patterns, g, gamma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := trace.New()
-	traced, err := DiscoverGroupsTraced(patterns, g, gamma, tr)
+	traced, err := DiscoverGroups(patterns, g, gamma, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

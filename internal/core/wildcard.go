@@ -72,17 +72,14 @@ func (s *Scorer) NMWild(p WildPattern) (float64, error) {
 		return 0, err
 	}
 	spec := float64(p.SpecifiedLen())
-	w := s.walkOne(Pattern(p))
-	defer w.release()
 	var total float64
-	for ti := range s.data {
+	s.scan(Pattern(p), func(ti int, logM float64) {
 		if s.shorter(ti, len(p)) {
 			total += DefaultLogFloor
-			continue
+		} else {
+			total += logM / spec
 		}
-		w.trajectory(ti)
-		total += w.logM[0] / spec
-	}
+	})
 	return total, nil
 }
 

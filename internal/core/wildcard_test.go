@@ -54,7 +54,7 @@ func nmWildScan(s *Scorer, p WildPattern) float64 {
 	vecs := make([][]float64, len(p))
 	for j, cell := range p {
 		if cell != Wildcard {
-			vecs[j] = s.cellLogProbs(cell)
+			vecs[j] = s.CellVector(cell)
 		}
 	}
 	var total float64

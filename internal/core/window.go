@@ -3,15 +3,15 @@ package core
 import "sync"
 
 // The window-scan kernels and the shared-prefix walk built on them. Every
-// window scan (NM, NMWild, LogMatches, LogMatchesAll, Extensions, the
-// match measures and ScoreAll) runs through three kernels: add, addMax and
-// maxOf. On amd64 they are AVX2 assembly (window_amd64.s), chosen when
-// the package loads if the CPU and the OS support AVX2; elsewhere, on older
-// CPUs and in race-detector builds they are the Go kernels below, which
-// are also the assembly's reference. Both work across windows, never
-// across the terms of one window sum, so each sum takes its terms in the
-// order of the caller's passes and is the same float a plain loop would
-// produce.
+// window scan (the one-pattern scan behind NM, NMWild, LogMatches and
+// Match, Extensions and ScoreAll's walk) runs through three kernels: add,
+// addMax and maxOf. On amd64 they are AVX2 assembly (window_amd64.s),
+// chosen when the package loads if the CPU and the OS support AVX2;
+// elsewhere, on older CPUs and in race-detector builds they are the Go
+// kernels below, which are also the assembly's reference. Both work
+// across windows, never across the terms of one window sum, so each sum
+// takes its terms in the order of the caller's passes and is the same
+// float a plain loop would produce.
 // A max is an exact selection, so taking it lane by lane returns the
 // in-order loop's value as long as no input is NaN or -0; every built
 // entry lies in [DefaultLogFloor, 0] with log 1 = +0, and a wildcard reads
@@ -130,14 +130,6 @@ var walkPool = sync.Pool{New: func() any { return new(walk) }}
 func (s *Scorer) newWalk() *walk {
 	w := walkPool.Get().(*walk)
 	w.s = s
-	return w
-}
-
-// walkOne returns a pooled walk over s holding p alone.
-func (s *Scorer) walkOne(p Pattern) *walk {
-	w := s.newWalk()
-	w.add(p)
-	w.ready()
 	return w
 }
 

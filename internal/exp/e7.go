@@ -69,7 +69,7 @@ func RunE7(ctx context.Context, o SweepOptions) (*Series, error) {
 		for i, sp := range res.Patterns {
 			patterns[i] = sp.Pattern
 		}
-		groups, err := core.DiscoverGroupsTraced(patterns, g, gamma, o.Tracer)
+		groups, err := core.DiscoverGroups(patterns, g, gamma, o.Tracer)
 		if err != nil {
 			return nil, err
 		}

@@ -58,16 +58,15 @@ func riceCDF(delta, nu, sigma float64) float64 {
 	}
 	// Restrict the integration range to where the Gaussian factor is
 	// non-negligible: |r - nu| <= 9σ. Outside, the integrand is < 1e-17
-	// relative.
-	lo := math.Max(0, nu-9*sigma)
-	hi := math.Min(delta, nu+9*sigma)
+	// relative. A disk covering the whole bump has mass 1: integrating it
+	// would spread the panels over a wider range than a smaller disk's,
+	// and the coarser step could return less than the smaller disk's mass.
+	if delta >= nu+9*sigma {
+		return 1
+	}
+	lo, hi := math.Max(0, nu-9*sigma), delta
 	if hi <= lo {
-		// The disk lies entirely in a negligible tail. If delta covers the
-		// whole bump (nu+9σ <= delta fails above only when delta < lo), the
-		// answer is ~0; if delta is far beyond the bump the mass is ~1.
-		if delta >= nu+9*sigma {
-			return 1
-		}
+		// The disk lies entirely in the negligible lower tail.
 		return 0
 	}
 	inv2s2 := 1 / (2 * sigma * sigma)

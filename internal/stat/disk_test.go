@@ -110,7 +110,9 @@ func TestDiskProbFarTails(t *testing.T) {
 
 // Property: disk probability is within [0,1], monotone in delta, and always
 // at most the probability of the circumscribed box (and at least the
-// inscribed box, δ/√2).
+// inscribed box, δ/√2). The fixed case is mean (−0.04, 0.25), σ 0.08 and
+// δ 1.55, a disk covering the whole bump while δ/2 does not: integrated
+// over it, P(δ) was 0.9999999977257964 and P(δ/2) 0.9999999990238454.
 func TestQuickDiskVsBox(t *testing.T) {
 	f := func(lxs, lys, ss, ds uint16) bool {
 		lx := float64(lxs%200)/100 - 1 // [-1, 1)
@@ -128,6 +130,9 @@ func TestQuickDiskVsBox(t *testing.T) {
 		outer := BoxProb2D(lx, ly, sigma, 0, 0, delta)
 		inner := BoxProb2D(lx, ly, sigma, 0, 0, delta/math.Sqrt2)
 		return inner <= disk+1e-6 && disk <= outer+1e-6
+	}
+	if !f(96, 125, 3, 77) {
+		t.Error("fixed case: mean (−0.04, 0.25), σ 0.08, δ 1.55 fails")
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

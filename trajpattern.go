@@ -159,7 +159,7 @@ func MineWithWildcards(ctx context.Context, s *Scorer, cfg MinerConfig, maxRun i
 
 // DiscoverGroups clusters patterns into pattern groups (§4.2).
 func DiscoverGroups(patterns []Pattern, g *Grid, gamma float64) ([]Group, error) {
-	return core.DiscoverGroups(patterns, g, gamma)
+	return core.DiscoverGroups(patterns, g, gamma, nil)
 }
 
 // Similar reports whether two equal-length patterns are within gamma at
