@@ -151,14 +151,20 @@ func MinePB(s *core.Scorer, cfg PBConfig) (*PBResult, error) {
 	// one-cell child of prefix (the seeds themselves for the empty prefix)
 	// in one Extensions scan, which sums the prefix's windows once and runs
 	// score on its workers; the seeds' scan also folds each seed's
-	// log-matches into beta. Admission and the stack stay on this
-	// goroutine, in reverse seed order, so the first seed's child pops
-	// first.
+	// log-matches into beta. The children's patterns are cut from one
+	// slab per expansion: frames only read them, and top.offer clones.
+	// Admission and the stack stay on this goroutine, in reverse seed
+	// order, so the first seed's child pops first.
 	var stack []frame
 	children := make([]frame, len(seeds))
 	grow := func(prefix core.Pattern) {
+		m := len(prefix) + 1
+		slab := make(core.Pattern, len(seeds)*m)
 		for idx, c := range seeds {
-			children[idx].pat = prefix.Concat(core.Pattern{c})
+			pat := slab[idx*m : (idx+1)*m : (idx+1)*m]
+			copy(pat, prefix)
+			pat[m-1] = c
+			children[idx].pat = pat
 		}
 		s.Extensions(prefix, seeds, func(k int, logM []float64) {
 			children[k] = score(children[k].pat, logM)

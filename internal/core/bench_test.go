@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"trajpattern/internal/datagen"
@@ -104,6 +105,40 @@ func BenchmarkPrepare(b *testing.B) {
 					s.Prepare(cells)
 					b.StopTimer()
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkExtensions times Extensions on Figure 4's instance (80 zebras
+// of average length 60 in 5 herds, data seed 1, U 0.02, c 2, on the unit
+// 12×12 grid at δ = one cell width): every seed PB starts from
+// (ObservedCells(1)) as children of a prefix of the first one to three
+// seeds, with every vector built beforehand. It reports ns per (child,
+// trajectory), on one worker and on GOMAXPROCS.
+func BenchmarkExtensions(b *testing.B) {
+	zebras, err := datagen.ZebraDataset(datagen.ZebraConfig{NumZebras: 80, AvgLen: 60, NumGroups: 5, Seed: 1}, 0.02, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := grid.NewSquare(12)
+	for _, wc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=GOMAXPROCS", 0}} {
+		s, err := NewScorer(zebras, Config{Grid: g, Delta: g.CellWidth(), Workers: wc.workers})
+		if err != nil {
+			b.Fatal(err)
+		}
+		seeds := s.ObservedCells(1)
+		s.Prepare(seeds)
+		for i := 1; i <= 3; i++ {
+			prefix := Pattern(seeds[:i])
+			b.Run(fmt.Sprintf("prefix=%d/%s", i, wc.name), func(b *testing.B) {
+				for range b.N {
+					s.Extensions(prefix, seeds, func(int, []float64) {})
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(seeds)*len(zebras)), "ns/child-traj")
 			})
 		}
 	}

@@ -128,7 +128,8 @@ type Scorer struct {
 	cells   []atomic.Pointer[[]float64]
 	nmEvals atomic.Int64 // number of NM evaluations (for MinerStats)
 	// zeros returns the all-zero vector a Wildcard position reads (log
-	// 1 everywhere), built on first use.
+	// 1 everywhere), and Extensions' window sums of the empty prefix,
+	// built on first use.
 	zeros func() []float64
 
 	m  scorerMetrics
@@ -585,16 +586,18 @@ func (s *Scorer) LogMatches(p Pattern) []float64 {
 // calls each(k, logM) with the LogMatches of prefix·cells[k], indexed by
 // trajectory. It sums prefix's windows once over every flat position,
 // adding its vectors in pattern order as the walk's levels do, so every
-// window sum, and so every log-match, has the bits LogMatches gives. It
-// then splits cells into up to cfg.Workers contiguous chunks (fanOut), and
-// a worker streams each of its cells' vectors across every trajectory with
-// one addMax (maxOf for an empty prefix). The calling goroutine fetches the
-// prefix's and the children's vectors together, building all the missing
-// ones in one pass (vectors); the workers only scan. each runs on the
-// workers, concurrently for different k, and logM is valid only during the
-// call. The scratch is pooled and grows with the flat positions, never
-// with positions times prefix length. Extensions does not count as NM
-// evaluations.
+// window sum, and so every log-match, has the bits LogMatches gives; the
+// empty prefix's sums are the all-zero vector, which adds nothing to a
+// built entry. It then splits cells into up to cfg.Workers contiguous
+// chunks (fanOut), and a worker scores its children four at a time, each
+// four in one extend pass over every trajectory; a chunk's last four
+// repeat its last child, whose repeats are not handed to each. The
+// calling goroutine fetches the prefix's and the children's vectors
+// together, building all the missing ones in one pass (vectors); the
+// workers only scan. each runs on the workers, concurrently for different
+// k, and logM is valid only during the call. The scratch is pooled and
+// grows with the flat positions, never with positions times prefix
+// length. Extensions does not count as NM evaluations.
 func (s *Scorer) Extensions(prefix Pattern, cells []int, each func(k int, logM []float64)) {
 	x := extPool.Get().(*extScratch)
 	defer x.release()
@@ -606,9 +609,11 @@ func (s *Scorer) Extensions(prefix Pattern, cells []int, each func(k int, logM [
 	// child's window can start at.
 	var sums []float64
 	switch n := len(s.flat) - i; {
+	case i == 0:
+		sums = s.zeros()
 	case i == 1:
 		sums = pre[0]
-	case i > 1 && n > 0:
+	case n > 0:
 		sums = slices.Grow(x.sums[:0], n)[:n]
 		add(sums, pre[0], pre[1][1:])
 		for j := 2; j < i; j++ {
@@ -616,35 +621,30 @@ func (s *Scorer) Extensions(prefix Pattern, cells []int, each func(k int, logM [
 		}
 		x.sums = sums
 	}
-	rows := min(s.cfg.Workers, len(cells)) * nt
+	rows := min(s.cfg.Workers, len(cells)) * 4 * nt
 	x.rows = slices.Grow(x.rows[:0], rows)[:rows]
 	free := x.rows // the rows no worker has yet
-	floor := DefaultLogFloor * float64(i+1)
 	s.fanOut(len(cells), func(lo, hi int) func() {
-		row := free[:nt]
-		free = free[nt:]
+		out := free[:4*nt]
+		free = free[4*nt:]
 		return func() {
-			for k, v := range vecs[lo:hi] {
-				for ti := range row {
-					start, end := s.offsets[ti], s.offsets[ti+1]
-					switch {
-					case end-start <= i:
-						row[ti] = floor
-					case i == 0:
-						row[ti] = maxOf(v[start:end])
-					default:
-						row[ti] = addMax(sums[start:end-i], v[start+i:])
-					}
+			var four [4][]float64
+			for k := lo; k < hi; k += 4 {
+				for j := range four {
+					four[j] = vecs[min(k+j, hi-1)]
 				}
-				each(lo+k, row)
+				extend(out, sums, &four, s.offsets, i)
+				for j := range min(4, hi-k) {
+					each(k+j, out[j*nt:][:nt])
+				}
 			}
 		}
 	})
 }
 
 // extScratch is one Extensions call's scratch: the prefix's cells followed
-// by the children's, their vectors, the prefix's window sums and one
-// log-match row per worker.
+// by the children's, their vectors, the prefix's window sums and four
+// log-match rows per worker.
 type extScratch struct {
 	cells      Pattern
 	vecs       [][]float64
@@ -828,28 +828,33 @@ func (s *Scorer) scoreChunk(ctx context.Context, patterns []Pattern, chunk []int
 // Cells far from all data have NM equal to the floor sum and can never be
 // in the top k, so the miners use this as their default singular seed set.
 func (s *Scorer) ObservedCells(r int) []int {
-	set := make(map[int]struct{})
+	g := s.cfg.Grid
+	seen := make([]bool, g.NumCells())
 	for _, pt := range s.flat {
-		idx := s.cfg.Grid.IndexOf(pt.Mean)
-		set[idx] = struct{}{}
+		seen[g.IndexOf(pt.Mean)] = true
 	}
 	if r > 0 {
-		base := make([]int, 0, len(set))
-		for c := range set {
-			base = append(base, c)
-		}
-		sort.Ints(base)
-		for _, c := range base {
-			for _, n := range s.cfg.Grid.Neighbors(c, r) {
-				set[n] = struct{}{}
+		nx, ny := g.NX(), g.NY()
+		ring := make([]bool, len(seen))
+		for c, ok := range seen {
+			if !ok {
+				continue
+			}
+			cx, cy := c%nx, c/nx
+			for y := max(cy-r, 0); y <= min(cy+r, ny-1); y++ {
+				for x := max(cx-r, 0); x <= min(cx+r, nx-1); x++ {
+					ring[y*nx+x] = true
+				}
 			}
 		}
+		seen = ring
 	}
-	out := make([]int, 0, len(set))
-	for c := range set {
-		out = append(out, c)
+	out := []int{}
+	for c, ok := range seen {
+		if ok {
+			out = append(out, c)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 

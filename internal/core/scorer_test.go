@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"trajpattern/internal/geom"
 	"trajpattern/internal/grid"
 	"trajpattern/internal/obs"
 	"trajpattern/internal/stat"
@@ -401,6 +403,57 @@ func TestObservedCells(t *testing.T) {
 	}
 	if got := s.AllCells(); len(got) != 100 || got[99] != 99 {
 		t.Errorf("AllCells = %d cells", len(got))
+	}
+}
+
+// Property: ObservedCells is the set a map builds, sorted: each snapshot
+// mean's cell, plus grid.Neighbors of radius r around each of them. The
+// datasets hold one to four trajectories of 0 to 12 snapshots (at least
+// one in all) with means over [−0.5, 1.5)², so some fall outside the unit
+// square and IndexOf clamps them to the edge. Grids run from 1×1 to 20×20
+// and r from 0 to 2.
+func TestQuickObservedCellsMatchesMap(t *testing.T) {
+	f := func(seed uint64, nx, ny, r uint8) bool {
+		rng := stat.NewRNG(seed)
+		var data traj.Dataset
+		for range 1 + rng.Intn(4) {
+			tr := make(traj.Trajectory, rng.Intn(13))
+			for j := range tr {
+				tr[j] = traj.P(2*rng.Float64()-0.5, 2*rng.Float64()-0.5, 0.05)
+			}
+			data = append(data, tr)
+		}
+		data[0] = append(data[0], traj.P(2*rng.Float64()-0.5, 2*rng.Float64()-0.5, 0.05))
+		g := grid.New(geom.UnitSquare(), 1+int(nx)%20, 1+int(ny)%20)
+		s, err := NewScorer(data, Config{Grid: g, Delta: g.CellWidth()})
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		ring := int(r) % 3
+		set := map[int]bool{}
+		for _, tr := range data {
+			for _, pt := range tr {
+				set[g.IndexOf(pt.Mean)] = true
+			}
+		}
+		var want []int
+		for c := range set {
+			want = append(want, c)
+			for _, n := range g.Neighbors(c, ring) {
+				want = append(want, n)
+			}
+		}
+		sort.Ints(want)
+		want = slices.Compact(want)
+		if got := s.ObservedCells(ring); !slices.Equal(got, want) {
+			t.Logf("%v, r %d: got %v, want %v", g, ring, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -3,15 +3,16 @@ package core
 import "sync"
 
 // The window-scan kernels and the shared-prefix walk built on them. Every
-// window scan (the one-pattern scan behind NM, NMWild, LogMatches and
-// Match, Extensions and ScoreAll's walk) runs through three kernels: add,
-// addMax and maxOf. On amd64 they are AVX2 assembly (window_amd64.s),
-// chosen when the package loads if the CPU and the OS support AVX2;
-// elsewhere, on older CPUs and in race-detector builds they are the Go
-// kernels below, which are also the assembly's reference. Both work
-// across windows, never across the terms of one window sum, so each sum
-// takes its terms in the order of the caller's passes and is the same
-// float a plain loop would produce.
+// window scan runs through four kernels: the one-pattern scan behind NM,
+// NMWild, LogMatches and Match and ScoreAll's walk through add, addMax and
+// maxOf, and Extensions through extend, which scores four children of a
+// prefix per pass over the trajectories. On amd64 they are AVX2 assembly
+// (window_amd64.s), chosen when the package loads if the CPU and the OS
+// support AVX2; elsewhere, on older CPUs and in race-detector builds they
+// are the Go kernels below, which are also the assembly's reference. Both
+// work across windows (and extend across children), never across the
+// terms of one window sum, so each sum takes its terms in the order of the
+// caller's passes and is the same float a plain loop would produce.
 // A max is an exact selection, so taking it lane by lane returns the
 // in-order loop's value as long as no input is NaN or -0; every built
 // entry lies in [DefaultLogFloor, 0] with log 1 = +0, and a wildcard reads
@@ -81,6 +82,30 @@ func maxOfGo(v []float64) float64 {
 		}
 	}
 	return best
+}
+
+// extendGo scores four one-cell children of an i-position prefix in every
+// trajectory, trajectory t being flat positions offsets[t] to
+// offsets[t+1]. Into rows[k·nt+t], nt = len(offsets)−1, it writes child
+// k's log-match: the largest sums[w] + vecs[k][w+i] over t's windows w, as
+// addMaxGo returns it, or DefaultLogFloor·(i+1) where t has no more than i
+// positions. sums holds the prefix's window sum at each flat position
+// (zero for the empty prefix). rows must hold 4·nt floats, sums every
+// window a child's can start at and each vecs[k] every flat position.
+func extendGo(rows, sums []float64, vecs *[4][]float64, offsets []int, i int) {
+	nt := len(offsets) - 1
+	floor := DefaultLogFloor * float64(i+1)
+	for k, v := range vecs {
+		row := rows[k*nt:][:nt]
+		for t := range row {
+			start, end := offsets[t], offsets[t+1]
+			if end-start <= i {
+				row[t] = floor
+				continue
+			}
+			row[t] = addMaxGo(sums[start:end-i], v[start+i:])
+		}
+	}
 }
 
 // walkBlock is how many patterns one ScoreAll walk holds at a time. It

@@ -47,6 +47,13 @@ func addMax(acc, src []float64) float64
 //go:noescape
 func maxOf(v []float64) float64
 
+// extend is extendGo with its loop over trajectories in assembly: each
+// load of the prefix's sums feeds one VADDPD per child, and a 4×4
+// transpose reduces the four children's running maxima at once.
+//
+//go:noescape
+func extend(rows, sums []float64, vecs *[4][]float64, offsets []int, i int)
+
 // logProducts is logProductsGo four positions at a time, each lane a port
 // of math.Log's amd64 assembly.
 //

@@ -12,4 +12,8 @@ func addMax(acc, src []float64) float64 { return addMaxGo(acc, src) }
 
 func maxOf(v []float64) float64 { return maxOfGo(v) }
 
+func extend(rows, sums []float64, vecs *[4][]float64, offsets []int, i int) {
+	extendGo(rows, sums, vecs, offsets, i)
+}
+
 func logProducts(dst, px, py []float64) { logProductsGo(dst, px, py) }
